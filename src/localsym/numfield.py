@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Callable, Sequence
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NumFieldError(ValueError):
@@ -61,67 +60,133 @@ class BiquadField:
         return self.b is None
 
     def element(self, c0, c1=0, c2=0, c3=0) -> "Bq":
-        return Bq(self, (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3)))
+        return Bq(self, (c0, c1, c2, c3))
 
-    @property
+    # the constants are immutable, so one object per field serves every caller
+    @cached_property
     def zero(self):
         return self.element(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.element(1)
 
-    @property
+    @cached_property
     def sqrt_a(self):
         return self.element(0, 1)
 
-    @property
+    @cached_property
     def sqrt_b(self):
         return self.element(0, 0, 1)
 
-    @property
+    @cached_property
     def sqrt_ab(self):
         return self.element(0, 0, 0, 1)
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+
+
+def _raw(field, num, den):
+    """The Bq num / den; num is a 4-tuple of ints already in lowest terms
+    with the int den > 0."""
+    x = _new(Bq)
+    x.field = field
+    x._num = num
+    x._den = den
+    return x
+
+
+def _reduced(field, n0, n1, n2, n3, den):
+    """The Bq (n0, n1, n2, n3) / den for ints with den > 0, in lowest terms."""
+    if den != 1:
+        g = gcd(n0, n1, n2, n3, den)
+        if g != 1:
+            n0 //= g
+            n1 //= g
+            n2 //= g
+            n3 //= g
+            den //= g
+    return _raw(field, (n0, n1, n2, n3), den)
+
+
 class Bq:
-    """c0 + c1 sqrt(a) + c2 sqrt(b) + c3 sqrt(ab), exact rational coefficients."""
+    """c0 + c1 sqrt(a) + c2 sqrt(b) + c3 sqrt(ab), exact rational coefficients.
 
-    field: BiquadField
-    coeffs: tuple
+    Stored as four integer numerators over one positive integer denominator
+    in lowest terms, so equal values compare and hash equal; `coeffs` gives
+    the coefficients as Fractions.  Treat instances as immutable.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != 4:
+    __slots__ = ("field", "_num", "_den")
+
+    def __init__(self, field: BiquadField, coeffs):
+        """coeffs: four ints, Fractions or strings such as "-3/4"."""
+        if len(coeffs) != 4:
             raise NumFieldError("need 4 coefficients")
-        if self.field.is_quadratic and (self.coeffs[2] or self.coeffs[3]):
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        if field.is_quadratic and (cs[2] or cs[3]):
             raise NumFieldError("quadratic model has no sqrt(b) component")
+        den = lcm(*(c.denominator for c in cs))
+        self.field = field
+        self._num = tuple(int(c.numerator) * (den // c.denominator) for c in cs)
+        self._den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        d = self._den
+        return tuple(Fraction(n, d) for n in self._num)
 
     def _lift(self, other):
         if isinstance(other, Bq):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise NumFieldError("mixed fields")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.element(other)
+        if isinstance(other, int):
+            return _raw(self.field, (int(other), 0, 0, 0), 1)
+        if isinstance(other, Fraction):
+            return _raw(self.field, (other.numerator, 0, 0, 0), other.denominator)
         return None
+
+    def __eq__(self, other):
+        if not isinstance(other, Bq):
+            return NotImplemented
+        return (
+            self._num == other._num
+            and self._den == other._den
+            and (self.field is other.field or self.field == other.field)
+        )
+
+    def __hash__(self):
+        return hash((self.field, self._num, self._den))
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return Bq(self.field, tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
+        x0, x1, x2, x3 = self._num
+        y0, y1, y2, y3 = o._num
+        d, e = self._den, o._den
+        if d == e:
+            return _reduced(self.field, x0 + y0, x1 + y1, x2 + y2, x3 + y3, d)
+        return _reduced(self.field, x0 * e + y0 * d, x1 * e + y1 * d, x2 * e + y2 * d, x3 * e + y3 * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Bq(self.field, tuple(-x for x in self.coeffs))
+        x0, x1, x2, x3 = self._num
+        return _raw(self.field, (-x0, -x1, -x2, -x3), self._den)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        x0, x1, x2, x3 = self._num
+        y0, y1, y2, y3 = o._num
+        d, e = self._den, o._den
+        if d == e:
+            return _reduced(self.field, x0 - y0, x1 - y1, x2 - y2, x3 - y3, d)
+        return _reduced(self.field, x0 * e - y0 * d, x1 * e - y1 * d, x2 * e - y2 * d, x3 * e - y3 * d, d * e)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -130,19 +195,20 @@ class Bq:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        x0, x1, x2, x3 = self.coeffs
-        y0, y1, y2, y3 = o.coeffs
-        a = self.field.a
-        b = self.field.b if self.field.b is not None else 0
-        ab = a * b
-        return Bq(
-            self.field,
-            (
-                x0 * y0 + a * x1 * y1 + b * x2 * y2 + ab * x3 * y3,
-                x0 * y1 + x1 * y0 + b * (x2 * y3 + x3 * y2),
-                x0 * y2 + x2 * y0 + a * (x1 * y3 + x3 * y1),
-                x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
-            ),
+        field = self.field
+        x0, x1, x2, x3 = self._num
+        y0, y1, y2, y3 = o._num
+        a, b = field.a, field.b
+        den = self._den * o._den
+        if b is None:
+            return _reduced(field, x0 * y0 + a * x1 * y1, x0 * y1 + x1 * y0, 0, 0, den)
+        return _reduced(
+            field,
+            x0 * y0 + a * x1 * y1 + b * (x2 * y2 + a * x3 * y3),
+            x0 * y1 + x1 * y0 + b * (x2 * y3 + x3 * y2),
+            x0 * y2 + x2 * y0 + a * (x1 * y3 + x3 * y1),
+            x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
+            den,
         )
 
     __rmul__ = __mul__
@@ -170,30 +236,32 @@ class Bq:
 
     @property
     def is_zero(self):
-        return not any(self.coeffs)
+        return self._num == (0, 0, 0, 0)
 
     @property
     def is_rational(self):
-        return not (self.coeffs[1] or self.coeffs[2] or self.coeffs[3])
+        _, x1, x2, x3 = self._num
+        return not (x1 or x2 or x3)
 
     @property
     def rational(self) -> Fraction:
         if not self.is_rational:
             raise NumFieldError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def sigma(self):
-        c0, c1, c2, c3 = self.coeffs
-        return Bq(self.field, (c0, -c1, c2, -c3))
+        x0, x1, x2, x3 = self._num
+        return _raw(self.field, (x0, -x1, x2, -x3), self._den)
 
     def tau(self):
         if self.field.is_quadratic:
             return self
-        c0, c1, c2, c3 = self.coeffs
-        return Bq(self.field, (c0, c1, -c2, -c3))
+        x0, x1, x2, x3 = self._num
+        return _raw(self.field, (x0, x1, -x2, -x3), self._den)
 
     def sigma_tau(self):
-        return self.sigma().tau()
+        x0, x1, x2, x3 = self._num
+        return _raw(self.field, (x0, -x1, -x2, x3), self._den)
 
     def apply(self, which: str):
         """Apply an involution by name: 'sigma', 'tau' or 'sigma_tau'."""
@@ -217,25 +285,34 @@ class Bq:
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("inverse of 0")
-        cof = self.sigma() * self.tau() * self.sigma_tau()
-        n = (self * cof).rational
-        return Bq(self.field, tuple(c / n for c in cof.coeffs))
+        field = self.field
+        a, b = field.a, field.b
+        x0, x1, x2, x3 = self._num
+        if b is None:
+            # 1 / (x0 + x1 ra) = (x0 - x1 ra) / (x0^2 - a x1^2)
+            n = x0 * x0 - a * x1 * x1
+            c0, c1, c2, c3 = x0, -x1, 0, 0
+        else:
+            # u = x tau(x) lies in Q(ra), and 1/x = tau(x) sigma(u) / (u sigma(u))
+            u0 = x0 * x0 + a * x1 * x1 - b * (x2 * x2 + a * x3 * x3)
+            u1 = 2 * (x0 * x1 - b * x2 * x3)
+            n = u0 * u0 - a * u1 * u1
+            c0, c1, c2, c3 = x0 * u0 - a * x1 * u1, x1 * u0 - x0 * u1, a * x3 * u1 - x2 * u0, x2 * u1 - x3 * u0
+        # x = num / den, so 1/x = den * c / n
+        d = self._den if n > 0 else -self._den
+        return _reduced(field, c0 * d, c1 * d, c2 * d, c3 * d, abs(n))
 
     def to_json(self):
         return [str(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, field, data):
-        return Bq(field, tuple(Fraction(s) for s in data))
+        return Bq(field, data)
 
     def __repr__(self):
         names = ("", "*ra", "*rb", "*rab")
         parts = [f"{c}{n}" for c, n in zip(self.coeffs, names) if c]
         return "Bq(" + (" + ".join(parts) if parts else "0") + ")"
-
-
-def apply_involution(x: Bq, which: str) -> Bq:
-    return x.apply(which)
 
 
 def recover_hilbert90(x: Bq, which: str = "tau") -> Bq:
@@ -258,7 +335,8 @@ def recover_hilbert90(x: Bq, which: str = "tau") -> Bq:
             c = gens[which]
         except KeyError:
             raise NumFieldError(f"no generator is negated by {which!r} here")
-    assert (c / c.apply(which) - x).is_zero
+    if not (c / c.apply(which) - x).is_zero:
+        raise NumFieldError("Hilbert-90 splitting failed its certification")
     return c
 
 
@@ -298,12 +376,11 @@ class Mat:
 
     @classmethod
     def block_diag(cls, field, blocks):
-        mats = [b if isinstance(b, Mat) else b for b in blocks]
-        n = sum(b.n for b in mats)
+        n = sum(b.n for b in blocks)
         zero = field.zero
         rows = [[zero] * n for _ in range(n)]
         off = 0
-        for b in mats:
+        for b in blocks:
             for i in range(b.n):
                 for j in range(b.m):
                     rows[off + i][off + j] = b.rows[i][j]
@@ -387,9 +464,10 @@ class Mat:
     def is_identity(self):
         if self.n != self.m:
             return False
+        one, zero = self.field.one, self.field.zero
         for i, r in enumerate(self.rows):
             for j, e in enumerate(r):
-                if e != (self.field.one if i == j else self.field.zero):
+                if e != (one if i == j else zero):
                     return False
         return True
 
@@ -427,7 +505,8 @@ class Mat:
             raise NumFieldError("inverse of non-square matrix")
         n = self.n
         field = self.field
-        aug = [list(r) + list(Mat.identity(field, n).rows[i]) for i, r in enumerate(self.rows)]
+        ident = Mat.identity(field, n).rows
+        aug = [list(r) + list(ident[i]) for i, r in enumerate(self.rows)]
         for col in range(n):
             piv = next((i for i in range(col, n) if not aug[i][col].is_zero), None)
             if piv is None:
@@ -472,37 +551,41 @@ def in_symmetric_space(x: Mat, j: Mat, eps: int | None = None) -> bool:
     return in_isometry_group(x, j, eps) and (x * x.sigma()).is_identity
 
 
+def _hilbert90_candidates(field: BiquadField, n: int):
+    """The matrices c tried by recover_hilbert90_matrix, in order: I,
+    sqrt(a) I, n deterministic diagonal perturbations, then 40 random
+    matrices from a fixed seed.  Built one at a time, since c = I almost
+    always works."""
+    import random as _random
+
+    yield Mat.identity(field, n)
+    yield Mat.identity(field, n) * field.sqrt_a
+    for k in range(2, 2 + n):
+        yield Mat.diagonal(field, [field.element(1 + (i * k) % (n + k)) + field.sqrt_a * (i % 2) for i in range(n)])
+    rng = _random.Random(20240810)
+    for _ in range(40):
+        yield Mat(
+            field,
+            [
+                [field.element(rng.randint(-3, 3)) + field.sqrt_a * rng.randint(-2, 2) for _ in range(n)]
+                for _ in range(n)
+            ],
+        )
+
+
 def recover_hilbert90_matrix(x: Mat) -> Mat:
     """Given x with x sigma(x) = I, return invertible z with z sigma(z)^-1 = x.
 
     z = c + x sigma(c) works for any c making it invertible; c = I, then
-    c = sqrt(a) I, then a few deterministic diagonal perturbations.
+    c = sqrt(a) I, then a few deterministic diagonal perturbations and
+    random matrices (see _hilbert90_candidates).
     """
     if not (x * x.sigma()).is_identity:
         raise NumFieldError("x sigma(x) != I")
-    import random as _random
-
-    field = x.field
-    n = x.n
-    candidates = [Mat.identity(field, n), Mat.identity(field, n) * field.sqrt_a]
-    for k in range(2, 2 + n):
-        candidates.append(
-            Mat.diagonal(field, [field.element(1 + (i * k) % (n + k)) + field.sqrt_a * (i % 2) for i in range(n)])
-        )
-    rng = _random.Random(20240810)
-    for _ in range(40):
-        candidates.append(
-            Mat(
-                field,
-                [
-                    [field.element(rng.randint(-3, 3)) + field.sqrt_a * rng.randint(-2, 2) for _ in range(n)]
-                    for _ in range(n)
-                ],
-            )
-        )
-    for c in candidates:
+    for c in _hilbert90_candidates(x.field, x.n):
         z = c + x * c.sigma()
         if not z.det().is_zero:
-            assert z * z.sigma().inv() == x
+            if z * z.sigma().inv() != x:
+                raise NumFieldError("Hilbert-90 splitting failed its certification")
             return z
     raise NumFieldError("no splitting found; matrix too degenerate for the candidate list")

@@ -165,3 +165,30 @@ def test_hilbert90_matrix():
     xm = Mat.diagonal(F, [F.element(-1)])
     z = recover_hilbert90_matrix(xm)
     assert z * z.sigma().inv() == xm
+
+
+def _mat(field, rows):
+    return Mat(field, [[field.element(*c) for c in r] for r in rows])
+
+
+# (x, z) with z the splitting recover_hilbert90_matrix returned when it built
+# its whole candidate list up front; the comment names the candidate taken
+PINNED_SPLITTINGS = [
+    ([[(1,), (0,)], [(0,), (1,)]], [[(2,), (0,)], [(0,), (2,)]]),  # c = I
+    ([[(-1,), (0,)], [(0,), (-1,)]], [[(0, 2), (0,)], [(0,), (0, 2)]]),  # c = sqrt(a) I
+    ([[(0,), (1,)], [(1,), (0,)]], [[(1,), (3, -1)], [(1,), (3, 1)]]),  # first diagonal
+    ([[(-1,), (0,)], [(0,), (1,)]], [[(0, -2), (0,)], [(0,), (6,)]]),  # second random
+    (
+        [[(1,), (0,), (0,)], [(0,), (-1,), (0,)], [(0,), (0,), (-1,)]],
+        [[(4,), (6,), (0,)], [(0, 2), (0, -2), (0,)], [(0, -2), (0,), (0, -2)]],
+    ),  # first random
+]
+
+
+@pytest.mark.parametrize("field", [F, BiquadField(2)], ids=["biquadratic", "quadratic"])
+def test_hilbert90_matrix_pinned_candidate_order(field):
+    for x_rows, z_rows in PINNED_SPLITTINGS:
+        x = _mat(field, x_rows)
+        z = recover_hilbert90_matrix(x)
+        assert z == _mat(field, z_rows)
+        assert z * z.sigma().inv() == x
