@@ -2,7 +2,8 @@
 twisted involution acts on the restricted-root space R^k, edges follow
 simple roots made negative (but not anti-fixed) by the action, descent
 walks edges until none remain, and the convergence cone is an exact
-rational membership predicate.
+rational membership predicate, decided in integers: the point is put over
+one common denominator and each wall is compared without Fractions.
 
 Only the combinatorial layer lives here; no analytic data is attached to
 edges.  Descent stops at vertices with no eligible simple root; stronger
@@ -14,12 +15,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .weyl import Composition, SignedInvolution, SignedPerm
 
 
 class InvGraphError(ValueError):
     pass
+
+
+_HALF = Fraction(1, 2)
+
+
+def _exact(x):
+    """x as an int or a Fraction; Fraction(x) runs only for other types."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -29,14 +40,11 @@ class Convention:
 
     wall_double: bool = False
 
-    @classmethod
-    def for_pair(cls, pair, comp: Composition) -> "Convention":
-        return cls(wall_double=pair.split_even_orthogonal and comp.r == 0)
-
 
 @dataclass(frozen=True)
 class ThetaAction:
-    """(theta l)_i = signs_i * l_{rho(i)}, signs -1 exactly on the sign set."""
+    """(theta l)_i = signs_i * l_{rho(i)}, signs -1 exactly on the sign set
+    and +1 elsewhere."""
 
     rho: tuple
     signs: tuple
@@ -50,14 +58,15 @@ class ThetaAction:
         return len(self.rho)
 
     def apply(self, vec):
-        return tuple(self.signs[i] * vec[self.rho[i]] for i in range(self.k))
+        return tuple(vec[r] * s for s, r in zip(self.signs, self.rho))
 
     def is_involution(self):
-        probe = [tuple(Fraction(1 if i == j else 0) for j in range(self.k)) for i in range(self.k)]
+        probe = [tuple(1 if i == j else 0 for j in range(self.k)) for i in range(self.k)]
         return all(self.apply(self.apply(v)) == v for v in probe)
 
     def anti_invariant_part(self, vec):
-        return tuple((v - t) / 2 for v, t in zip(vec, self.apply(vec)))
+        vec = tuple(_exact(x) for x in vec)
+        return tuple(_HALF * (v - t) for v, t in zip(vec, self.apply(vec)))
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,35 @@ def constraining_roots(theta: ThetaAction, conv: Convention):
         for alpha in positive_roots(theta.k, conv)
         if root_sign(theta.apply(alpha)) < 0
     )
+
+
+def _wall_row(alpha):
+    return alpha, sum(a * a for a in alpha)
+
+
+@lru_cache(maxsize=None)
+def _wall_rows(theta: ThetaAction, conv: Convention):
+    """(alpha, |alpha|^2) for each wall of the cone."""
+    return tuple(_wall_row(alpha) for alpha in constraining_roots(theta, conv))
+
+
+def _integer_point(lam):
+    """(n, d) with lam = n / d, n integers and d the lcm of the denominators."""
+    lam = [_exact(x) for x in lam]
+    dens = [x.denominator for x in lam]
+    d = lcm(*dens)
+    return tuple(x.numerator * (d // e) for x, e in zip(lam, dens)), d
+
+
+def _above_walls(num, d, c, rows) -> bool:
+    """<lam, alpha^vee> > c on every row (alpha, |alpha|^2), for lam = num / d
+    and c = p / q: the wall test 2 q <num, alpha> > p d |alpha|^2 in integers."""
+    q2 = 2 * c.denominator
+    pd = c.numerator * d
+    for alpha, norm2 in rows:
+        if q2 * sum(map(mul, num, alpha)) <= pd * norm2:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -140,16 +178,21 @@ def coroot_pairing(lam, alpha) -> Fraction:
     return 2 * num / den
 
 
-def eligible_simple_roots(v: Vertex, conv: Convention):
-    """Simple roots alpha with theta(alpha) negative but not equal to
-    -alpha: the edges out of the vertex."""
-    theta = ThetaAction.from_involution(v.w)
+@lru_cache(maxsize=None)
+def _eligible(w: SignedInvolution, conv: Convention):
+    theta = ThetaAction.from_involution(w)
     out = []
-    for idx, alpha in enumerate(simple_roots(v.comp.k, conv)):
+    for idx, alpha in enumerate(simple_roots(w.k, conv)):
         image, sign = theta_on_root(theta, alpha)
         if sign == "negative" and image != tuple(-x for x in alpha):
             out.append((idx, alpha))
-    return out
+    return tuple(out)
+
+
+def eligible_simple_roots(v: Vertex, conv: Convention):
+    """Simple roots alpha with theta(alpha) negative but not equal to
+    -alpha: the edges out of the vertex."""
+    return list(_eligible(v.w, conv))
 
 
 def _symmetry_perm(k: int, idx: int) -> SignedPerm:
@@ -160,12 +203,16 @@ def _symmetry_perm(k: int, idx: int) -> SignedPerm:
     return SignedPerm(tuple(range(k)), frozenset({k - 1}))
 
 
+@lru_cache(maxsize=None)
+def _reflect(w: SignedInvolution, idx: int) -> SignedInvolution:
+    return w.conjugate_by(_symmetry_perm(w.k, idx))
+
+
 def apply_symmetry(v: Vertex, idx: int) -> Vertex:
     """The elementary symmetry at a simple root: swap the adjacent parts or
     fold the last one, conjugating the involution class."""
     k = v.comp.k
-    s = _symmetry_perm(k, idx)
-    w2 = v.w.conjugate_by(s)
+    w2 = _reflect(v.w, idx)
     if idx < k - 1:
         parts = list(v.comp.parts)
         parts[idx], parts[idx + 1] = parts[idx + 1], parts[idx]
@@ -213,13 +260,13 @@ def descend(v: Vertex, conv: Convention):
     """Greedy descent along least eligible simple roots; returns the list of
     steps (empty for a terminal vertex) and the terminal vertex reached.
 
-    Termination within the number of positive restricted roots is asserted;
-    a violation would signal a bug."""
+    The walk is bounded by the number of positive restricted roots; a longer
+    one raises InvGraphError, which would signal a bug."""
     path = []
     bound = len(positive_roots(v.comp.k, conv))
     current = v
     while True:
-        options = eligible_simple_roots(current, conv)
+        options = _eligible(current.w, conv)
         if not options:
             return path, current
         idx, alpha = options[0]
@@ -230,22 +277,19 @@ def descend(v: Vertex, conv: Convention):
 
 
 def is_terminal(v: Vertex, conv: Convention) -> bool:
-    return not eligible_simple_roots(v, conv)
+    return not _eligible(v.w, conv)
 
 
 def cone_contains(theta: ThetaAction, lam, c, conv: Convention) -> bool:
     """Membership in the open cone: lam anti-invariant under theta and
-    <lam, alpha^vee> > c for every positive root made negative by theta."""
-    lam = tuple(Fraction(x) for x in lam)
-    if len(lam) != theta.k:
+    <lam, alpha^vee> > c for every positive root made negative by theta.
+    Decided on the integer numerators of lam over its common denominator."""
+    num, d = _integer_point(lam)
+    if len(num) != theta.k:
         raise InvGraphError("dimension mismatch")
-    if theta.apply(lam) != tuple(-x for x in lam):
+    if theta.apply(num) != tuple(-x for x in num):
         return False
-    c = Fraction(c)
-    for alpha in constraining_roots(theta, conv):
-        if coroot_pairing(lam, alpha) <= c:
-            return False
-    return True
+    return _above_walls(num, d, _exact(c), _wall_rows(theta, conv))
 
 
 def cone_recursion_holds(v: Vertex, idx: int, lam, c, conv: Convention) -> bool:
@@ -258,5 +302,7 @@ def cone_recursion_holds(v: Vertex, idx: int, lam, c, conv: Convention) -> bool:
     theta1 = ThetaAction.from_involution(target.w)
     lhs = cone_contains(theta, lam, c, conv)
     moved = s_alpha_on_vector(v.comp.k, idx, lam)
-    rhs = cone_contains(theta1, moved, c, conv) and coroot_pairing(lam, alpha) > Fraction(c)
+    rhs = cone_contains(theta1, moved, c, conv) and _above_walls(
+        *_integer_point(lam), _exact(c), (_wall_row(alpha),)
+    )
     return lhs == rhs

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localsym.invgraph import (
     Convention,
@@ -23,7 +25,7 @@ from localsym.invgraph import (
     simple_roots,
     theta_on_root,
 )
-from localsym.weyl import Composition, SignedInvolution, enumerate_involutions
+from localsym.weyl import Composition, SignedInvolution, SignedPerm, enumerate_involutions
 
 CONVS = (Convention(False), Convention(True))
 
@@ -142,6 +144,20 @@ def test_cone_examples():
     w2 = SignedInvolution.identity(2)
     theta2 = ThetaAction.from_involution(w2)
     assert not cone_contains(theta2, (1, 1), 0, conv)
+    # a point on a wall is outside (the inequality is strict); c of each type.
+    # Walls e1 - e2, e1 + e2, e1, e2 pair with (5/6, 1/4) to 7/12, 13/12, 5/3, 1/2
+    lam = (Fraction(5, 6), Fraction(1, 4))
+    assert cone_contains(theta, lam, Fraction(1, 3), conv)
+    assert not cone_contains(theta, lam, Fraction(1, 2), conv)
+    assert not cone_contains(theta, lam, "1/2", conv)
+    assert cone_contains(theta, lam, "5/12", conv)
+    assert cone_contains(theta, lam, 0, conv)
+    assert cone_contains(theta, lam, -1, conv)
+    assert cone_contains(theta, ("5/6", 0.25), 0, conv)
+    # 2 e_2 as the wall root leaves the pairing with e_2 at 1/4
+    assert not cone_contains(theta, lam, Fraction(1, 3), Convention(True))
+    assert not cone_contains(theta, (0, 0), 0, conv)
+    assert cone_contains(theta, (0, 0), Fraction(-1, 7), conv)
 
 
 def rand_lambda(rng, theta, k, project):
@@ -161,3 +177,136 @@ def test_cone_recursion_identity():
                     lam = rand_lambda(rng, theta, v.comp.k, rng.random() < 0.7)
                     c = rng.choice([0, 1, Fraction(1, 2), 2])
                     assert cone_recursion_holds(v, idx, lam, c, conv)
+
+
+def test_anti_invariant_part_is_exact():
+    theta = ThetaAction.from_involution(SignedInvolution((1, 0), frozenset()))
+    for vec in [(3, 1), (Fraction(3), Fraction(1)), ("3", "1")]:
+        part = theta.anti_invariant_part(vec)
+        assert part == (1, -1)
+        assert all(type(x) is Fraction for x in part)
+    assert theta.anti_invariant_part((Fraction(1, 3), "1/2")) == (Fraction(-1, 12), Fraction(1, 12))
+
+
+# ---------------------------------------------------------------------------
+# the integer cone test against the definition evaluated in Fractions
+
+cone_settings = settings(max_examples=300, derandomize=True, deadline=None)
+
+SMALL_THETAS = [
+    ThetaAction.from_involution(w)
+    for k in range(1, 6)
+    for r in (0, 1)
+    for w in enumerate_involutions(Composition((1,) * k, r))
+]
+
+
+def ref_walls(theta, conv):
+    return [a for a in positive_roots(theta.k, conv) if root_sign(theta.apply(a)) < 0]
+
+
+def ref_cone(theta, lam, c, conv):
+    lam = tuple(Fraction(x) for x in lam)
+    c = Fraction(c)
+    anti = theta.apply(lam) == tuple(-x for x in lam)
+    return anti and all(coroot_pairing(lam, a) > c for a in ref_walls(theta, conv))
+
+
+@st.composite
+def cone_queries(draw):
+    conv = draw(st.sampled_from(CONVS))
+    theta = draw(st.sampled_from(SMALL_THETAS))
+    lam = tuple(
+        Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 12))) for _ in range(theta.k)
+    )
+    if draw(st.booleans()):
+        lam = theta.anti_invariant_part(lam)
+    walls = ref_walls(theta, conv)
+    mode = draw(st.sampled_from(["int", "fraction", "str", "on_wall"]))
+    if mode == "on_wall" and walls:
+        # the least pairing: lam lies on that wall and above or on the rest
+        c = min(coroot_pairing(lam, a) for a in walls)
+    elif mode == "int":
+        c = draw(st.integers(-3, 3))
+    else:
+        c = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 12)))
+        if mode == "str":
+            c = str(c)
+    return theta, lam, c, conv
+
+
+@cone_settings
+@given(query=cone_queries())
+def test_cone_contains_matches_definition(query):
+    theta, lam, c, conv = query
+    assert cone_contains(theta, lam, c, conv) == ref_cone(theta, lam, c, conv)
+
+
+def test_cone_contains_dimension_mismatch():
+    for conv in CONVS:
+        for theta in SMALL_THETAS:
+            for lam in [(1,) * (theta.k + 1), (Fraction(1, 2),) * (theta.k - 1)]:
+                with pytest.raises(InvGraphError):
+                    cone_contains(theta, lam, 0, conv)
+
+
+# ---------------------------------------------------------------------------
+# the per-involution caches against an uncached reference
+
+
+def ref_eligible(v, conv):
+    theta = ThetaAction.from_involution(v.w)
+    out = []
+    for idx, alpha in enumerate(simple_roots(v.comp.k, conv)):
+        image, sign = theta_on_root(theta, alpha)
+        if sign == "negative" and image != tuple(-x for x in alpha):
+            out.append((idx, alpha))
+    return out
+
+
+def ref_symmetry(k, idx):
+    if idx < k - 1:
+        rho = list(range(k))
+        rho[idx], rho[idx + 1] = idx + 1, idx
+        return SignedPerm(tuple(rho), frozenset())
+    return SignedPerm(tuple(range(k)), frozenset({k - 1}))
+
+
+def ref_apply_symmetry(v, idx, conjugates):
+    """The reflected vertex; `conjugates` memoizes conjugate_by per (w, idx)
+    in the test, apart from the library's caches."""
+    k = v.comp.k
+    if (v.w, idx) not in conjugates:
+        conjugates[v.w, idx] = v.w.conjugate_by(ref_symmetry(k, idx))
+    parts = list(v.comp.parts)
+    if idx < k - 1:
+        parts[idx], parts[idx + 1] = parts[idx + 1], parts[idx]
+    comp = Composition(tuple(parts), v.comp.r, v.comp.split_even_sign)
+    return Vertex(comp, conjugates[v.w, idx])
+
+
+def test_cached_edges_match_reference():
+    vertices = list(all_vertices(k_max=5))
+    reflected, conjugates = {}, {}
+    for v in vertices:
+        reflected[v] = [ref_apply_symmetry(v, idx, conjugates) for idx in range(v.comp.k)]
+        assert [apply_symmetry(v, idx) for idx in range(v.comp.k)] == reflected[v]
+    for conv in CONVS:
+        edges = {}
+        for v in vertices:
+            want = ref_eligible(v, conv)
+            got = eligible_simple_roots(v, conv)
+            assert type(got) is list and got == want
+            got.append((99, ()))  # the caller owns the list
+            assert eligible_simple_roots(v, conv) == want
+            assert is_terminal(v, conv) == (not want)
+            edges[v] = want
+        for v in vertices:
+            # the reference walk: least edge, reflected without the caches
+            path = []
+            current = v
+            while edges[current]:
+                idx, alpha = edges[current][0]
+                current = reflected[current][idx]
+                path.append(DescentStep(len(path) + 1, alpha, current))
+            assert descend(v, conv) == (path, current)
