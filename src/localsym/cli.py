@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 from fractions import Fraction
+from functools import lru_cache
 
 from . import distinction, forms, invgraph, localfield, numfield, prasad, symspace, weyl
 
@@ -230,7 +231,6 @@ def cmd_selftest(args):
 
 def make_parser():
     p = argparse.ArgumentParser(prog="localsym", description=__doc__)
-    p.add_argument("--output", choices=["json"], default="json", help="output format")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("hilbert", help="quadratic Hilbert symbol at p")
@@ -316,10 +316,16 @@ DOMAIN_ERRORS = (
 )
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The process's parser, built on first use; parse_args still returns a
+    fresh Namespace per call, so nothing carries over between calls."""
+    return make_parser()
+
+
 def main(argv=None):
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         raise SystemExit(2 if e.code not in (0, None) else 0)
     try:
@@ -328,9 +334,10 @@ def main(argv=None):
         print(json.dumps({"error": str(e)}, sort_keys=True))
         raise SystemExit(2)
     except DOMAIN_ERRORS as e:
+        # before the ValueError clause: every domain error is a ValueError
         print(json.dumps({"error": str(e)}, sort_keys=True))
         raise SystemExit(1)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         print(json.dumps({"error": f"malformed input: {e}"}, sort_keys=True))
         raise SystemExit(2)
     return 0

@@ -190,7 +190,8 @@ class Verdict:
     failure_log: tuple
 
     def __post_init__(self):
-        assert self.distinguished == (self.witness is not None)
+        if self.distinguished != (self.witness is not None):
+            raise DistinctionError("a verdict is distinguished exactly when it has a witness")
 
     def to_json(self):
         return {

@@ -78,6 +78,15 @@ class Vertex:
         if not self.w.compatible(self.comp):
             raise InvGraphError("involution incompatible with the composition")
 
+    @classmethod
+    def _image(cls, comp: Composition, w: SignedInvolution) -> "Vertex":
+        """The image of a vertex under an elementary symmetry, which keeps
+        the involution compatible, so the check is not run again."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "comp", comp)
+        object.__setattr__(v, "w", w)
+        return v
+
     def to_json(self):
         return {"comp": self.comp.to_json(), "w": self.w.to_json()}
 
@@ -208,18 +217,18 @@ def _reflect(w: SignedInvolution, idx: int) -> SignedInvolution:
     return w.conjugate_by(_symmetry_perm(w.k, idx))
 
 
+@lru_cache(maxsize=None)
+def _swap_parts(comp: Composition, idx: int) -> Composition:
+    parts = list(comp.parts)
+    parts[idx], parts[idx + 1] = parts[idx + 1], parts[idx]
+    return Composition(tuple(parts), comp.r, comp.split_even_sign)
+
+
 def apply_symmetry(v: Vertex, idx: int) -> Vertex:
     """The elementary symmetry at a simple root: swap the adjacent parts or
     fold the last one, conjugating the involution class."""
-    k = v.comp.k
-    w2 = _reflect(v.w, idx)
-    if idx < k - 1:
-        parts = list(v.comp.parts)
-        parts[idx], parts[idx + 1] = parts[idx + 1], parts[idx]
-        comp2 = Composition(tuple(parts), v.comp.r, v.comp.split_even_sign)
-    else:
-        comp2 = v.comp
-    return Vertex(comp2, w2)
+    comp2 = _swap_parts(v.comp, idx) if idx < v.comp.k - 1 else v.comp
+    return Vertex._image(comp2, _reflect(v.w, idx))
 
 
 def s_alpha_on_vector(k: int, idx: int, vec):

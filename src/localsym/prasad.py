@@ -349,7 +349,8 @@ def wsn(g: Mat, gram=None) -> KClassElement:
     z = det + 1
     if z.is_zero:
         z = field.sqrt_a
-    assert (z / z.sigma() - det).is_zero
+    if not (z / z.sigma() - det).is_zero:
+        raise PrasadError("norm-one parametrization does not recover the determinant")
     return KClassElement.of(z)
 
 

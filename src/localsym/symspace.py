@@ -527,7 +527,8 @@ def _z_reps_orthogonal(pair, component: Component):
         z = g0 * z_d * g0.inv()
         x = z * z.sigma().inv()
         check = classify_x(x, z, pair)
-        assert check == inv, "closed-form candidate disagrees with exact classification"
+        if check != inv:
+            raise SymspaceError("closed-form candidate disagrees with exact classification")
         found[inv] = (x, z)
         if len(found) == want:
             return tuple((i, x, z) for i, (x, z) in found.items())
@@ -563,7 +564,8 @@ def _z_reps_unitary(pair):
         z = g0 * z_d * g0.inv()
         x = z * z.sigma().inv()
         inv = classify_x(x, z, pair)
-        assert inv == UnitaryOrbit(1)
+        if inv != UnitaryOrbit(1):
+            raise SymspaceError("nontrivial-coset candidate classifies as the trivial orbit")
         reps.append((inv, x, z))
         return tuple(reps)
     raise SymspaceError("no representative of the nontrivial coset found; widen the search box")

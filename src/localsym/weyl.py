@@ -198,10 +198,16 @@ def enumerate_involutions(comp: Composition, circ: bool = False):
     additionally keeps only those with an even number of odd-size sign
     blocks (the identity-component restriction for split even orthogonal
     parabolic data with r = 0)."""
-    k = comp.k
+    return _involutions_for(comp.parts, bool(circ))
+
+
+@lru_cache(maxsize=None)
+def _involutions_for(parts: tuple, circ: bool):
+    """The sorted tuple for block sizes `parts`; r and the sign play no part."""
+    k = len(parts)
     found = []
     for rho in _involutions_sk(k):
-        if any(comp.parts[rho[i]] != comp.parts[i] for i in range(k)):
+        if any(parts[rho[i]] != parts[i] for i in range(k)):
             continue
         orbits = []
         seen = set()
@@ -214,7 +220,7 @@ def enumerate_involutions(comp: Composition, circ: bool = False):
         for pick in itertools.product((False, True), repeat=len(orbits)):
             c = frozenset().union(*(o for o, take in zip(orbits, pick) if take)) if any(pick) else frozenset()
             w = SignedInvolution(rho, c)
-            if circ and w.o(comp) % 2:
+            if circ and sum(parts[i] % 2 for i in c) % 2:
                 continue
             found.append(w)
     return tuple(sorted(found, key=lambda w: w.sort_key))
@@ -266,10 +272,6 @@ def y_representative(pair, size: int, bit: int) -> Mat:
     if pair.case is Case.SYMPLECTIC:
         entries = [field.sqrt_a * e for e in entries]
     return Mat.diagonal(field, entries)
-
-
-def y_det(pair, size: int, bit: int):
-    return y_representative(pair, size, bit).det()
 
 
 # ---------------------------------------------------------------------------

@@ -206,3 +206,46 @@ def test_cli_golden_fixtures(capsys):
         code, env = run_cli(case["argv"], capsys)
         assert code == 0, case["name"]
         assert env["payload"] == case["payload"], case["name"]
+
+
+def _fresh_cli(args):
+    out = subprocess.run(
+        [sys.executable, "-m", "localsym.cli", *args], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_reused_parser_matches_fresh_processes(capsys):
+    """The parser is built once per process; a flag given in one call must
+    not leak into the next."""
+    comp = json.dumps({"parts": [1, 1], "r": 0})
+    w = json.dumps({"rho": [2, 1], "c": [1, 2]})
+    calls = [
+        ["descend", "--comp", comp, "--w", w, "--wall-double"],
+        ["descend", "--comp", comp, "--w", w],
+        ["involutions", "--parts", "[1,1,2]", "--circ"],
+        ["involutions", "--parts", "[1,1,2]"],
+    ]
+    in_process = []
+    for args in calls:
+        main(args)
+        in_process.append(capsys.readouterr().out)
+    assert in_process == [_fresh_cli(args) for args in calls]
+    assert in_process[0] != in_process[1] and in_process[2] != in_process[3]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["orbit-count", "--pair",
+         '{"case":"bogus","n0":1,"j":["1"],"n":1,"p":3,"a":-1,"b":3}'],
+        ["prasad-char", "--group", '{"family":"XX","m":5}', "--ext", '{"p":3,"d":-1}'],
+    ],
+)
+def test_unknown_enum_value_is_malformed_input(args, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(args)
+    assert e.value.code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}

@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -317,3 +319,18 @@ def test_gamma_defaults_file_frozen():
         assert gamma_bit(pair, u.sigma() / u) == row["nonnorm_contrib_bit"]
         minus_one, contrib = unitary_parity_bits(pair)
         assert (minus_one, contrib) == (row["minus_one_bit"], row["nonnorm_contrib_bit"])
+
+
+def test_verdict_invariant_survives_optimize():
+    with pytest.raises(DistinctionError):
+        Verdict(True, None, ())
+    code = (
+        "from localsym.distinction import DistinctionError, Verdict\n"
+        "try:\n"
+        "    Verdict(True, None, ())\n"
+        "except DistinctionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(3)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -91,6 +91,32 @@ def test_enumeration_matches_brute_force(parts):
         assert set(enumerate_involutions(comp, circ)) == brute_force_involutions(comp, circ)
 
 
+def test_enumeration_cache_matches_reference():
+    """The cached per-block-size tuple against the brute-force reference in
+    sort_key order, for every parts in {1, 2}^k, k <= 5."""
+    from localsym.weyl import _involutions_for
+
+    all_ones = {}
+    for k in range(1, 6):
+        for parts in itertools.product((1, 2), repeat=k):
+            comp = Composition(parts, 0)
+            full = sorted(brute_force_involutions(comp), key=lambda w: w.sort_key)
+            even = tuple(w for w in full if w.o(comp) % 2 == 0)
+            for circ_first in (False, True):
+                _involutions_for.cache_clear()
+                first = enumerate_involutions(comp, circ_first)
+                second = enumerate_involutions(comp, not circ_first)
+                plain, circ = (second, first) if circ_first else (first, second)
+                assert plain == tuple(full)
+                assert circ == even
+            for other in (Composition(parts, 3), Composition(parts, 0, 1), Composition(parts, 2, -1)):
+                for c in (False, True):
+                    assert enumerate_involutions(other, c) == enumerate_involutions(comp, c)
+            if set(parts) == {1}:
+                all_ones[k] = len(enumerate_involutions(comp))
+    assert all_ones == {1: 2, 2: 6, 3: 20, 4: 76, 5: 312}
+
+
 def test_involution_stats():
     comp = Composition((1, 2, 1), 1)
     w = SignedInvolution((2, 1, 0), frozenset({0, 1, 2}))
