@@ -22,7 +22,7 @@ from .localfield import (
     reduce,
 )
 from . import numfield
-from .numfield import Mat
+from .numfield import Mat, RatMat
 
 
 class FormsError(ValueError):
@@ -125,51 +125,69 @@ def congruent_diagonal(gram):
     later diagonal entry is nonzero, else by adding the column of a
     nonzero off-diagonal entry (its doubled value is a valid pivot in
     characteristic zero).
+
+    The elimination is fraction-free (Bareiss 1968) on the integer
+    numerators h = D G: clearing row k scales every later column of P by
+    the pivot a_k over the previous pivot a_{k-1}, each quotient being
+    exact, so column k of P is its integer column over a_{k-1} and the
+    k-th entry is a_k / (D a_{k-1}).
     """
-    n = len(gram)
-    g = [[Fraction(x) for x in row] for row in gram]
+    h, den = numfield.int_rows(gram)
+    n = len(h)
     for i in range(n):
-        if len(gram[i]) != n:
+        if len(h[i]) != n:
             raise FormsError("non-square matrix")
         for j in range(n):
-            if g[i][j] != g[j][i]:
+            if h[i][j] != h[j][i]:
                 raise FormsError("matrix is not symmetric")
-    p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    q = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def add_col(dst, src, c):
-        # column operation plus the mirroring row operation on g
+    def add_col(dst, src):
+        # column operation plus the mirroring row operation on h
         for i in range(n):
-            g[i][dst] += c * g[i][src]
+            h[i][dst] += h[i][src]
         for j in range(n):
-            g[dst][j] += c * g[src][j]
+            h[dst][j] += h[src][j]
         for i in range(n):
-            p[i][dst] += c * p[i][src]
+            q[i][dst] += q[i][src]
 
     def swap_cols(i, j):
         for r in range(n):
-            g[r][i], g[r][j] = g[r][j], g[r][i]
-        g[i], g[j] = g[j], g[i]
+            h[r][i], h[r][j] = h[r][j], h[r][i]
+        h[i], h[j] = h[j], h[i]
         for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
+            q[r][i], q[r][j] = q[r][j], q[r][i]
 
+    entries, scales = [], []
+    prev = 1
     for k in range(n):
-        if g[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if g[i][i] != 0), None)
+        if h[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if h[i][i] != 0), None)
             if swap is not None:
                 swap_cols(k, swap)
             else:
-                j = next((j for j in range(k + 1, n) if g[k][j] != 0), None)
+                j = next((j for j in range(k + 1, n) if h[k][j] != 0), None)
                 if j is None:
                     raise FormsError("singular matrix")
-                add_col(k, j, 1)
-        piv = g[k][k]
-        for j in range(k + 1, n):
-            if g[k][j] != 0:
-                add_col(j, k, -g[k][j] / piv)
-    entries = tuple(g[i][i] for i in range(n))
+                add_col(k, j)
+        hk = h[k]
+        piv = hk[k]
+        entries.append(Fraction(piv, den * prev))
+        scales.append(prev)
+        for i in range(k + 1, n):
+            hi = h[i]
+            f = hi[k]
+            for j in range(k + 1, n):
+                hi[j] = (piv * hi[j] - f * hk[j]) // prev
+        for r in q:
+            qk = r[k]
+            for j in range(k + 1, n):
+                r[j] = (piv * r[j] - hk[j] * qk) // prev
+        prev = piv
+    entries = tuple(entries)
     if any(e == 0 for e in entries):
         raise FormsError("singular matrix")
-    return entries, p
+    return entries, [[Fraction(x, s) for x, s in zip(r, scales)] for r in q]
 
 
 def diagonalize(gram, p, case: Case = Case.ORTHOGONAL, ext=None):
@@ -246,10 +264,13 @@ def det_image_witness(f: DiagForm, a, change_of_basis=None):
             raise FormsError("orthogonal determinants are +-1")
         if change_of_basis is None:
             return [[Fraction(a if i == 0 else 1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        g = [[Fraction(x) for x in row] for row in change_of_basis]
-        d = [[Fraction(a if i == 0 else 1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        gi = _rat_inv(g)
-        return _rat_mul(_rat_mul(g, d), gi)
+        g = RatMat.of(change_of_basis)
+        d = RatMat.of([[a if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+        try:
+            gi = g.inv()
+        except numfield.NumFieldError as e:
+            raise FormsError(str(e))
+        return (g * d * gi).fractions()
     if not isinstance(a, numfield.Bq):
         raise FormsError("unitary determinant target must be a field element")
     if not (a * a.sigma_tau() - 1).is_zero and not (a * a.tau() - 1).is_zero:
@@ -260,28 +281,6 @@ def det_image_witness(f: DiagForm, a, change_of_basis=None):
         return h
     g = Mat.from_rational(field, change_of_basis)
     return g * h * g.inv()
-
-
-def _rat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def _rat_inv(a):
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise FormsError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def sum_invariants(inv1: FormInvariants, inv2: FormInvariants) -> FormInvariants:

@@ -86,24 +86,45 @@ def _nonresidue(p):
 
 
 def _as_prime(p) -> Prime:
-    return p if isinstance(p, Prime) else Prime(p)
+    return p if isinstance(p, Prime) else _prime(p)
 
 
-def valuation(x, p) -> int:
-    """p-adic valuation of a nonzero rational."""
-    p = _as_prime(p).p
-    x = Fraction(x)
-    if x == 0:
-        raise LocalFieldError("valuation of 0")
+@lru_cache(maxsize=256)
+def _prime(p) -> Prime:
+    # a validated Prime per int, so callers passing plain ints do not rerun
+    # the primality test on every symbol
+    return Prime(p)
+
+
+def _num_den(x):
+    """Numerator and positive denominator of an int, Fraction or string
+    such as "-3/4", read without building a Fraction where possible."""
+    if isinstance(x, int):
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _split(num, den, p):
+    """(v, num', den') with num / den = p^v num' / den' and p prime to both."""
     v = 0
-    num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
         v += 1
     while den % p == 0:
         den //= p
         v -= 1
-    return v
+    return v, num, den
+
+
+def valuation(x, p) -> int:
+    """p-adic valuation of a nonzero rational."""
+    p = _as_prime(p).p
+    num, den = _num_den(x)
+    if num == 0:
+        raise LocalFieldError("valuation of 0")
+    return _split(num, den, p)[0]
 
 
 @dataclass(frozen=True)
@@ -165,17 +186,17 @@ class SquareClass:
 def reduce(x, p) -> SquareClass:
     """Canonicalize a nonzero rational into Qp*/Qp*^2."""
     p = _as_prime(p)
-    x = Fraction(x)
-    if x == 0:
+    num, den = _num_den(x)
+    if num == 0:
         raise LocalFieldError("0 has no square class")
-    v = valuation(x, p)
-    u = x / Fraction(p.p) ** v
-    num, den = u.numerator, u.denominator
+    v, num, den = _split(num, den, p.p)
+    # num / den and num * den differ by the square den^2, and den is a
+    # unit, so the unit class is that of num * den: its Legendre symbol for
+    # odd p, its residue mod 8 for p = 2 (den is odd, so den^2 = 1 mod 8)
     if p.odd:
-        r = num * pow(den, -1, p.p) % p.p
-        unit = 1 if p.legendre(r) == 1 else p.nonresidue
+        unit = 1 if p.legendre(num * den) == 1 else p.nonresidue
     else:
-        unit = num * pow(den, -1, 8) % 8
+        unit = num * den % 8
     return SquareClass(p, v % 2, unit)
 
 
@@ -329,18 +350,34 @@ class ReciprocityReport:
         }
 
 
-def _prime_divisors(n):
+def _factorize(n) -> list:
+    """Prime factorization of a nonzero integer by trial division, as
+    [(prime, exponent), ...] in increasing order; the sign is dropped."""
+    if n == 0:
+        raise LocalFieldError("0 has no factorization")
     n = abs(n)
     out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            e = 0
             while n % d == 0:
                 n //= d
+                e += 1
+            out.append((d, e))
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
+    return out
+
+
+def squarefree_part(n: int) -> int:
+    """The squarefree integer in the class of the nonzero integer n modulo
+    squares; the sign is kept."""
+    out = 1 if n > 0 else -1
+    for q, e in _factorize(n):
+        if e % 2:
+            out *= q
     return out
 
 
@@ -355,8 +392,8 @@ def reciprocity_check(a, b) -> ReciprocityReport:
         raise LocalFieldError("zero input")
     support = {2}
     for x in (a, b):
-        support.update(_prime_divisors(x.numerator))
-        support.update(_prime_divisors(x.denominator))
+        support.update(q for q, _ in _factorize(x.numerator))
+        support.update(q for q, _ in _factorize(x.denominator))
     symbols = [(p, hilbert_rational(a, b, p)) for p in sorted(support)]
     symbols.append(("inf", hilbert_real(a, b)))
     prod = 1

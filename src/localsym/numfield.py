@@ -16,21 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Sequence
+
+from .localfield import squarefree_part
 
 
 class NumFieldError(ValueError):
     pass
-
-
-def _squarefree(n: int) -> bool:
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -47,10 +40,10 @@ class BiquadField:
     b: int | None = None
 
     def __post_init__(self):
-        if self.a in (0, 1) or not _squarefree(self.a):
+        if self.a in (0, 1) or squarefree_part(self.a) != self.a:
             raise NumFieldError(f"a={self.a} must be squarefree and != 0, 1")
         if self.b is not None:
-            if self.b in (0, 1) or not _squarefree(self.b):
+            if self.b in (0, 1) or squarefree_part(self.b) != self.b:
                 raise NumFieldError(f"b={self.b} must be squarefree and != 0, 1")
             if self.b == self.a:
                 raise NumFieldError("a and b must be distinct")
@@ -338,6 +331,146 @@ def recover_hilbert90(x: Bq, which: str = "tau") -> Bq:
     if not (c / c.apply(which) - x).is_zero:
         raise NumFieldError("Hilbert-90 splitting failed its certification")
     return c
+
+
+# ---------------------------------------------------------------------------
+# rational matrices: integer rows over one common denominator
+
+
+def int_rows(rows):
+    """(numerators, den): the entries of a rational matrix (ints, Fractions
+    or strings such as "-3/4") as lists of integer numerators over one
+    positive common denominator, in lowest terms.  Rows are read one by one,
+    so a ragged input comes back ragged."""
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r] for r in rows]
+    den = lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
+
+
+def _ratmat(rows, den):
+    """The RatMat rows / den for int rows and a nonzero int den, brought to
+    lowest terms with den > 0."""
+    if den < 0:
+        rows = [[-x for x in r] for r in rows]
+        den = -den
+    if den != 1:
+        g = gcd(den, *(x for r in rows for x in r))
+        if g != 1:
+            rows = [[x // g for x in r] for r in rows]
+            den //= g
+    out = object.__new__(RatMat)
+    out.rows = tuple(tuple(r) for r in rows)
+    out.den = den
+    return out
+
+
+class RatMat:
+    """A rational matrix as integer rows over one positive common
+    denominator, in lowest terms, so equal matrices compare and hash equal.
+
+    Products, the transpose, the determinant (Bareiss elimination) and the
+    inverse (fraction-free Gauss-Jordan) run on the integer numerators;
+    `fractions` gives the entries as Fractions.  Treat instances as
+    immutable.
+    """
+
+    __slots__ = ("rows", "den")
+
+    @classmethod
+    def of(cls, rows):
+        """A RatMat from rows of ints, Fractions or strings."""
+        num, den = int_rows(rows)
+        if any(len(r) != len(num[0]) for r in num):
+            raise NumFieldError("ragged rows")
+        return _ratmat(num, den)
+
+    @property
+    def n(self):
+        return len(self.rows)
+
+    @property
+    def m(self):
+        return len(self.rows[0]) if self.rows else 0
+
+    def __eq__(self, other):
+        if not isinstance(other, RatMat):
+            return NotImplemented
+        return self.den == other.den and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows, self.den))
+
+    def __mul__(self, other):
+        if not isinstance(other, RatMat):
+            return NotImplemented
+        if self.m != other.n:
+            raise NumFieldError("dimension mismatch")
+        cols = list(zip(*other.rows))
+        return _ratmat(
+            [[sum(map(mul, r, c)) for c in cols] for r in self.rows],
+            self.den * other.den,
+        )
+
+    @property
+    def T(self):
+        return _ratmat(list(zip(*self.rows)), self.den)
+
+    def fractions(self):
+        """The entries as lists of Fractions."""
+        d = self.den
+        return [[Fraction(x, d) for x in r] for r in self.rows]
+
+    def _square(self):
+        if self.n != self.m:
+            raise NumFieldError("not a square matrix")
+        return self.n
+
+    def det(self) -> Fraction:
+        """Bareiss elimination: every quotient below is exact, since each
+        entry is a minor of the integer matrix."""
+        n = self._square()
+        a = [list(r) for r in self.rows]
+        sign, prev = 1, 1
+        for k in range(n - 1):
+            if not a[k][k]:
+                piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+                if piv is None:
+                    return Fraction(0)
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+            rk = a[k]
+            pk = rk[k]
+            for i in range(k + 1, n):
+                ri = a[i]
+                f = ri[k]
+                for j in range(k + 1, n):
+                    ri[j] = (pk * ri[j] - f * rk[j]) // prev
+            prev = pk
+        d = a[n - 1][n - 1] if n else 1
+        return Fraction(sign * d, self.den ** n)
+
+    def inv(self):
+        """Fraction-free Gauss-Jordan on [A | I]: after the last pivot the
+        left block is d I and the right block R satisfies R A = d I, with
+        every quotient exact as in `det`."""
+        n = self._square()
+        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
+        prev = 1
+        for k in range(n):
+            piv = next((i for i in range(k, n) if aug[i][k]), None)
+            if piv is None:
+                raise NumFieldError("singular matrix")
+            aug[k], aug[piv] = aug[piv], aug[k]
+            rk = aug[k]
+            pk = rk[k]
+            for i in range(n):
+                if i != k:
+                    f = aug[i][k]
+                    aug[i] = [(pk * x - f * y) // prev for x, y in zip(aug[i], rk)]
+            prev = pk
+        # (A / den)^-1 = den R / d
+        den = self.den
+        return _ratmat([[den * x for x in r[n:]] for r in aug], prev)
 
 
 class Mat:

@@ -12,9 +12,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
+from operator import mul
 
+from . import localfield
+from .forms import congruent_diagonal, is_anisotropic
 from .localfield import QuadExtension, SquareClass, hilbert_rational, reduce
-from .numfield import Bq, Mat, conj_transpose
+from .numfield import Bq, Mat, NumFieldError, RatMat, conj_transpose
 
 
 class PrasadError(ValueError):
@@ -31,18 +36,7 @@ class Family(enum.Enum):
 def squarefree_part(n: int) -> int:
     if n == 0:
         raise PrasadError("zero has no squarefree part")
-    out = 1 if n > 0 else -1
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e % 2:
-            out *= d
-        d += 1
-    return out * n
+    return localfield.squarefree_part(n)
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,7 @@ def prasad_character(Y: GroupDescriptor, E: QuadExtension) -> CharacterFormula:
         n0 = Y.so_kernel_size
         if n0 > 2:
             raise PrasadError("descriptor is not quasi-split")
-        if n0 == 2 and not _kernel_anisotropic(Y.so_kernel, E.base):
+        if n0 == 2 and not is_anisotropic(Y.so_kernel, E.base):
             raise PrasadError("descriptor is not quasi-split at this prime")
         return CharacterFormula("sn", n0, "E/F") if n0 else CharacterFormula("trivial")
     # unitary
@@ -134,12 +128,6 @@ def prasad_character(Y: GroupDescriptor, E: QuadExtension) -> CharacterFormula:
     if (reduce(Y.k_gen, E.base) * E.d).is_trivial:
         return CharacterFormula("trivial")  # K = E locally
     return CharacterFormula("wsn", Y.m - 1, "EK/K")
-
-
-def _kernel_anisotropic(kernel, p):
-    from .forms import is_anisotropic
-
-    return is_anisotropic(kernel, p)
 
 
 def opposition_group(Y: GroupDescriptor, e_gen: int) -> GroupDescriptor:
@@ -162,145 +150,122 @@ def opposition_group(Y: GroupDescriptor, e_gen: int) -> GroupDescriptor:
 # spinor norm by constructive reflection decomposition
 
 
-def _rat_mat(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def _mat_vec(a, v):
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in a]
-
-
-def _transpose(a):
-    return [list(r) for r in zip(*a)]
-
-
-def _identity(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def _rat_det(a):
-    n = len(a)
-    rows = [list(r) for r in a]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
-
-
-def _rat_inv(a):
-    n = len(a)
-    aug = [list(r) + row for r, row in zip(a, _identity(n))]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise PrasadError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        d = aug[c][c]
-        aug[c] = [x / d for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [r[n:] for r in aug]
-
-
 def w_gram(m: int):
     """The antidiagonal unit form."""
     return [[Fraction(1 if i + j == m - 1 else 0) for j in range(m)] for i in range(m)]
 
 
-def _q_val(d, v):
-    return sum(d[i] * v[i] * v[i] for i in range(len(v)))
+def _isometry_data(g, gram):
+    """g and its gram (w_gram by default) as RatMats, checked once: g square
+    and non-empty, the gram of the same size."""
+    try:
+        g = RatMat.of(g)
+        gram = RatMat.of(gram) if gram is not None else None
+    except NumFieldError as e:
+        raise PrasadError(f"malformed matrix: {e}")
+    m = g.n
+    if m == 0 or g.m != m:
+        raise PrasadError("the matrix must be square and non-empty")
+    if gram is None:
+        gram = RatMat.of(w_gram(m))
+    elif (gram.n, gram.m) != (m, m):
+        raise PrasadError("the gram must be square of the matrix's size")
+    return g, gram
 
 
-def _b_val(d, v, w):
-    return sum(d[i] * v[i] * w[i] for i in range(len(v)))
+@lru_cache(maxsize=64)
+def _frame(gram: RatMat):
+    """The diagonal frame of a gram, fixed by its entries: the diagonal as
+    integer numerators over one denominator, the change of basis P and P^-1."""
+    entries, pmat = congruent_diagonal(gram.fractions())
+    diag = RatMat.of([entries])
+    pmat = RatMat.of(pmat)
+    return diag.rows[0], diag.den, pmat, pmat.inv()
+
+
+def _reflections(g: RatMat, gram: RatMat):
+    """Reflections taking g to the identity, found in the diagonal frame of
+    the gram, where every basis vector is anisotropic: a column that moves
+    is fixed by one reflection when the difference vector is anisotropic
+    and by two otherwise.
+
+    The frame's work matrix is kept as integer rows W over one denominator
+    den, and a reflection vector as integer numerators V (any scale gives
+    the same reflection): s_V maps W / den to (Q W - 2 V S) / (Q den) with
+    Q = sum_i d_i V_i^2 and S_c = sum_i d_i V_i W_ic, where d / dd is the
+    frame's diagonal.  Returns the frame and [(V, den, Q)], one entry per
+    reflection in application order, so that g = s_1 ... s_t: the vector
+    is V / den, with q-value Q / (dd den^2).
+    """
+    if g.T * gram * g != gram:
+        raise PrasadError("matrix does not preserve the form")
+    frame = d, dd, pmat, pinv = _frame(gram)
+    work = pinv * g * pmat
+    w, den = [list(r) for r in work.rows], work.den
+    m = len(w)
+    factors = []
+
+    def reflect(v, v_den):
+        nonlocal w, den
+        dv = list(map(mul, d, v))
+        q = sum(map(mul, dv, v))
+        s = [sum(map(mul, dv, col)) for col in zip(*w)]
+        w = [[q * x - 2 * vi * sc for x, sc in zip(row, s)] for row, vi in zip(w, v)]
+        den *= q
+        if den < 0:
+            w = [[-x for x in row] for row in w]
+            den = -den
+        c = gcd(den, *(x for row in w for x in row))
+        if c != 1:
+            w = [[x // c for x in row] for row in w]
+            den //= c
+        factors.append((v, v_den, q))
+
+    for i in range(m):
+        col = [row[i] for row in w]
+        if all(x == (den if r == i else 0) for r, x in enumerate(col)):
+            continue
+        diff = list(col)
+        diff[i] -= den
+        if sum(map(mul, d, (x * x for x in diff))):
+            reflect(diff, den)
+        else:
+            col[i] += den
+            reflect(col, den)
+            reflect([int(r == i) for r in range(m)], 1)
+    if den != 1 or any(x != int(r == c) for r, row in enumerate(w) for c, x in enumerate(row)):
+        raise PrasadError("reflection decomposition failed to terminate")
+    return frame, factors
 
 
 def reflection_decomposition(g, gram=None):
     """Write an isometry of a rational symmetric form as a product of
     reflections; returns the reflection vectors (in the original frame)
     and their q-values, ordered so that g = s_{v_1} ... s_{v_t}.
-
-    The work happens in a diagonalized frame, where every basis vector is
-    anisotropic: a column that moves is fixed by one reflection when the
-    difference vector is anisotropic and by two otherwise.
     """
-    g = _rat_mat(g)
-    m = len(g)
-    gram = _rat_mat(gram) if gram is not None else w_gram(m)
-    gt = _transpose(g)
-    if _mat_mul(_mat_mul(gt, gram), g) != gram:
-        raise PrasadError("matrix does not preserve the form")
-    from .forms import congruent_diagonal
-
-    entries, pmat = congruent_diagonal(gram)
-    d = [Fraction(e) for e in entries]
-    pinv = _rat_inv(pmat)
-    work = _mat_mul(_mat_mul(pinv, g), pmat)
-
-    factors = []  # diagonal-frame reflection vectors, applied left to right
-
-    def reflect_in_place(v):
-        qv = _q_val(d, v)
-        for col in range(m):
-            x = [work[r][col] for r in range(m)]
-            coef = 2 * _b_val(d, x, v) / qv
-            for r in range(m):
-                work[r][col] -= coef * v[r]
-        factors.append(v)
-
-    for i in range(m):
-        e_i = [Fraction(1 if r == i else 0) for r in range(m)]
-        w_col = [work[r][i] for r in range(m)]
-        if w_col == e_i:
-            continue
-        diff = [a - b for a, b in zip(w_col, e_i)]
-        if _q_val(d, diff) != 0:
-            reflect_in_place(diff)
-        else:
-            s = [a + b for a, b in zip(w_col, e_i)]
-            reflect_in_place(s)
-            reflect_in_place(e_i)
-    if work != _identity(m):
-        raise PrasadError("reflection decomposition failed to terminate")
-    # s_{v_t} ... s_{v_1} g = I, so g is the product in application order
-    vectors = [_mat_vec(pmat, v) for v in factors]
-    qvals = [_q_val(d, v) for v in factors]
-    return vectors, qvals
+    g, gram = _isometry_data(g, gram)
+    (_, dd, pmat, _), factors = _reflections(g, gram)
+    vectors = []
+    for v, v_den, _ in factors:
+        # P (v / v_den) in the original frame
+        scale = pmat.den * v_den
+        vectors.append([Fraction(sum(map(mul, row, v)), scale) for row in pmat.rows])
+    return vectors, [Fraction(q, dd * v_den * v_den) for _, v_den, q in factors]
 
 
 def spinor_norm_rational(g, gram=None) -> Fraction:
     """Product of the reflection q-values: a representative of the spinor
     norm in Q*/Q*^2, returned with squarefree normalization."""
-    g = _rat_mat(g)
-    gram_m = _rat_mat(gram) if gram is not None else w_gram(len(g))
-    if _rat_det(g) != 1:
+    g, gram = _isometry_data(g, gram)
+    if g.det() != 1:
         raise PrasadError("spinor norm computed on the special orthogonal group")
-    vectors, qvals = reflection_decomposition(g, gram_m)
-    if len(qvals) % 2:
+    (_, dd, _, _), factors = _reflections(g, gram)
+    if len(factors) % 2:
         raise PrasadError("odd reflection count for a determinant-one isometry")
     prod = Fraction(1)
-    for q in qvals:
-        prod *= q
-    sf = Fraction(squarefree_part(prod.numerator * prod.denominator))
-    return sf
+    for _, v_den, q in factors:
+        prod *= Fraction(q, dd * v_den * v_den)
+    return Fraction(squarefree_part(prod.numerator * prod.denominator))
 
 
 def spinor_norm(g, p, gram=None) -> SquareClass:
@@ -340,7 +305,7 @@ def wsn(g: Mat, gram=None) -> KClassElement:
     if not field.is_quadratic:
         raise PrasadError("wsn works over a quadratic model")
     m = g.n
-    gram_m = Mat.from_rational(field, _rat_mat(gram) if gram is not None else w_gram(m))
+    gram_m = Mat.from_rational(field, gram if gram is not None else w_gram(m))
     if conj_transpose(g, "sigma") * gram_m * g != gram_m:
         raise PrasadError("matrix is not unitary for the form")
     det = g.det()
@@ -369,7 +334,7 @@ def evaluate_character(formula: CharacterFormula, element, E: QuadExtension, gra
         return 1
     e = formula.exponent % 2
     if formula.kind == "det":
-        d = _rat_det(_rat_mat(element))
+        d = RatMat.of(element).det()
         return hilbert_rational(d, E.d.rep, E.base) ** e
     if formula.kind == "sn":
         s = spinor_norm_rational(element, gram)

@@ -14,11 +14,12 @@ import pytest
 from localsym import distinction, forms, invgraph, localfield, numfield, prasad, symspace, weyl
 from localsym.forms import Case, DiagForm
 from localsym.localfield import Prime, hilbert_oracle, hilbert_rational, reduce
-from localsym.numfield import BiquadField, Mat, in_isometry_group, in_symmetric_space
+from localsym.numfield import BiquadField, Mat, RatMat, in_isometry_group, in_symmetric_space
 from localsym.symspace import ClassicalPair, Component, classify_x, jn_mat, orbit_count_X
 from localsym.weyl import Composition, SignedInvolution, enumerate_involutions
 
 from conftest import BIQ_3, BIQ_5, P2, P3, P5, QUAD_M3, make_pair
+from test_prasad import mat_mul
 
 # covers the named set {+-1, +-2, +-3, +-5, +-7, +-10} and pads to the
 # stated 784 = 28^2 checks per prime
@@ -89,7 +90,7 @@ def test_ac03_hasse_congruence_invariance():
         for _ in range(5):
             u = _unimodular(rng, n)
             ut = [list(r) for r in zip(*u)]
-            gu = forms._rat_mul(forms._rat_mul(ut, g), u)
+            gu = mat_mul(mat_mul(ut, g), u)
             entries2, _ = forms.congruent_diagonal(gu)
             for p in primes:
                 assert forms.invariants(DiagForm(Case.ORTHOGONAL, p, entries2)) == base[p]
@@ -351,7 +352,7 @@ def test_ac11_spinor_norm_laws():
     for _ in range(100):
         m = rng.choice([1, 2, 3])
         h = rand_gl(rng, m)
-        d = prasad._rat_det(h)
+        d = RatMat.of(h).det()
         assert prasad.spinor_norm_rational(siegel(h), prasad.w_gram(2 * m)) == prasad.squarefree_part(
             d.numerator * d.denominator
         )
@@ -364,7 +365,7 @@ def test_ac11_spinor_norm_laws():
     gram = prasad.w_gram(3)
     for _ in range(200):
         g1, g2 = rand_so(rng, gram), rand_so(rng, gram)
-        s = prasad.spinor_norm_rational(prasad._mat_mul(g1, g2), gram)
+        s = prasad.spinor_norm_rational(mat_mul(g1, g2), gram)
         prod = prasad.spinor_norm_rational(g1, gram) * prasad.spinor_norm_rational(g2, gram)
         assert s == prasad.squarefree_part(prod.numerator * prod.denominator)
     _ok(11, "block-determinant law (100), torus law (20) and multiplicativity (200) hold exactly")

@@ -161,6 +161,25 @@ def test_spinor_norm_file(tmp_path, capsys):
     assert env["payload"]["class"] == {"p": 3, "val": 1, "unit": 1}
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        [[1, 2], [3]],
+        {"matrix": [[1, 0], [0, 1]], "gram": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]},
+    ],
+    ids=["empty", "ragged", "gram-size"],
+)
+def test_spinor_norm_bad_shape_is_a_domain_error(data, tmp_path, capsys):
+    f = tmp_path / "mat.json"
+    f.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as e:
+        main(["spinor-norm", "--matrix", str(f), "--p", "3"])
+    assert e.value.code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+
 def test_selftest(capsys, monkeypatch):
     monkeypatch.setenv("LOCALSYM_SELFTEST_BOUND", "3")
     code, env = run_cli(["selftest"], capsys)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from localsym.localfield import Prime, QuadExtension, hilbert_rational, reduce
-from localsym.numfield import BiquadField, Mat
+from localsym.numfield import BiquadField, Mat, RatMat
 from localsym.prasad import (
     CharacterFormula,
     Family,
@@ -22,20 +22,23 @@ from localsym.prasad import (
     squarefree_part,
     w_gram,
     wsn,
-    _mat_mul,
-    _rat_det,
-    _rat_mat,
 )
 
 P3 = Prime(3)
 E3 = QuadExtension.of(-1, P3)
 
 
+def rat_mat(rows):
+    return RatMat.of(rows).fractions()
+
+
+def mat_mul(a, b):
+    return (RatMat.of(a) * RatMat.of(b)).fractions()
+
+
 def gl_star_rat(h, m):
     w = w_gram(m)
-    from localsym.prasad import _rat_inv, _transpose
-
-    return _mat_mul(_mat_mul(w, _rat_inv(_transpose(h))), w)
+    return mat_mul(mat_mul(w, RatMat.of(h).T.inv().fractions()), w)
 
 
 def siegel(h):
@@ -44,7 +47,7 @@ def siegel(h):
     for i in range(m):
         for j in range(m):
             out[i][j] = Fraction(h[i][j])
-    star = gl_star_rat(_rat_mat(h), m)
+    star = gl_star_rat(rat_mat(h), m)
     for i in range(m):
         for j in range(m):
             out[m + i][m + j] = star[i][j]
@@ -54,7 +57,7 @@ def siegel(h):
 def rand_gl(rng, m, span=3):
     while True:
         h = [[Fraction(rng.randint(-span, span)) for _ in range(m)] for _ in range(m)]
-        if _rat_det(h) != 0:
+        if RatMat.of(h).det() != 0:
             return h
 
 
@@ -78,7 +81,7 @@ def rand_so(rng, gram, reflections=4):
         gv = [sum(gram[i][j] * v[j] for j in range(m)) for i in range(m)]
         if sum(v[i] * gv[i] for i in range(m)) == 0:
             continue
-        out = _mat_mul(out, reflection_matrix(gram, v))
+        out = mat_mul(out, reflection_matrix(gram, v))
         count += 1
     return out
 
@@ -105,7 +108,7 @@ def test_spinor_norm_siegel_block():
         m = rng.choice([1, 2, 3])
         h = rand_gl(rng, m)
         g = siegel(h)
-        d = _rat_det(h)
+        d = RatMat.of(h).det()
         expected = squarefree_part(d.numerator * d.denominator)
         assert spinor_norm_rational(g, w_gram(2 * m)) == expected
 
@@ -116,7 +119,7 @@ def test_spinor_norm_multiplicative():
     for _ in range(200):
         g1 = rand_so(rng, gram)
         g2 = rand_so(rng, gram)
-        s12 = spinor_norm_rational(_mat_mul(g1, g2), gram)
+        s12 = spinor_norm_rational(mat_mul(g1, g2), gram)
         s1 = spinor_norm_rational(g1, gram)
         s2 = spinor_norm_rational(g2, gram)
         prod = s1 * s2
@@ -126,7 +129,7 @@ def test_spinor_norm_multiplicative():
 def test_reflection_count_even_and_exact():
     rng = random.Random(53)
     for gram in [w_gram(2), w_gram(3), [[1, 0, 0], [0, 2, 0], [0, 0, -3]]]:
-        gram = _rat_mat(gram)
+        gram = rat_mat(gram)
         for _ in range(30):
             g = rand_so(rng, gram)
             vectors, qvals = reflection_decomposition(g, gram)
@@ -134,7 +137,7 @@ def test_reflection_count_even_and_exact():
             # the product of the returned reflections reproduces g
             acc = [[Fraction(1 if i == j else 0) for j in range(len(gram))] for i in range(len(gram))]
             for v in vectors:
-                acc = _mat_mul(acc, reflection_matrix(gram, v))
+                acc = mat_mul(acc, reflection_matrix(gram, v))
             assert acc == g
 
 
@@ -219,14 +222,14 @@ def test_characters_are_quadratic():
         g = rand_so(rng, gram)
         v = evaluate_character(formula, g, E3, gram)
         assert v in (1, -1)
-        g2 = _mat_mul(g, g)
+        g2 = mat_mul(g, g)
         assert evaluate_character(formula, g2, E3, gram) == 1
     # GL(2): eta(det)^1 squared trivial
     Ygl = GroupDescriptor(Family.GL, 2)
     fgl = prasad_character(Ygl, E3)
     for _ in range(30):
         h = rand_gl(rng, 2)
-        assert evaluate_character(fgl, _mat_mul(h, h), E3) == 1
+        assert evaluate_character(fgl, mat_mul(h, h), E3) == 1
     # U(2, K/F) with K != E
     Yu = GroupDescriptor(Family.U, 2, k_gen=3)
     fu = prasad_character(Yu, E3)
