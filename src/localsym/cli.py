@@ -52,6 +52,14 @@ def _json_file(path, what):
         raise CliError(f"bad JSON in {what}: {e}")
 
 
+def _gram_arg(s):
+    """--gram as a square list of rows, its shape checked here once."""
+    gram = _json_arg(s, "--gram")
+    if not isinstance(gram, list) or any(not isinstance(row, list) or len(row) != len(gram) for row in gram):
+        raise CliError("--gram must be a square JSON list of rows")
+    return gram
+
+
 def _pair_from(d):
     return symspace.ClassicalPair.from_json(d)
 
@@ -75,8 +83,7 @@ def cmd_form_invariants(args):
     p = localfield.Prime(args.p)
     ext = localfield.QuadExtension.of(args.ext_d, p) if args.ext_d is not None else None
     if args.gram:
-        gram = _json_arg(args.gram, "--gram")
-        form, _ = forms.diagonalize(gram, p, case, ext)
+        form, _ = forms.diagonalize(_gram_arg(args.gram), p, case, ext)
     else:
         entries = [_fraction(str(e)) for e in _json_arg(args.entries, "--entries")]
         form = forms.DiagForm(case, p, tuple(entries), ext=ext)

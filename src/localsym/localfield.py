@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 Rational = "int | Fraction"
 
@@ -236,6 +237,73 @@ def hilbert(a: SquareClass, b: SquareClass) -> int:
 def hilbert_rational(a, b, p) -> int:
     p = _as_prime(p)
     return hilbert(reduce(a, p), reduce(b, p))
+
+
+def least_non_norm(a, p) -> int:
+    """The least positive integer u with (u, a)_p = -1: a rational element
+    outside the norm group of Qp(sqrt a).
+
+    For odd p it is p itself when a is a unit (the norms are the classes of
+    even valuation) and the least quadratic non-residue when v_p(a) is odd
+    (the unit norms are the residues).  At p = 2 the positive classes of
+    Q2*/Q2*^2 are those of 1, 2, 3, 5, 6, 7, 10 and 14, so a scan of 2..14
+    meets every class and ends at the least non-norm."""
+    p = _as_prime(p)
+    cls = reduce(a, p)
+    if cls.is_trivial:
+        raise LocalFieldError("a is a square at p: every element is a norm")
+    if p.odd:
+        return p.p if cls.val == 0 else p.nonresidue
+    return next(u for u in range(2, 15) if hilbert(reduce(u, p), cls) == -1)
+
+
+def _rational_sqrt(x: Fraction):
+    """The nonnegative square root of x when it is a rational square, else None."""
+    if x < 0:
+        return None
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    if rn * rn == x.numerator and rd * rd == x.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def non_norm_value(m, d, p):
+    """Rationals (x, y) with t = x^2 + m y^2 nonzero and (t, d)_p = -1: a norm
+    from Q(sqrt(-m)) outside the norms from Qp(sqrt d).  None when there is
+    none: when -m and d share a square class at p, or d is a square there.
+
+    If -m = r^2 is a rational square, x = (u* + 1)/2 and y = (u* - 1)/(2r)
+    give t = u*, the least non-norm.  Otherwise y scales m y^2 to an integer
+    M with v_p(M) <= 1, and t = x^2 + M for 0 <= x < 2p holds a solution:
+    - v_p(M) = 1: the norm group of the ramified Qp(sqrt(-M)) is {1, M}, so
+      x = 0 (t = M) works whenever anything does;
+    - odd p, d a unit: t needs odd valuation; then -M = x0^2 mod p with
+      0 < x0 < p, and x0 or x0 + p gives v_p(t) = 1, as the two values of t
+      differ by 2 x0 p + p^2;
+    - odd p, v_p(d) odd, M a unit: a non-residue t works, and x^2 + M is one
+      for (p - (-M|p))/2 >= 1 residues x;
+    - p = 2: t mod 2^(v(t)+3) fixes the class of t, and a check of every M
+      mod 64 against every class d (repeated in the tests) finds a working
+      x < 4 with v_2(t) <= 3."""
+    p = _as_prime(p)
+    m = Fraction(m)
+    if m == 0:
+        raise LocalFieldError("the norm form x^2 + m y^2 needs m != 0")
+    if reduce(d, p).is_trivial or reduce(-m, p) == reduce(d, p):
+        return None
+    r = _rational_sqrt(-m)
+    if r is not None:
+        u = least_non_norm(d, p)
+        return Fraction(u + 1, 2), Fraction(u - 1, 2) / r
+    big, y = m.numerator * m.denominator, Fraction(m.denominator)
+    while big % (p.p * p.p) == 0:
+        big //= p.p * p.p
+        y /= p.p
+    for x in range(2 * p.p):
+        t = x * x + big
+        if t and hilbert_rational(t, d, p) == -1:
+            return Fraction(x), y
+    raise LocalFieldError(f"no value of x^2 + {m} y^2 outside the norms at {p.p}: residue argument violated")
 
 
 def hilbert_real(a, b) -> int:

@@ -29,6 +29,7 @@ from .localfield import (
     QuadExtension,
     SquareClass,
     hilbert_rational,
+    non_norm_value,
     reduce,
 )
 from .numfield import (
@@ -203,10 +204,6 @@ class _KernelOnly:
         return hash((self.case, self.n0, self.j_entries, self.prime, self.field))
 
 
-def j_mat(pair) -> Mat:
-    return Mat.diagonal(pair.field, [pair.field.element(e) for e in pair.j_entries])
-
-
 def jn_mat(pair) -> Mat:
     """The split form with anisotropic kernel: antidiagonal one-blocks of
     size n around the kernel, the lower one scaled by eps."""
@@ -360,8 +357,6 @@ def hasse_values(pair, component: Component):
         if component is Component.IDENTITY:
             return (jn_invariants(pair)[1],)
         # rank <= 2 forms in the other class have a forced Hasse sign too
-        if N == 1:
-            return (1,)
         return (1,)
     return (1, -1)
 
@@ -453,122 +448,93 @@ def _diag_frame(pair):
     return entries, Mat.from_rational(pair.field, p)
 
 
-def _orth_candidates(pair, entries):
-    """Candidate diagonal-frame twists, described by closed-form data:
-    (resulting diagonal entries, determinant sign of x, builder)."""
-    field = pair.field
-    a = field.a
+def _block_coords(entries, p):
+    """Two frame coordinates for the 2x2 block: a hyperbolic pair (entries
+    alpha, beta with -alpha beta a square at p) where the frame has one, else
+    the first two."""
+    for i, j in combinations(range(len(entries)), 2):
+        if reduce(-entries[i] * entries[j], p).is_trivial:
+            return i, j
+    return 0, 1
+
+
+def _orth_candidates(pair, entries, component):
+    """Closed-form frame twists for one component: pairs (diagonal of
+    t(z_d) D z_d, z_d).  A twist puts sqrt(a) on coordinates T (det x =
+    (-1)^|T|).  The block [[u, -s beta v], [v, s alpha u]] on a frame pair
+    (alpha, beta), d = alpha beta, with u = x and v = alpha y w turns it into
+    (g, s^2 d g), g = alpha (x^2 + m y^2), with det x = s / sigma(s): for
+    s = 1, w = sqrt(a), m = a d it flips the Hasse sign of the untwisted pair,
+    for s = w = sqrt(a), m = d that of the pair twisted at j, whenever
+    (x^2 + m y^2, a)_p = -1.  `non_norm_value` finds such (x, y) unless -m
+    and a share a class, which happens for at most one of the two.  So each
+    list holds both signs of its component: a block and the twist it is
+    compared with differ, and in the identity component the s = sqrt(a)
+    block plus a twist at k differs from the twist at {j, k}."""
+    field, p, a = pair.field, pair.prime, pair.field.a
     N = len(entries)
+    i, j = _block_coords(entries, p) if N > 1 else (0, 0)
+    k = next((t for t in range(N) if t not in (i, j)), None)
+    if component is Component.IDENTITY:
+        specs = [((), None), ((), 1), ((k,), "ra"), ((j, k), None)]
+    else:
+        specs = [((j,), None), ((), "ra"), ((k,), None), ((k,), 1)]
+    alpha, beta = entries[i], entries[j]
     ra = field.sqrt_a
-
-    def twist_builder(subset):
-        def build():
-            return Mat.diagonal(field, [ra if i in subset else field.one for i in range(N)])
-        return build
-
-    for size in range(0, N + 1):
-        for subset in combinations(range(N), size):
-            new_entries = [e * a if i in subset else e for i, e in enumerate(entries)]
-            yield new_entries, (-1) ** size, twist_builder(frozenset(subset))
-
-    box = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
-    for i, jj in combinations(range(N), 2):
-        alpha, beta = entries[i], entries[jj]
-        for u0, u1, v0, v1 in product(box, repeat=4):
-            if alpha * u0 * u1 + beta * v0 * v1 != 0:
+    for twist, s in specs:
+        if None in twist or (s is not None and N < 2):
+            continue
+        new = [e * a if t in twist else e for t, e in enumerate(entries)]
+        rows = [[(ra if r in twist else field.one) if r == c else field.zero for c in range(N)]
+                for r in range(N)]
+        if s is not None:
+            m = a * alpha * beta if s == 1 else alpha * beta
+            xy = non_norm_value(m, a, p)
+            if xy is None:
                 continue
-            usq = u0 * u0 + a * u1 * u1
-            vsq = v0 * v0 + a * v1 * v1
-            gamma = alpha * usq + beta * vsq
-            if gamma == 0:
-                continue
-            for s_is_ra in (False, True):
-                ssq = Fraction(a) if s_is_ra else Fraction(1)
-                delta = ssq * alpha * beta * gamma
-                new_entries = list(entries)
-                new_entries[i], new_entries[jj] = gamma, delta
-                detx = -1 if s_is_ra else 1
-
-                def block_builder(i=i, jj=jj, u0=u0, u1=u1, v0=v0, v1=v1, s_is_ra=s_is_ra,
-                                  alpha=alpha, beta=beta):
-                    def build():
-                        u = field.element(u0, u1)
-                        v = field.element(v0, v1)
-                        s = ra if s_is_ra else field.one
-                        rows = [[field.one if r == c else field.zero for c in range(N)] for r in range(N)]
-                        rows[i][i] = u
-                        rows[i][jj] = -s * beta * v
-                        rows[jj][i] = v
-                        rows[jj][jj] = s * alpha * u
-                        return Mat(field, rows)
-                    return build
-                yield new_entries, detx, block_builder()
+            g = alpha * (xy[0] ** 2 + m * xy[1] ** 2)
+            new[i], new[j] = g, (1 if s == 1 else a) * alpha * beta * g
+            sv, w = (field.one, ra) if s == 1 else (ra, field.one)
+            u, v = field.element(xy[0]), field.element(alpha * xy[1]) * w
+            rows[i][i], rows[i][j], rows[j][i], rows[j][j] = u, -sv * beta * v, v, sv * alpha * u
+        yield new, Mat(field, rows)
 
 
 def _z_reps_orthogonal(pair, component: Component):
     entries, g0 = _diag_frame(pair)
     p = pair.prime
     want = orbit_count_X(pair, component)
-    want_det = 1 if component is Component.IDENTITY else -1
+    comp = 0 if component is Component.IDENTITY else 1
     found = {}
-    for new_entries, detx, builder in _orth_candidates(pair, entries):
-        if detx != want_det:
-            continue
-        disc = disc_class(new_entries, p)
-        hasse = hasse_invariant(new_entries, p)
-        base = reduce(det_jn(pair), p)
-        comp = 0 if disc == base else 1
-        if (comp == 0) != (component is Component.IDENTITY):
-            continue  # candidate descriptor inconsistent; skip defensively
-        inv = OrthogonalOrbit(comp, disc, hasse)
+    for new_entries, z_d in _orth_candidates(pair, entries, component):
+        inv = OrthogonalOrbit(comp, disc_class(new_entries, p), hasse_invariant(new_entries, p))
         if inv in found:
             continue
-        z_d = builder()
         z = g0 * z_d * g0.inv()
         x = z * z.sigma().inv()
-        check = classify_x(x, z, pair)
-        if check != inv:
+        if classify_x(x, z, pair) != inv:
             raise SymspaceError("closed-form candidate disagrees with exact classification")
         found[inv] = (x, z)
         if len(found) == want:
             return tuple((i, x, z) for i, (x, z) in found.items())
-    raise SymspaceError(
-        f"only {len(found)} of {want} representatives found for {component}; widen the search box"
-    )
+    raise SymspaceError(f"the closed forms gave {len(found)} of {want} representatives for {component}")
 
 
 def _z_reps_unitary(pair):
+    """The identity, and diag(c, 1, ..., 1) in the frame with c = x + y sqrt(ab):
+    c tau(c) = x^2 - ab y^2 is rational, and it lies outside the norms from
+    Qp(sqrt b), which moves the determinant class to the other coset."""
     field = pair.field
     entries, g0 = _diag_frame(pair)
     N = pair.N
     i_n = Mat.identity(field, N)
-    reps = [(UnitaryOrbit(0), i_n, i_n)]
-    candidates = [field.sqrt_a]
-    for s, t in product(range(-4, 5), repeat=2):
-        if t == 0:
-            continue
-        u = field.element(s, 0, 0, t)
-        if u.norm_to_Q() == 0:
-            continue
-        gamma = u.sigma() / u
-        c = gamma + 1
-        if not c.is_zero:
-            candidates.append(c)
-    for c in candidates:
-        y1 = c.tau() * c
-        if not y1.is_rational or y1.rational == 0:
-            continue
-        if hilbert_rational(y1.rational, field.b, pair.prime) != -1:
-            continue
-        z_d = Mat.diagonal(field, [c] + [field.one] * (N - 1))
-        z = g0 * z_d * g0.inv()
-        x = z * z.sigma().inv()
-        inv = classify_x(x, z, pair)
-        if inv != UnitaryOrbit(1):
-            raise SymspaceError("nontrivial-coset candidate classifies as the trivial orbit")
-        reps.append((inv, x, z))
-        return tuple(reps)
-    raise SymspaceError("no representative of the nontrivial coset found; widen the search box")
+    x, y = non_norm_value(-field.a * field.b, field.b, pair.prime)
+    z = g0 * Mat.diagonal(field, [field.element(x, 0, 0, y)] + [field.one] * (N - 1)) * g0.inv()
+    x_mat = z * z.sigma().inv()
+    inv = classify_x(x_mat, z, pair)
+    if inv != UnitaryOrbit(1):
+        raise SymspaceError("nontrivial-coset candidate classifies as the trivial orbit")
+    return ((UnitaryOrbit(0), i_n, i_n), (inv, x_mat, z))
 
 
 @lru_cache(maxsize=None)
@@ -592,33 +558,3 @@ def z_orbit_representatives(pair, component: Component = Component.IDENTITY):
     if component is Component.FULL:
         raise SymspaceError("pick a component")
     return _z_reps_orthogonal(pair, component)
-
-
-def random_isometry(pair, rng, steps: int = 3) -> Mat:
-    """A pseudo-random element of the isometry group of the split form,
-    assembled from diagonal-block embeddings and permutation pieces."""
-    field = pair.field
-    n, N = pair.n, pair.N
-    g = Mat.identity(field, N)
-    for _ in range(steps):
-        blocks = []
-        for _ in range(n):
-            while True:
-                e = field.element(
-                    Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2)),
-                    0 if field.is_quadratic else Fraction(rng.randint(-2, 2)),
-                    0 if field.is_quadratic else Fraction(rng.randint(-1, 1)),
-                )
-                if not e.is_zero:
-                    break
-            blocks.append(e)
-        upper = Mat.diagonal(field, blocks)
-        star = _gl_star(upper, field)
-        mid = Mat.identity(field, pair.n0)
-        g = g * Mat.block_diag(field, [upper, mid, star])
-    return g
-
-
-def _gl_star(g: Mat, field) -> Mat:
-    w = Mat.antidiag_ones(field, g.n)
-    return w * conj_transpose(g, "tau").inv() * w

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .forms import Case
-from .localfield import hilbert_rational, reduce
+from .localfield import hilbert_rational, least_non_norm, non_norm_value, reduce
 from .numfield import Mat, conj_transpose
 from .symspace import (
     ClassicalPair,
@@ -234,27 +234,18 @@ def _involutions_for(parts: tuple, circ: bool):
 def u_star_rational(pair) -> int:
     """Smallest positive integer that is not a local norm from the upstairs
     quadratic extension."""
-    for u in range(2, 200):
-        if hilbert_rational(u, pair.field.a, pair.prime) == -1:
-            return u
-    raise WeylError("no small non-norm found")
+    return least_non_norm(pair.field.a, pair.prime)
 
 
 @lru_cache(maxsize=None)
 def u_star_sideways(pair):
-    """A fixed element of the sigma-tau-fixed subfield that is not a local
-    norm from the full model field (unitary case)."""
+    """A fixed element s + t sqrt(ab) of the sigma-tau-fixed subfield whose
+    norm s^2 - ab t^2 is not a local norm from Qp(sqrt a) (unitary case).
+    The signs are flipped to s, t <= 0, the element that the shipped
+    gamma_defaults.json records."""
     field = pair.field
-    a, b = field.a, field.b
-    for s, t in sorted(itertools.product(range(-4, 5), repeat=2), key=lambda st: (abs(st[0]) + abs(st[1]), st)):
-        if t == 0:
-            continue
-        norm = Fraction(s * s - a * b * t * t)
-        if norm == 0:
-            continue
-        if hilbert_rational(norm, a, pair.prime) == -1:
-            return field.element(s, 0, 0, t)
-    raise WeylError("no small sideways non-norm found")
+    x, y = non_norm_value(-field.a * field.b, field.a, pair.prime)
+    return field.element(-x, 0, 0, -y)
 
 
 def y_representative(pair, size: int, bit: int) -> Mat:

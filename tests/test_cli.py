@@ -54,6 +54,15 @@ def test_form_invariants(capsys):
     assert payload["disc"]["val"] == 0 and payload["disc"]["unit"] == 2
 
 
+@pytest.mark.parametrize("gram", ["[[1,2,3],[2,5,6],[3]]", "{}"], ids=["ragged", "object"])
+def test_form_invariants_bad_gram_is_malformed(gram, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["form-invariants", "--case", "orthogonal", "--p", "3", "--gram", gram])
+    assert e.value.code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+
 def test_orbit_count_forms(capsys):
     code, env = run_cli(["orbit-count", "--case", "symplectic", "--n", "4"], capsys)
     assert code == 0 and env["payload"]["count"] == 1

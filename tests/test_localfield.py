@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,9 @@ from localsym.localfield import (
     hilbert_oracle,
     hilbert_rational,
     hilbert_real,
+    is_prime,
+    least_non_norm,
+    non_norm_value,
     reciprocity_check,
     reduce,
     square_class_reps,
@@ -168,3 +172,65 @@ def test_square_class_reps_roundtrip():
     for p in (P2, P3, P5, P7):
         for r in square_class_reps(p):
             assert reduce(r, p).rep == r
+
+
+P2_MODELS = (-1, 2, -2, 3, 5, 6, -6, 7, 10, -3)
+
+
+def sweep_models():
+    """(a, p): both quadratic models a = p and a = the least non-residue at
+    every odd prime below 400, and the ten models at p = 2."""
+    for p in range(3, 400):
+        if is_prime(p):
+            yield p, p
+            yield Prime(p).nonresidue, p
+    for a in P2_MODELS:
+        yield a, 2
+
+
+def test_least_non_norm_matches_reference_scan():
+    for a, p in sweep_models():
+        reference = next(u for u in itertools.count(2) if hilbert_rational(u, a, p) == -1)
+        assert least_non_norm(a, p) == reference, (a, p)
+    with pytest.raises(LocalFieldError):
+        least_non_norm(4, 3)
+
+
+def _check_non_norm_value(m, d, p):
+    got = non_norm_value(m, d, p)
+    if reduce(-m, p) == reduce(d, p):
+        assert got is None, (m, d, p)
+        return
+    x, y = got
+    t = x * x + Fraction(m) * y * y
+    assert t != 0 and hilbert_rational(t, d, p) == -1, (m, d, p)
+
+
+def test_non_norm_value_at_odd_primes():
+    for p in (3, 5, 7, 11, 13, 211, 397):
+        u = Prime(p).nonresidue
+        for m in (1, -1, u, -u, p, -p, p * u, -p * u, -p * p * u, Fraction(-u, p * p), Fraction(3, 4 * p), 2 * p ** 3):
+            for d in (u, p, p * u):
+                _check_non_norm_value(m, d, p)
+
+
+def test_non_norm_value_at_2():
+    for m in list(range(-40, 0)) + list(range(1, 40)) + [Fraction(1, 4), Fraction(-7, 16), 96]:
+        for d in (3, 5, 7, 2, 6, 10, 14):
+            _check_non_norm_value(m, d, 2)
+
+
+def test_non_norm_value_residue_argument_at_2():
+    # The scan x in {0, 1, 2, 3} at p = 2 is complete: for every M mod 64 with
+    # v_2(M) <= 1 and every class d, some x gives t = x^2 + M with v_2(t) <= 3,
+    # where t mod 64 fixes the class, and (t, d)_2 = -1, unless -M and d share
+    # a class (then no value works).
+    for r in range(64):
+        if r % 4 == 0:
+            continue
+        for d in (3, 5, 7, 2, 6, 10, 14):
+            if reduce(-r, 2) == reduce(d, 2):
+                continue
+            assert any(
+                (x * x + r) % 16 and hilbert_rational((x * x + r) % 64, d, 2) == -1 for x in range(4)
+            ), (r, d)

@@ -23,13 +23,37 @@ from localsym.symspace import (
     jn_mat,
     minus_one_gamma_certificate,
     orbit_count_X,
-    random_isometry,
     realizable_targets,
     same_G0_orbit,
     z_orbit_representatives,
 )
+from localsym.weyl import gl_star
 
 from conftest import BIQ_2, BIQ_3, BIQ_5, P2, P3, P5, QUAD_M3, make_pair
+
+
+def random_isometry(pair, rng, steps: int = 3) -> Mat:
+    """A pseudo-random element of the isometry group of the split form,
+    assembled from diagonal-block embeddings and permutation pieces."""
+    field = pair.field
+    n, N = pair.n, pair.N
+    g = Mat.identity(field, N)
+    for _ in range(steps):
+        blocks = []
+        for _ in range(n):
+            while True:
+                e = field.element(
+                    Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2)),
+                    0 if field.is_quadratic else Fraction(rng.randint(-2, 2)),
+                    0 if field.is_quadratic else Fraction(rng.randint(-1, 1)),
+                )
+                if not e.is_zero:
+                    break
+            blocks.append(e)
+        upper = Mat.diagonal(field, blocks)
+        mid = Mat.identity(field, pair.n0)
+        g = g * Mat.block_diag(field, [upper, mid, gl_star(upper)])
+    return g
 
 
 def test_pair_validation():
@@ -186,6 +210,27 @@ def test_z_orbit_representatives_kernel_only():
     comp = z_orbit_representatives(sub, Component.COMPLEMENT)
     # complement disc = -1: a single orbit
     assert len(comp) == 1
+
+
+def test_z_orbit_representatives_anisotropic_kernels():
+    # every anisotropic kernel alone (r = 0), and kernels of rank <= 2 beside
+    # one hyperbolic plane, in the ramified and unramified models
+    from itertools import combinations_with_replacement
+
+    from localsym.forms import is_anisotropic
+    from localsym.localfield import square_class_reps
+
+    models = [(P2, -1)] + [(Prime(p), a) for p in (5, 7) for a in (p, Prime(p).nonresidue)]
+    for p, a in models:
+        for n0 in (1, 2, 3, 4) if p.odd else (1, 2):
+            for j in combinations_with_replacement(square_class_reps(p), n0):
+                if not is_anisotropic(j, p):
+                    continue
+                pair = ClassicalPair(Case.ORTHOGONAL, n0, j, 1, p, BiquadField(a))
+                for sub in (pair.sub_pair(0), pair)[: 2 if n0 <= 2 and p.odd else 1]:
+                    for component in (Component.IDENTITY, Component.COMPLEMENT):
+                        reps = z_orbit_representatives(sub, component)
+                        assert len(reps) == orbit_count_X(sub, component), (p, a, j, sub.n)
 
 
 def test_z_orbit_representatives_unitary():

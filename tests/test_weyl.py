@@ -27,6 +27,7 @@ from localsym.weyl import (
     stabilizer_shape,
     t_w_square_pattern,
     u_star_rational,
+    u_star_sideways,
     y_representative,
 )
 
@@ -355,6 +356,21 @@ def test_u_star_rational():
 
     u = u_star_rational(pair)
     assert hilbert_rational(u, pair.field.a, pair.prime) == -1
+
+
+def test_u_star_sideways_is_a_non_norm_at_every_prime():
+    from localsym.localfield import Prime, hilbert_rational, is_prime
+    from localsym.numfield import BiquadField
+    from localsym.symspace import ClassicalPair
+
+    models = [(-1, 2, 2)]
+    for p in filter(is_prime, range(3, 400)):
+        u = Prime(p).nonresidue
+        models += [(u, p, p), (p, u, p), (p, p * u, p)]
+    for a, b, p in models:
+        pair = ClassicalPair(Case.UNITARY, 0, (), 1, Prime(p), BiquadField(a, b))
+        s, _, _, t = u_star_sideways(pair).coeffs
+        assert hilbert_rational(s * s - a * b * t * t, a, p) == -1, (a, b, p)
 
 
 def test_t_i_factors_commute(bundled_pairs):
