@@ -60,6 +60,14 @@ def _gram_arg(s):
     return gram
 
 
+def _entries_arg(s):
+    """--entries as a JSON list, checked here once."""
+    entries = _json_arg(s, "--entries")
+    if not isinstance(entries, list):
+        raise CliError("--entries must be a JSON list of rationals")
+    return [_fraction(str(e)) for e in entries]
+
+
 def _pair_from(d):
     return symspace.ClassicalPair.from_json(d)
 
@@ -85,8 +93,7 @@ def cmd_form_invariants(args):
     if args.gram:
         form, _ = forms.diagonalize(_gram_arg(args.gram), p, case, ext)
     else:
-        entries = [_fraction(str(e)) for e in _json_arg(args.entries, "--entries")]
-        form = forms.DiagForm(case, p, tuple(entries), ext=ext)
+        form = forms.DiagForm(case, p, tuple(_entries_arg(args.entries)), ext=ext)
     _emit("form-invariants", forms.invariants(form).to_json())
 
 

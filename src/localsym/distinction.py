@@ -10,7 +10,7 @@ complete per-candidate failure log.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .forms import Case
 from .symspace import (
@@ -18,6 +18,7 @@ from .symspace import (
     OrthogonalOrbit,
     SymplecticOrbit,
     UnitaryOrbit,
+    det_jn,
     hasse_values,
     realizable_targets,
     reduce,
@@ -25,8 +26,6 @@ from .symspace import (
 from .weyl import (
     Composition,
     SignedInvolution,
-    WeylError,
-    admissible_orbit_count,
     enumerate_involutions,
     predicted_orbit_invariant,
     trivial_z_invariant,
@@ -36,16 +35,6 @@ from .weyl import (
 
 class DistinctionError(ValueError):
     pass
-
-
-def gamma_defaults():
-    """Shipped coset bits for the bundled unitary field models, as computed
-    by the desk-scale box oracle and recorded in a versioned data file."""
-    import json
-    from importlib import resources
-
-    with resources.files("localsym.data").joinpath("gamma_defaults.json").open() as fh:
-        return json.load(fh)
 
 
 def _pairs(items):
@@ -120,17 +109,6 @@ class CuspidalDatum:
 
     def unitary_bits(self, i):
         return tuple(sorted(b for j, b in self.unitary_dist if j == i))
-
-    def permuted(self, perm):
-        """Relabelled datum: index i becomes perm[i]."""
-        return CuspidalDatum(
-            tuple(self.labels[perm.index(i)] for i in range(self.k)),
-            frozenset(frozenset(perm[i] for i in rel) for rel in self.conj_dual),
-            frozenset(frozenset(perm[i] for i in rel) for rel in self.sigma_tau),
-            frozenset(perm[i] for i in self.linear_dist),
-            frozenset((perm[i], b) for i, b in self.unitary_dist),
-            self.pi0_dist,
-        )
 
     def to_json(self):
         return {
@@ -212,31 +190,39 @@ def inner_orbit_invariants(comp, w, pair):
     if pair.case is Case.UNITARY:
         return (UnitaryOrbit(0), UnitaryOrbit(1))
     component = z_component_for(comp, w, pair)
-    from .symspace import det_jn
-
     base = reduce(det_jn(sub), pair.prime)
     disc = base if component is Component.IDENTITY else base * reduce(pair.field.a, pair.prime)
     comp_bit = 0 if component is Component.IDENTITY else 1
     return tuple(OrthogonalOrbit(comp_bit, disc, h) for h in hasse_values(sub, component))
 
 
-def _check_rows(comp, w, data):
-    """The representation-theoretic condition rows; returns None or the
-    first failing row description."""
-    for i in range(comp.k):
-        j = w.rho[i]
+ROW_PROSE = {
+    "rows.sigma_tau": "no sigma-tau relation between {} and {}",
+    "rows.hermitian_flag": "label {} has no hermitian-distinction flag",
+    "rows.conj_dual": "no conjugate-dual relation between {} and {}",
+    "rows.linear_dist": "label {} is not flagged linearly distinguished",
+}
+
+
+def check_rows(w, sigma_tau, hermitian, conj_dual, linear):
+    """The four condition rows of w against relation pairs and flagged
+    indices: a signed pair needs a sigma-tau relation, a signed fixed point
+    a hermitian flag, an unsigned pair a conjugate-dual relation and an
+    unsigned fixed point a linear flag.  Takes 0-based indices; returns
+    None, or (reason code, 1-based indices) for the first failing row,
+    which ROW_PROSE renders."""
+    for i, j in enumerate(w.rho):
         if i in w.c and j != i:
-            if frozenset({i, j}) not in data.sigma_tau:
-                return f"rows: no sigma-tau relation between {i + 1} and {j + 1}"
+            if frozenset({i, j}) not in sigma_tau:
+                return "rows.sigma_tau", (i + 1, j + 1)
         elif i in w.c:
-            if not data.unitary_bits(i):
-                return f"rows: label {i + 1} has no hermitian-distinction flag"
+            if i not in hermitian:
+                return "rows.hermitian_flag", (i + 1,)
         elif j != i:
-            if frozenset({i, j}) not in data.conj_dual:
-                return f"rows: no conjugate-dual relation between {i + 1} and {j + 1}"
-        else:
-            if i not in data.linear_dist:
-                return f"rows: label {i + 1} is not flagged linearly distinguished"
+            if frozenset({i, j}) not in conj_dual:
+                return "rows.conj_dual", (i + 1, j + 1)
+        elif i not in linear:
+            return "rows.linear_dist", (i + 1,)
     return None
 
 
@@ -252,17 +238,18 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
     if target not in realizable_targets(pair):
         raise DistinctionError(f"target {target} is not realizable for this pair")
     circ = pair.split_even_orthogonal and comp.r == 0
+    sub = pair.sub_pair(comp.r)
+    hermitian = {i for i, _ in data.unitary_dist}
     log = []
     for w in enumerate_involutions(comp, circ):
         tag = f"w={w.to_json()}"
-        fail = _check_rows(comp, w, data)
+        fail = check_rows(w, data.sigma_tau, hermitian, data.conj_dual, data.linear_dist)
         if fail:
-            log.append(f"{tag}: {fail}")
+            log.append(f"{tag}: rows: {ROW_PROSE[fail[0]].format(*fail[1])}")
             continue
         iw = sorted(w.fixed_in_c)
         bit_ranges = [data.unitary_bits(i) for i in iw]
         inner = inner_orbit_invariants(comp, w, pair)
-        sub = pair.sub_pair(comp.r)
         found_arith = False
         for bits in itertools.product(*bit_ranges):
             y_bits = dict(zip(iw, bits))
@@ -383,22 +370,9 @@ def gl_product_check(blocks: GlBlocks, chi: str = "trivial"):
         units = [{"type": "closed", "blocks": [pos_center]}] if pos_center is not None else []
         return True, units, ((), frozenset())
     for w in enumerate_involutions(Composition(blocks.sizes, 0)):
-        rho, c = w.rho, w.c
-        ok = True
-        for i in range(k):
-            j = rho[i]
-            if i in c and j != i:
-                ok = frozenset({i, j}) in blocks.sigma_tau
-            elif i in c:
-                ok = i in blocks.unitary_dist
-            elif j != i:
-                ok = frozenset({i, j}) in blocks.conj_dual
-            else:
-                ok = i in flags
-            if not ok:
-                break
-        if not ok:
+        if check_rows(w, blocks.sigma_tau, blocks.unitary_dist, blocks.conj_dual, flags):
             continue
+        rho, c = w.rho, w.c
         units = []
         for i in range(k):
             j = rho[i]

@@ -12,7 +12,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .localfield import (
-    LocalFieldError,
     Prime,
     QuadExtension,
     SquareClass,
@@ -22,7 +21,6 @@ from .localfield import (
     reduce,
 )
 from . import numfield
-from .numfield import Mat, RatMat
 
 
 class FormsError(ValueError):
@@ -246,54 +244,6 @@ def orbit_count(case: Case, rank: int, disc: SquareClass | None = None) -> int:
     if rank == 2:
         return 1 if disc == reduce(-1, disc.prime) else 2
     return 2
-
-
-def det_image_witness(f: DiagForm, a, change_of_basis=None):
-    """An isometry h of the form with det h = a, namely
-    g diag(a, 1, ..., 1) g^{-1} for g the diagonalizing change of basis.
-
-    Orthogonal case: a = +-1, h rational with h^2 = I.  Unitary case: a is
-    a norm-one element of the modelled extension (a Bq over a quadratic
-    model) and h is a matrix over that model.
-    """
-    n = f.rank
-    if f.case is Case.SYMPLECTIC:
-        raise FormsError("symplectic isometries all have determinant one")
-    if f.case is Case.ORTHOGONAL:
-        if a not in (1, -1):
-            raise FormsError("orthogonal determinants are +-1")
-        if change_of_basis is None:
-            return [[Fraction(a if i == 0 else 1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        g = RatMat.of(change_of_basis)
-        d = RatMat.of([[a if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
-        try:
-            gi = g.inv()
-        except numfield.NumFieldError as e:
-            raise FormsError(str(e))
-        return (g * d * gi).fractions()
-    if not isinstance(a, numfield.Bq):
-        raise FormsError("unitary determinant target must be a field element")
-    if not (a * a.sigma_tau() - 1).is_zero and not (a * a.tau() - 1).is_zero:
-        raise FormsError("determinant target must have norm one")
-    field = a.field
-    h = Mat.diagonal(field, [a] + [field.one] * (n - 1))
-    if change_of_basis is None:
-        return h
-    g = Mat.from_rational(field, change_of_basis)
-    return g * h * g.inv()
-
-
-def sum_invariants(inv1: FormInvariants, inv2: FormInvariants) -> FormInvariants:
-    """Invariants of an orthogonal direct sum from those of the summands:
-    disc multiplies, hasse multiplies times the cross symbol."""
-    if inv1.case is not Case.ORTHOGONAL or inv2.case is not Case.ORTHOGONAL:
-        raise FormsError("direct-sum rule implemented for the orthogonal case")
-    return FormInvariants(
-        Case.ORTHOGONAL,
-        inv1.rank + inv2.rank,
-        disc=inv1.disc * inv2.disc,
-        hasse=inv1.hasse * inv2.hasse * hilbert(inv1.disc, inv2.disc),
-    )
 
 
 def is_anisotropic(entries, p) -> bool:

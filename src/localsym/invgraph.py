@@ -60,10 +60,6 @@ class ThetaAction:
     def apply(self, vec):
         return tuple(vec[r] * s for s, r in zip(self.signs, self.rho))
 
-    def is_involution(self):
-        probe = [tuple(1 if i == j else 0 for j in range(self.k)) for i in range(self.k)]
-        return all(self.apply(self.apply(v)) == v for v in probe)
-
     def anti_invariant_part(self, vec):
         vec = tuple(_exact(x) for x in vec)
         return tuple(_HALF * (v - t) for v, t in zip(vec, self.apply(vec)))
@@ -254,15 +250,6 @@ class DescentStep:
             "new_comp": self.vertex.comp.to_json(),
             "new_w": self.vertex.w.to_json(),
         }
-
-
-def negativity_count(v: Vertex, conv: Convention) -> int:
-    theta = ThetaAction.from_involution(v.w)
-    return sum(
-        1
-        for alpha in positive_roots(v.comp.k, conv)
-        if theta_on_root(theta, alpha)[1] == "negative"
-    )
 
 
 def descend(v: Vertex, conv: Convention):

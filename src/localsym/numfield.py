@@ -684,41 +684,25 @@ def in_symmetric_space(x: Mat, j: Mat, eps: int | None = None) -> bool:
     return in_isometry_group(x, j, eps) and (x * x.sigma()).is_identity
 
 
-def _hilbert90_candidates(field: BiquadField, n: int):
-    """The matrices c tried by recover_hilbert90_matrix, in order: I,
-    sqrt(a) I, n deterministic diagonal perturbations, then 40 random
-    matrices from a fixed seed.  Built one at a time, since c = I almost
-    always works."""
-    import random as _random
-
-    yield Mat.identity(field, n)
-    yield Mat.identity(field, n) * field.sqrt_a
-    for k in range(2, 2 + n):
-        yield Mat.diagonal(field, [field.element(1 + (i * k) % (n + k)) + field.sqrt_a * (i % 2) for i in range(n)])
-    rng = _random.Random(20240810)
-    for _ in range(40):
-        yield Mat(
-            field,
-            [
-                [field.element(rng.randint(-3, 3)) + field.sqrt_a * rng.randint(-2, 2) for _ in range(n)]
-                for _ in range(n)
-            ],
-        )
-
-
 def recover_hilbert90_matrix(x: Mat) -> Mat:
     """Given x with x sigma(x) = I, return invertible z with z sigma(z)^-1 = x.
 
-    z = c + x sigma(c) works for any c making it invertible; c = I, then
-    c = sqrt(a) I, then a few deterministic diagonal perturbations and
-    random matrices (see _hilbert90_candidates).
+    z = c + x sigma(c) satisfies z = x sigma(z) for every c.  Take
+    c = (1 + t sqrt(a)) I for t = 0, 1, ..., n, so that
+    z_t = (1 + t sqrt(a)) I + (1 - t sqrt(a)) x and
+    det z_t = (1 - t sqrt(a))^n det(s_t I + x), s_t = (1 + t sqrt(a)) / (1 - t sqrt(a)).
+    t -> s_t is injective on Q and the monic degree-n polynomial
+    det(s I + x) has at most n roots, so some t <= n gives an invertible z_t.
     """
     if not (x * x.sigma()).is_identity:
         raise NumFieldError("x sigma(x) != I")
-    for c in _hilbert90_candidates(x.field, x.n):
-        z = c + x * c.sigma()
+    field = x.field
+    for t in range(x.n + 1):
+        c, cs = field.element(1, t), field.element(1, -t)
+        z = Mat(field, [[cs * e + c if i == j else cs * e for j, e in enumerate(r)]
+                        for i, r in enumerate(x.rows)])
         if not z.det().is_zero:
             if z * z.sigma().inv() != x:
                 raise NumFieldError("Hilbert-90 splitting failed its certification")
             return z
-    raise NumFieldError("no splitting found; matrix too degenerate for the candidate list")
+    raise NumFieldError("no invertible z_t for t <= n, against the degree bound")

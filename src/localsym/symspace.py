@@ -17,7 +17,6 @@ from itertools import combinations, product
 
 from .forms import (
     Case,
-    DiagForm,
     congruent_diagonal,
     disc_class,
     hasse_invariant,
@@ -84,7 +83,9 @@ class OrthogonalOrbit:
 @dataclass(frozen=True)
 class ClassicalPair:
     """An anisotropic kernel of size n0 together with a Witt-index increment
-    n over the bundled field model; N = n0 + 2n is the matrix size.
+    n >= 0 over the bundled field model; N = n0 + 2n >= 1 is the matrix size.
+    With n = 0 the pair is the kernel alone, the inner group of an r = 0
+    block.
 
     The model field is quadratic (sigma-conjugation, tau = id) for the
     symplectic and orthogonal cases and fully biquadratic for the unitary
@@ -101,8 +102,8 @@ class ClassicalPair:
     def __post_init__(self):
         object.__setattr__(self, "j_entries", tuple(Fraction(e) for e in self.j_entries))
         p = self.prime
-        if self.n < 1:
-            raise SymspaceError("need a positive Witt-index increment")
+        if self.n < 0 or self.N == 0:
+            raise SymspaceError("need n >= 0 and a nonempty form (n0 + 2n >= 1)")
         if reduce(self.field.a, p).is_trivial:
             raise SymspaceError("sqrt(a) must generate a quadratic extension locally")
         if self.case is Case.UNITARY:
@@ -155,9 +156,6 @@ class ClassicalPair:
         """The pair of the inner r-block; None when n0 = r = 0."""
         if r == 0 and self.n0 == 0:
             return None
-        if r == 0:
-            # same data with no hyperbolic part: model it as n = 0 by hand
-            return _KernelOnly(self)
         return ClassicalPair(self.case, self.n0, self.j_entries, r, self.prime, self.field)
 
     def to_json(self):
@@ -178,30 +176,6 @@ class ClassicalPair:
             Case(d["case"]), d["n0"], tuple(Fraction(e) for e in d["j"]),
             d["n"], Prime(d["p"]), field,
         )
-
-
-class _KernelOnly:
-    """Stand-in pair for an r = 0 block: just the anisotropic kernel."""
-
-    def __init__(self, parent: ClassicalPair):
-        self.case = parent.case
-        self.n0 = parent.n0
-        self.j_entries = parent.j_entries
-        self.n = 0
-        self.prime = parent.prime
-        self.field = parent.field
-        self.eps = parent.eps
-        self.N = parent.n0
-        self.ext_e = parent.ext_e
-        self.split_even_orthogonal = parent.split_even_orthogonal
-
-    def __eq__(self, other):
-        return isinstance(other, _KernelOnly) and (
-            self.case, self.n0, self.j_entries, self.prime, self.field
-        ) == (other.case, other.n0, other.j_entries, other.prime, other.field)
-
-    def __hash__(self):
-        return hash((self.case, self.n0, self.j_entries, self.prime, self.field))
 
 
 def jn_mat(pair) -> Mat:
@@ -233,12 +207,7 @@ def jn_invariants(pair):
     by direct diagonalization of the block matrix."""
     if pair.case is not Case.ORTHOGONAL:
         raise SymspaceError("orthogonal-only invariants")
-    gram = [[e.rational for e in row] for row in jn_mat(pair).rows] if pair.n else [
-        [Fraction(pair.j_entries[i]) if i == j else Fraction(0) for j in range(pair.n0)]
-        for i in range(pair.n0)
-    ]
-    if not gram:
-        return (reduce(1, pair.prime), 1)
+    gram = [[e.rational for e in row] for row in jn_mat(pair).rows]
     entries, _ = congruent_diagonal(gram)
     return (disc_class(entries, pair.prime), hasse_invariant(entries, pair.prime))
 
@@ -247,8 +216,6 @@ def eta0_mat(pair) -> Mat:
     """The chosen kernel involution: determinant -1 in the orthogonal case,
     the identity in the unitary case."""
     field = pair.field
-    if pair.n0 == 0:
-        return Mat.identity(field, 0)
     if pair.case is Case.UNITARY:
         return Mat.identity(field, pair.n0)
     return Mat.diagonal(field, [field.element(-1)] + [field.one] * (pair.n0 - 1))
@@ -349,8 +316,6 @@ def hasse_values(pair, component: Component):
     if pair.case is not Case.ORTHOGONAL:
         raise SymspaceError("orthogonal-only")
     N = pair.N
-    if N == 0:
-        return (1,)
     base = reduce(det_jn(pair), pair.prime)
     disc = base if component is Component.IDENTITY else base * reduce(pair.field.a, pair.prime)
     if N == 1 or (N == 2 and disc == reduce(-1, pair.prime)):
@@ -377,20 +342,14 @@ def realizable_targets(pair):
 
 @dataclass(frozen=True)
 class GammaData:
-    size: int
-    identity_bit: int
+    """The class of -1 in the two-element quotient (the identity has bit 0),
+    with the box-search certificate c when -1 is a gamma product."""
+
     minus_one_bit: int
     certificate: tuple | None
-    search_bound: int
 
-    def to_json(self):
-        return {
-            "size": self.size,
-            "identity_bit": self.identity_bit,
-            "minus_one_bit": self.minus_one_bit,
-            "certificate": list(self.certificate) if self.certificate else None,
-            "search_bound": self.search_bound,
-        }
+
+GAMMA_BOX = 3
 
 
 def gamma_product(c: Bq) -> Bq:
@@ -398,9 +357,10 @@ def gamma_product(c: Bq) -> Bq:
     return (c * c.sigma_tau()) / (c.sigma() * c.tau())
 
 
-def minus_one_gamma_certificate(field: BiquadField, bound: int = 3):
-    """Box search for c with c^((1-sigma)(1-tau)) = -1; None if exhausted."""
-    rng = range(-bound, bound + 1)
+def minus_one_gamma_certificate(field: BiquadField):
+    """Box search for c with c^((1-sigma)(1-tau)) = -1 and coefficients in
+    [-GAMMA_BOX, GAMMA_BOX]; None if exhausted."""
+    rng = range(-GAMMA_BOX, GAMMA_BOX + 1)
     minus_one = field.element(-1)
     for c0, c1, c2, c3 in product(rng, repeat=4):
         if not (c0 or c1 or c2 or c3):
@@ -413,13 +373,13 @@ def minus_one_gamma_certificate(field: BiquadField, bound: int = 3):
     return None
 
 
-def gamma_index_data(pair, bound: int = 3) -> GammaData:
+def gamma_index_data(pair) -> GammaData:
     """The two-element quotient of the norm-one group by the gamma products,
     with the class of -1 settled by the desk-scale box oracle."""
     if pair.case is not Case.UNITARY:
         raise SymspaceError("gamma data is a unitary notion")
-    cert = minus_one_gamma_certificate(pair.field, bound)
-    return GammaData(2, 0, 0 if cert else 1, cert, bound)
+    cert = minus_one_gamma_certificate(pair.field)
+    return GammaData(0 if cert else 1, cert)
 
 
 def gamma_bit(pair, gamma: Bq) -> int:
@@ -544,8 +504,6 @@ def z_orbit_representatives(pair, component: Component = Component.IDENTITY):
     x = z sigma(z)^{-1}.  The identity component always starts with x = I."""
     field = pair.field
     N = pair.N
-    if N == 0:
-        raise SymspaceError("empty block has no representatives; handle upstream")
     if pair.case is Case.SYMPLECTIC:
         if component is not Component.IDENTITY:
             raise SymspaceError("symplectic space is connected")

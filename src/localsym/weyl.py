@@ -16,14 +16,10 @@ from .forms import Case
 from .localfield import hilbert_rational, least_non_norm, non_norm_value, reduce
 from .numfield import Mat, conj_transpose
 from .symspace import (
-    ClassicalPair,
     Component,
     OrthogonalOrbit,
     SymplecticOrbit,
-    SymspaceError,
     UnitaryOrbit,
-    classify_x,
-    det_jn,
     eta_m_mat,
     gamma_bit,
     jn_invariants,
@@ -241,8 +237,8 @@ def u_star_rational(pair) -> int:
 def u_star_sideways(pair):
     """A fixed element s + t sqrt(ab) of the sigma-tau-fixed subfield whose
     norm s^2 - ab t^2 is not a local norm from Qp(sqrt a) (unitary case).
-    The signs are flipped to s, t <= 0, the element that the shipped
-    gamma_defaults.json records."""
+    The signs are flipped to s, t <= 0, the element that the frozen test
+    data tests/golden/gamma_defaults.json records."""
     field = pair.field
     x, y = non_norm_value(-field.a * field.b, field.a, pair.prime)
     return field.element(-x, 0, 0, -y)

@@ -63,6 +63,15 @@ def test_form_invariants_bad_gram_is_malformed(gram, capsys):
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
 
 
+@pytest.mark.parametrize("entries", ['{"1": 2}', '"12"'], ids=["object", "string"])
+def test_form_invariants_bad_entries_is_malformed(entries, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["form-invariants", "--case", "orthogonal", "--p", "3", "--entries", entries])
+    assert e.value.code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+
 def test_orbit_count_forms(capsys):
     code, env = run_cli(["orbit-count", "--case", "symplectic", "--n", "4"], capsys)
     assert code == 0 and env["payload"]["count"] == 1
@@ -74,6 +83,13 @@ def test_orbit_count_forms(capsys):
 
 def test_orbit_count_pair(capsys):
     pair = {"case": "unitary", "n0": 1, "j": ["1"], "n": 1, "p": 3, "a": -1, "b": 3}
+    code, env = run_cli(["orbit-count", "--pair", json.dumps(pair)], capsys)
+    assert code == 0 and env["payload"]["count"] == 2
+
+
+def test_orbit_count_pair_kernel_only(capsys):
+    # n = 0: the anisotropic kernel alone, diag(1) at 3 over Q(i)
+    pair = {"case": "orthogonal", "n0": 1, "j": ["1"], "n": 0, "p": 3, "a": -1, "b": None}
     code, env = run_cli(["orbit-count", "--pair", json.dumps(pair)], capsys)
     assert code == 0 and env["payload"]["count"] == 2
 

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 import subprocess
 import sys
@@ -6,11 +8,13 @@ import sys
 import pytest
 
 from localsym.distinction import (
+    ROW_PROSE,
     CuspidalDatum,
     DistinctionError,
     GlBlocks,
     Verdict,
     Witness,
+    check_rows,
     decide,
     gl_product_check,
     inner_orbit_invariants,
@@ -33,6 +37,24 @@ from localsym.weyl import (
 )
 
 from conftest import make_pair
+
+
+def gamma_defaults():
+    """Coset bits for the bundled unitary field models, as computed by the
+    desk-scale box oracle and frozen in a versioned data file."""
+    return json.loads((pathlib.Path(__file__).parent / "golden" / "gamma_defaults.json").read_text())
+
+
+def permuted(data, perm):
+    """Relabelled datum: index i becomes perm[i]."""
+    return CuspidalDatum(
+        tuple(data.labels[perm.index(i)] for i in range(data.k)),
+        frozenset(frozenset(perm[i] for i in rel) for rel in data.conj_dual),
+        frozenset(frozenset(perm[i] for i in rel) for rel in data.sigma_tau),
+        frozenset(perm[i] for i in data.linear_dist),
+        frozenset((perm[i], b) for i, b in data.unitary_dist),
+        data.pi0_dist,
+    )
 
 
 def all_pi0(pair, comp):
@@ -138,7 +160,7 @@ def test_decide_relabeling_equivariance():
     (target,) = realizable_targets(pair)
     data = CuspidalDatum.build(["a", "b"], conj_dual=[(0, 1)], linear_dist=[1])
     perm = (1, 0)
-    swapped = data.permuted(perm)
+    swapped = permuted(data, perm)
     v = decide(pair, comp, data, target)
     vs = decide(pair, comp, swapped, target)
     assert v.distinguished == vs.distinguished
@@ -228,6 +250,24 @@ def test_necessary_condition_negative_control():
     assert not necessary_condition(data2, SignedInvolution((1, 0), frozenset()))
 
 
+ALL_PAIRS = frozenset({frozenset({0, 1})})
+
+
+@pytest.mark.parametrize("rho, c, drop, code, idx, prose", [
+    ((1, 0), {0, 1}, "sigma_tau", "rows.sigma_tau", (1, 2), "no sigma-tau relation between 1 and 2"),
+    ((0, 1), {0}, "hermitian", "rows.hermitian_flag", (1,), "label 1 has no hermitian-distinction flag"),
+    ((1, 0), set(), "conj_dual", "rows.conj_dual", (1, 2), "no conjugate-dual relation between 1 and 2"),
+    ((0, 1), set(), "linear", "rows.linear_dist", (2,), "label 2 is not flagged linearly distinguished"),
+], ids=["sigma_tau", "hermitian_flag", "conj_dual", "linear_dist"])
+def test_check_rows_reason_codes(rho, c, drop, code, idx, prose):
+    w = SignedInvolution(rho, frozenset(c))
+    full = {"sigma_tau": ALL_PAIRS, "hermitian": {0, 1}, "conj_dual": ALL_PAIRS, "linear": {0, 1}}
+    assert check_rows(w, **full) is None
+    emptied = dict(full, **{drop: {0} if drop == "linear" else frozenset()})
+    assert check_rows(w, **emptied) == (code, idx)
+    assert ROW_PROSE[code].format(*idx) == prose
+
+
 def test_gl_product_check_closed_orbit():
     blocks = GlBlocks.build(
         2, (1, 2), 0, chi_dist=[("trivial", (0, 1))]
@@ -296,8 +336,7 @@ def test_datum_json_roundtrip():
 
 
 def test_gamma_defaults_file_frozen():
-    """The shipped data file must match live recomputation by both routes."""
-    from localsym.distinction import gamma_defaults
+    """The frozen data file must match live recomputation by both routes."""
     from localsym.localfield import Prime
     from localsym.numfield import BiquadField
     from localsym.symspace import ClassicalPair, gamma_bit, gamma_index_data

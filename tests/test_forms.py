@@ -7,9 +7,9 @@ import pytest
 from localsym.forms import (
     Case,
     DiagForm,
+    FormInvariants,
     FormsError,
     congruent_diagonal,
-    det_image_witness,
     diagonalize,
     disc_class,
     equivalent,
@@ -18,19 +18,67 @@ from localsym.forms import (
     is_anisotropic,
     is_anisotropic_hermitian,
     orbit_count,
-    sum_invariants,
 )
 from localsym.localfield import (
     Prime,
     QuadExtension,
+    hilbert,
     hilbert_rational,
     reduce,
     square_class_reps,
     valuation,
 )
-from localsym.numfield import RatMat
+from localsym.numfield import Bq, Mat, NumFieldError, RatMat
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
+
+
+def det_image_witness(f: DiagForm, a, change_of_basis=None):
+    """Test helper: an isometry h of the form with det h = a, namely
+    g diag(a, 1, ..., 1) g^{-1} for g the diagonalizing change of basis.
+
+    Orthogonal case: a = +-1, h rational with h^2 = I.  Unitary case: a is
+    a norm-one element of the modelled extension (a Bq over a quadratic
+    model) and h is a matrix over that model.
+    """
+    n = f.rank
+    if f.case is Case.SYMPLECTIC:
+        raise FormsError("symplectic isometries all have determinant one")
+    if f.case is Case.ORTHOGONAL:
+        if a not in (1, -1):
+            raise FormsError("orthogonal determinants are +-1")
+        if change_of_basis is None:
+            return [[Fraction(a if i == 0 else 1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+        g = RatMat.of(change_of_basis)
+        d = RatMat.of([[a if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+        try:
+            gi = g.inv()
+        except NumFieldError as e:
+            raise FormsError(str(e))
+        return (g * d * gi).fractions()
+    if not isinstance(a, Bq):
+        raise FormsError("unitary determinant target must be a field element")
+    if not (a * a.sigma_tau() - 1).is_zero and not (a * a.tau() - 1).is_zero:
+        raise FormsError("determinant target must have norm one")
+    field = a.field
+    h = Mat.diagonal(field, [a] + [field.one] * (n - 1))
+    if change_of_basis is None:
+        return h
+    g = Mat.from_rational(field, change_of_basis)
+    return g * h * g.inv()
+
+
+def sum_invariants(inv1: FormInvariants, inv2: FormInvariants) -> FormInvariants:
+    """Test helper: invariants of an orthogonal direct sum from those of the summands:
+    disc multiplies, hasse multiplies times the cross symbol."""
+    if inv1.case is not Case.ORTHOGONAL or inv2.case is not Case.ORTHOGONAL:
+        raise FormsError("direct-sum rule implemented for the orthogonal case")
+    return FormInvariants(
+        Case.ORTHOGONAL,
+        inv1.rank + inv2.rank,
+        disc=inv1.disc * inv2.disc,
+        hasse=inv1.hasse * inv2.hasse * hilbert(inv1.disc, inv2.disc),
+    )
 
 
 def rand_symmetric(rng, n, span=5):

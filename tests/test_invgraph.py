@@ -19,7 +19,6 @@ from localsym.invgraph import (
     descend,
     eligible_simple_roots,
     is_terminal,
-    negativity_count,
     positive_roots,
     root_sign,
     simple_roots,
@@ -28,6 +27,22 @@ from localsym.invgraph import (
 from localsym.weyl import Composition, SignedInvolution, SignedPerm, enumerate_involutions
 
 CONVS = (Convention(False), Convention(True))
+
+
+def is_involution(theta):
+    """theta applied twice fixes every coordinate vector."""
+    probe = [tuple(1 if i == j else 0 for j in range(theta.k)) for i in range(theta.k)]
+    return all(theta.apply(theta.apply(v)) == v for v in probe)
+
+
+def negativity_count(v: Vertex, conv: Convention) -> int:
+    """Positive roots that theta of v sends to negative ones."""
+    theta = ThetaAction.from_involution(v.w)
+    return sum(
+        1
+        for alpha in positive_roots(v.comp.k, conv)
+        if theta_on_root(theta, alpha)[1] == "negative"
+    )
 
 
 def all_vertices(k_max=4, part_max=2, rs=(0, 1)):
@@ -43,7 +58,7 @@ def test_theta_is_involution():
     for comp in [Composition((1, 1, 2), 0), Composition((2, 2), 1)]:
         for w in enumerate_involutions(comp):
             theta = ThetaAction.from_involution(w)
-            assert theta.is_involution()
+            assert is_involution(theta)
 
 
 def test_theta_identity_no_edges():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from localsym.numfield import (
     BiquadField,
@@ -171,17 +173,22 @@ def _mat(field, rows):
     return Mat(field, [[field.element(*c) for c in r] for r in rows])
 
 
-# (x, z) with z the splitting recover_hilbert90_matrix returned when it built
-# its whole candidate list up front; the comment names the candidate taken
+# (x, z) with z = (1 + t sqrt(a)) I + (1 - t sqrt(a)) x, the splitting
+# recover_hilbert90_matrix returns; the comment names the t taken
 PINNED_SPLITTINGS = [
-    ([[(1,), (0,)], [(0,), (1,)]], [[(2,), (0,)], [(0,), (2,)]]),  # c = I
-    ([[(-1,), (0,)], [(0,), (-1,)]], [[(0, 2), (0,)], [(0,), (0, 2)]]),  # c = sqrt(a) I
-    ([[(0,), (1,)], [(1,), (0,)]], [[(1,), (3, -1)], [(1,), (3, 1)]]),  # first diagonal
-    ([[(-1,), (0,)], [(0,), (1,)]], [[(0, -2), (0,)], [(0,), (6,)]]),  # second random
+    ([[(1,), (0,)], [(0,), (1,)]], [[(2,), (0,)], [(0,), (2,)]]),  # t = 0
+    ([[(-1,), (0,)], [(0,), (-1,)]], [[(0, 2), (0,)], [(0,), (0, 2)]]),  # t = 1
+    ([[(0,), (1,)], [(1,), (0,)]], [[(1, 1), (1, -1)], [(1, -1), (1, 1)]]),  # t = 1
+    ([[(-1,), (0,)], [(0,), (1,)]], [[(0, 2), (0,)], [(0,), (2,)]]),  # t = 1
     (
         [[(1,), (0,), (0,)], [(0,), (-1,), (0,)], [(0,), (0,), (-1,)]],
-        [[(4,), (6,), (0,)], [(0, 2), (0, -2), (0,)], [(0, -2), (0,), (0, -2)]],
-    ),  # first random
+        [[(2,), (0,), (0,)], [(0,), (0, 2), (0,)], [(0,), (0,), (0, 2)]],
+    ),  # t = 1
+    ([[(-1,)]], [[(0, 2)]]),  # t = 1
+    (
+        [[(-1,), (0,), (0,)], [(0,), (-1,), (0,)], [(0,), (0,), (-1,)]],
+        [[(0, 2), (0,), (0,)], [(0,), (0, 2), (0,)], [(0,), (0,), (0, 2)]],
+    ),  # t = 1
 ]
 
 
@@ -192,3 +199,34 @@ def test_hilbert90_matrix_pinned_candidate_order(field):
         z = recover_hilbert90_matrix(x)
         assert z == _mat(field, z_rows)
         assert z * z.sigma().inv() == x
+
+
+@pytest.mark.parametrize("field", [F, BiquadField(2)], ids=["biquadratic", "quadratic"])
+def test_hilbert90_matrix_degree_bound_is_tight(field):
+    # x = diag(-s_0, ..., -s_{n-1}), s_t = (1 + t sqrt(a)) / (1 - t sqrt(a)),
+    # makes z_t singular for every t < n, so the split takes t = n
+    for n in (1, 2, 3):
+        s = [field.element(1, t) / field.element(1, -t) for t in range(n)]
+        x = Mat.diagonal(field, [-e for e in s])
+        assert (x * x.sigma()).is_identity
+        z = recover_hilbert90_matrix(x)
+        c, cs = field.element(1, n), field.element(1, -n)
+        assert z == Mat.identity(field, n) * c + x * cs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hilbert90_matrix_splits_within_degree_bound(data):
+    field = data.draw(st.sampled_from([F, BiquadField(2), BiquadField(3, 5)]))
+    n = data.draw(st.integers(1, 4))
+    coeff = st.integers(-3, 3)
+    width = 2 if field.is_quadratic else 4
+    z0 = Mat(field, [[field.element(*data.draw(st.lists(coeff, min_size=width, max_size=width)))
+                      for _ in range(n)] for _ in range(n)])
+    assume(not z0.det().is_zero)
+    x = z0 * z0.sigma().inv()
+    z = recover_hilbert90_matrix(x)
+    assert z * z.sigma().inv() == x
+    assert any(
+        z == Mat.identity(field, n) * field.element(1, t) + x * field.element(1, -t) for t in range(n + 1)
+    )

@@ -69,6 +69,23 @@ def test_pair_validation():
         ClassicalPair(Case.UNITARY, 0, (), 1, P5, BIQ_3)  # -1 is square at 5
 
 
+def test_pair_n_zero_is_the_kernel():
+    pair = make_pair(Case.ORTHOGONAL, 2, (1, 1), 1)
+    sub = pair.sub_pair(0)
+    assert type(sub) is ClassicalPair and sub.N == 2
+    assert sub == ClassicalPair(Case.ORTHOGONAL, 2, (1, 1), 0, P3, QUAD_M3)
+    assert make_pair(Case.ORTHOGONAL, 0, (), 2).sub_pair(0) is None
+    for case, n0, j, n in [
+        (Case.ORTHOGONAL, 1, (1,), -1),
+        (Case.ORTHOGONAL, 0, (), 0),
+        (Case.SYMPLECTIC, 0, (), 0),
+        (Case.UNITARY, 0, (), 0),
+        (Case.ORTHOGONAL, 2, (1, -1), 0),  # isotropic kernel
+    ]:
+        with pytest.raises(SymspaceError):
+            make_pair(case, n0, j, n)
+
+
 def test_det_jn_matches_matrix():
     for pair in [
         make_pair(Case.SYMPLECTIC, 0, (), 2),
@@ -269,8 +286,6 @@ def test_partial_takes_two_values():
 def test_gamma_index_data():
     pair = make_pair(Case.UNITARY, 0, (), 1)
     data = gamma_index_data(pair)
-    assert data.size == 2
-    assert data.identity_bit == 0
     # at (a,b) = (-1,3) and p = 3, -1 is not a gamma product
     assert data.minus_one_bit == 1
     # at (a,b) = (-1,2) and p = 2 it is, with a small certificate
