@@ -11,7 +11,7 @@ import itertools
 
 from localsym.forms import Case
 from localsym.localfield import Prime
-from localsym.numfield import BiquadField, in_symmetric_space
+from localsym.numfield import BiquadField, in_symmetric_space, recover_hilbert90_matrix
 from localsym.symspace import ClassicalPair, classify_x, jn_mat
 from localsym.weyl import (
     Composition,
@@ -46,7 +46,8 @@ for z_inv, _ in inner_z_choices(comp, w, pair):
     iw = sorted(w.fixed_in_c)
     for bits in itertools.product((0, 1), repeat=len(iw)):
         y_bits = dict(zip(iw, bits))
-        x, inv, z = build_xw(comp, w, y_bits, z_inv, pair, return_z=True)
+        x, inv = build_xw(comp, w, y_bits, z_inv, pair)
+        z = recover_hilbert90_matrix(x)
         ok = in_symmetric_space(x, jn_mat(pair), pair.eps)
         exact = classify_x(x, z, pair)
         print(f"  bits {bits}, inner {z_inv.to_json()}: x_w in X: {ok}, "

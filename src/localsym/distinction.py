@@ -12,24 +12,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .forms import Case
 from .symspace import (
-    Component,
     OrthogonalOrbit,
     SymplecticOrbit,
     UnitaryOrbit,
-    det_jn,
-    hasse_values,
     realizable_targets,
-    reduce,
 )
 from .weyl import (
     Composition,
     SignedInvolution,
     enumerate_involutions,
+    inner_orbit_invariants,
     predicted_orbit_invariant,
-    trivial_z_invariant,
-    z_component_for,
 )
 
 
@@ -177,23 +171,6 @@ class Verdict:
             "witness": self.witness.to_json() if self.witness else None,
             "failure_log": list(self.failure_log),
         }
-
-
-def inner_orbit_invariants(comp, w, pair):
-    """Invariant descriptors of the admissible inner orbits, with no matrix
-    construction (decide works on invariants alone)."""
-    sub = pair.sub_pair(comp.r)
-    if sub is None:
-        return (trivial_z_invariant(pair),)
-    if pair.case is Case.SYMPLECTIC:
-        return (SymplecticOrbit(),)
-    if pair.case is Case.UNITARY:
-        return (UnitaryOrbit(0), UnitaryOrbit(1))
-    component = z_component_for(comp, w, pair)
-    base = reduce(det_jn(sub), pair.prime)
-    disc = base if component is Component.IDENTITY else base * reduce(pair.field.a, pair.prime)
-    comp_bit = 0 if component is Component.IDENTITY else 1
-    return tuple(OrthogonalOrbit(comp_bit, disc, h) for h in hasse_values(sub, component))
 
 
 ROW_PROSE = {

@@ -418,15 +418,20 @@ class ReciprocityReport:
         }
 
 
+TRIAL_LIMIT = 10**6
+
+
 def _factorize(n) -> list:
-    """Prime factorization of a nonzero integer by trial division, as
-    [(prime, exponent), ...] in increasing order; the sign is dropped."""
+    """Prime factorization of a nonzero integer by trial division up to
+    TRIAL_LIMIT, as [(prime, exponent), ...] in increasing order; the sign
+    is dropped.  A cofactor below TRIAL_LIMIT^2 left by the division is
+    prime; a larger one is refused."""
     if n == 0:
         raise LocalFieldError("0 has no factorization")
     n = abs(n)
     out = []
     d = 2
-    while d * d <= n:
+    while d <= TRIAL_LIMIT and d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -434,6 +439,10 @@ def _factorize(n) -> list:
                 e += 1
             out.append((d, e))
         d += 1 if d == 2 else 2
+    if n >= TRIAL_LIMIT**2:
+        raise LocalFieldError(
+            f"cofactor {n} has no prime factor below {TRIAL_LIMIT} and is too large to certify"
+        )
     if n > 1:
         out.append((n, 1))
     return out

@@ -701,8 +701,11 @@ def recover_hilbert90_matrix(x: Mat) -> Mat:
         c, cs = field.element(1, t), field.element(1, -t)
         z = Mat(field, [[cs * e + c if i == j else cs * e for j, e in enumerate(r)]
                         for i, r in enumerate(x.rows)])
-        if not z.det().is_zero:
-            if z * z.sigma().inv() != x:
-                raise NumFieldError("Hilbert-90 splitting failed its certification")
-            return z
+        try:
+            inv = z.sigma().inv()
+        except NumFieldError:
+            continue  # sigma(z_t) is singular exactly when z_t is
+        if z * inv != x:
+            raise NumFieldError("Hilbert-90 splitting failed its certification")
+        return z
     raise NumFieldError("no invertible z_t for t <= n, against the degree bound")

@@ -22,6 +22,7 @@ from .forms import (
     hasse_invariant,
     is_anisotropic,
     is_anisotropic_hermitian,
+    orbit_count,
 )
 from .localfield import (
     Prime,
@@ -35,6 +36,7 @@ from .numfield import (
     BiquadField,
     Bq,
     Mat,
+    NumFieldError,
     conj_transpose,
     in_symmetric_space,
     recover_hilbert90,
@@ -154,9 +156,7 @@ class ClassicalPair:
 
     def sub_pair(self, r: int) -> "ClassicalPair | None":
         """The pair of the inner r-block; None when n0 = r = 0."""
-        if r == 0 and self.n0 == 0:
-            return None
-        return ClassicalPair(self.case, self.n0, self.j_entries, r, self.prime, self.field)
+        return _sub_pair(self, r)
 
     def to_json(self):
         return {
@@ -176,6 +176,13 @@ class ClassicalPair:
             Case(d["case"]), d["n0"], tuple(Fraction(e) for e in d["j"]),
             d["n"], Prime(d["p"]), field,
         )
+
+
+@lru_cache(maxsize=None)
+def _sub_pair(pair, r):
+    if r == 0 and pair.n0 == 0:
+        return None
+    return ClassicalPair(pair.case, pair.n0, pair.j_entries, r, pair.prime, pair.field)
 
 
 def jn_mat(pair) -> Mat:
@@ -247,7 +254,11 @@ def classify_x(x: Mat, z: Mat, pair):
     jn = jn_mat(pair)
     if not in_symmetric_space(x, jn, pair.eps):
         raise SymspaceError("x is not in the symmetric space")
-    if z.det().is_zero or z * z.sigma().inv() != x:
+    try:
+        splits = z * z.sigma().inv() == x
+    except NumFieldError:
+        splits = False  # sigma(z) is singular exactly when z is
+    if not splits:
         raise SymspaceError("z does not split x")
     y = conj_transpose(z, "tau") * jn * z
     if y.sigma() != y:
@@ -283,57 +294,42 @@ def same_G0_orbit(i1, i2) -> bool:
     return i1 == i2
 
 
-def orbit_count_X(pair, component: Component = Component.FULL) -> int:
-    if pair.case is Case.SYMPLECTIC:
-        if component is not Component.FULL:
-            raise SymspaceError("components are an orthogonal notion")
-        return 1
-    if pair.case is Case.UNITARY:
-        if component is not Component.FULL:
-            raise SymspaceError("components are an orthogonal notion")
-        return 2
-    N = pair.N
-    base = reduce(det_jn(pair), pair.prime)
-    minus_one = reduce(-1, pair.prime)
-    a_cls = reduce(pair.field.a, pair.prime)
-
-    def comp_count(disc):
-        if N == 1:
-            return 1
-        if N == 2 and disc == minus_one:
-            return 1
-        return 2
-
-    if component is Component.IDENTITY:
-        return comp_count(base)
-    if component is Component.COMPLEMENT:
-        return comp_count(base * a_cls)
-    return comp_count(base) + comp_count(base * a_cls)
-
-
-def hasse_values(pair, component: Component):
-    """Realizable Hasse signs of the descended forms in one component."""
+@lru_cache(maxsize=None)
+def component_orbits(pair, component: Component = Component.IDENTITY):
+    """Invariants of the orbits in one component of X, one per orbit.  An
+    orthogonal component carries both Hasse signs unless its rank and
+    discriminant leave a single form class (rank 1, or rank 2 with
+    discriminant -1); that sign is J's on SX and +1 off it."""
+    if component is Component.FULL:
+        raise SymspaceError("pick a component")
     if pair.case is not Case.ORTHOGONAL:
-        raise SymspaceError("orthogonal-only")
-    N = pair.N
-    base = reduce(det_jn(pair), pair.prime)
-    disc = base if component is Component.IDENTITY else base * reduce(pair.field.a, pair.prime)
-    if N == 1 or (N == 2 and disc == reduce(-1, pair.prime)):
-        if component is Component.IDENTITY:
-            return (jn_invariants(pair)[1],)
-        # rank <= 2 forms in the other class have a forced Hasse sign too
-        return (1,)
-    return (1, -1)
+        if component is not Component.IDENTITY:
+            raise SymspaceError("components are an orthogonal notion")
+        if pair.case is Case.SYMPLECTIC:
+            return (SymplecticOrbit(),)
+        return (UnitaryOrbit(0), UnitaryOrbit(1))
+    off = component is Component.COMPLEMENT
+    disc = reduce(det_jn(pair) * (pair.field.a if off else 1), pair.prime)
+    if orbit_count(Case.ORTHOGONAL, pair.N, disc) == 2:
+        signs = (1, -1)
+    else:
+        signs = (1 if off else jn_invariants(pair)[1],)
+    return tuple(OrthogonalOrbit(int(off), disc, h) for h in signs)
+
+
+def orbit_count_X(pair, component: Component = Component.FULL) -> int:
+    if pair.case is not Case.ORTHOGONAL:
+        if component is not Component.FULL:
+            raise SymspaceError("components are an orthogonal notion")
+        return len(component_orbits(pair))
+    if component is Component.FULL:
+        return orbit_count_X(pair, Component.IDENTITY) + orbit_count_X(pair, Component.COMPLEMENT)
+    return len(component_orbits(pair, component))
 
 
 def realizable_targets(pair):
     """Invariants of the orbits meeting the identity component X-circ."""
-    if pair.case is Case.SYMPLECTIC:
-        return (SymplecticOrbit(),)
-    if pair.case is Case.UNITARY:
-        return (UnitaryOrbit(0), UnitaryOrbit(1))
-    disc = reduce(det_jn(pair), pair.prime)
-    return tuple(OrthogonalOrbit(0, disc, h) for h in hasse_values(pair, Component.IDENTITY))
+    return component_orbits(pair, Component.IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +459,7 @@ def _orth_candidates(pair, entries, component):
 def _z_reps_orthogonal(pair, component: Component):
     entries, g0 = _diag_frame(pair)
     p = pair.prime
-    want = orbit_count_X(pair, component)
+    want = set(component_orbits(pair, component))
     comp = 0 if component is Component.IDENTITY else 1
     found = {}
     for new_entries, z_d in _orth_candidates(pair, entries, component):
@@ -475,9 +471,9 @@ def _z_reps_orthogonal(pair, component: Component):
         if classify_x(x, z, pair) != inv:
             raise SymspaceError("closed-form candidate disagrees with exact classification")
         found[inv] = (x, z)
-        if len(found) == want:
+        if found.keys() == want:
             return tuple((i, x, z) for i, (x, z) in found.items())
-    raise SymspaceError(f"the closed forms gave {len(found)} of {want} representatives for {component}")
+    raise SymspaceError(f"the closed forms gave {len(found)} of {len(want)} representatives for {component}")
 
 
 def _z_reps_unitary(pair):

@@ -20,6 +20,7 @@ from .symspace import (
     OrthogonalOrbit,
     SymplecticOrbit,
     UnitaryOrbit,
+    component_orbits,
     eta_m_mat,
     gamma_bit,
     jn_invariants,
@@ -412,6 +413,15 @@ def z_component_for(comp, w, pair) -> Component:
     return Component.IDENTITY
 
 
+def inner_orbit_invariants(comp, w, pair):
+    """Invariants of the admissible inner orbits, with no matrix
+    construction (decide works on invariants alone)."""
+    sub = pair.sub_pair(comp.r)
+    if sub is None:
+        return (trivial_z_invariant(pair),)
+    return component_orbits(sub, z_component_for(comp, w, pair))
+
+
 def inner_z_choices(comp, w, pair):
     """(invariant, element-of-X) pairs for the admissible inner blocks."""
     sub = pair.sub_pair(comp.r)
@@ -423,7 +433,7 @@ def inner_z_choices(comp, w, pair):
     )
 
 
-def build_xw(comp: Composition, w: SignedInvolution, y_bits, z_inv, pair, return_z=False):
+def build_xw(comp: Composition, w: SignedInvolution, y_bits, z_inv, pair):
     """The admissible-orbit representative x_w({y_i}, z) and its exact
     component-group orbit invariant.
 
@@ -461,12 +471,7 @@ def build_xw(comp: Composition, w: SignedInvolution, y_bits, z_inv, pair, return
     if comp.split_even_sign == -1:
         k = kappa_mat(pair)
         x = k * x * k.inv()
-    inv = predicted_orbit_invariant(comp, w, y_bits, z_inv, pair)
-    if return_z:
-        from .numfield import recover_hilbert90_matrix
-
-        return x, inv, recover_hilbert90_matrix(x)
-    return x, inv
+    return x, predicted_orbit_invariant(comp, w, y_bits, z_inv, pair)
 
 
 @lru_cache(maxsize=None)
@@ -513,26 +518,11 @@ def predicted_orbit_invariant(comp, w, y_bits, z_inv, pair):
 
 
 def admissible_orbit_count(comp: Composition, w: SignedInvolution, pair) -> int:
-    """2^(|I(w)| + delta) with delta the inner-orbit exponent."""
+    """2^|I(w)| times the number of admissible inner orbits."""
     _check_comp(comp, pair)
     if not w.compatible(comp):
         raise WeylError("involution incompatible with the composition")
-    if pair.case is Case.SYMPLECTIC:
-        delta = 0
-    elif pair.case is Case.UNITARY:
-        delta = 1 if pair.n0 + 2 * comp.r > 0 else 0
-    else:
-        delta = 1
-        if comp.r == 0 and pair.n0 in (0, 1):
-            delta = 0
-        elif comp.r == 0 and pair.n0 == 2:
-            det_kernel = Fraction(1)
-            for e in pair.j_entries:
-                det_kernel *= e
-            target = Fraction(-1) if w.o(comp) % 2 == 0 else Fraction(-pair.field.a)
-            if reduce(det_kernel, pair.prime) == reduce(target, pair.prime):
-                delta = 0
-    return 2 ** (len(w.fixed_in_c) + delta)
+    return 2 ** len(w.fixed_in_c) * len(inner_orbit_invariants(comp, w, pair))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,14 @@ import pytest
 from localsym import distinction, forms, invgraph, localfield, numfield, prasad, symspace, weyl
 from localsym.forms import Case, DiagForm
 from localsym.localfield import Prime, hilbert_oracle, hilbert_rational, reduce
-from localsym.numfield import BiquadField, Mat, RatMat, in_isometry_group, in_symmetric_space
+from localsym.numfield import (
+    BiquadField,
+    Mat,
+    RatMat,
+    in_isometry_group,
+    in_symmetric_space,
+    recover_hilbert90_matrix,
+)
 from localsym.symspace import ClassicalPair, Component, classify_x, jn_mat, orbit_count_X
 from localsym.weyl import Composition, SignedInvolution, enumerate_involutions
 
@@ -130,6 +137,9 @@ def test_ac04_orbit_count_conformance():
         make_pair(Case.ORTHOGONAL, 2, (1, 1), 1),
         ClassicalPair(Case.ORTHOGONAL, 1, (Fraction(1),), 1, P5, BiquadField(2)),
         ClassicalPair(Case.ORTHOGONAL, 0, (), 2, P5, BiquadField(2)),
+        ClassicalPair(Case.ORTHOGONAL, 1, (Fraction(3),), 1, P2, BiquadField(-1)),
+        # rank 2 at p = 2: X-SX has discriminant -1, so its Hasse sign is forced
+        ClassicalPair(Case.ORTHOGONAL, 2, (Fraction(1), Fraction(1)), 0, P2, BiquadField(-1)),
     ]
     for pair in pairs:
         assert orbit_count_X(pair, Component.FULL) == orbit_count_X(
@@ -153,6 +163,10 @@ def test_ac04_orbit_count_conformance():
                 buckets[inv.disc].add(inv.hasse)
         assert len(buckets[base]) == orbit_count_X(pair, Component.IDENTITY), pair
         assert len(buckets[base * acls]) == orbit_count_X(pair, Component.COMPLEMENT), pair
+        for component, disc in ((Component.IDENTITY, base), (Component.COMPLEMENT, base * acls)):
+            table = symspace.component_orbits(pair, component)
+            assert {o.hasse for o in table} == buckets[disc], (pair, component)
+            assert {o.partial for o in table} == {disc}, (pair, component)
     _ok(4, "count rules match exhaustive enumeration of realizable invariants")
 
 
@@ -268,7 +282,8 @@ def test_ac07_admissible_orbit_formula(bundled_pairs):
                         labels.add((bits, z_inv))
                 assert len(labels) == weyl.admissible_orbit_count(comp, w, pair), (pair.case, comp, w)
                 checked += 1
-    _ok(7, f"2^(|I(w)|+delta) matches the admissible representative count for {checked} (comp, w) cells")
+    _ok(7, f"2^|I(w)| x the number of admissible inner orbits matches the admissible "
+           f"representative count for {checked} (comp, w) cells")
 
 
 def test_ac08_distinction_end_to_end(bundled_pairs):
@@ -285,8 +300,8 @@ def test_ac08_distinction_end_to_end(bundled_pairs):
                     if not verdict.distinguished:
                         continue
                     wt = verdict.witness
-                    x, inv, z = weyl.build_xw(comp, wt.w, dict(wt.y_bits), wt.z_orbit, pair,
-                                              return_z=True)
+                    x, inv = weyl.build_xw(comp, wt.w, dict(wt.y_bits), wt.z_orbit, pair)
+                    z = recover_hilbert90_matrix(x)
                     assert inv == target
                     assert classify_x(x, z, pair) == target
                     assert distinction.necessary_condition(data, wt.w)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -230,6 +231,32 @@ def test_console_entry_point():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["command"] == "hilbert"
+
+
+HUGE = 10**30 + 57  # no prime factor below 10^6, far above 10^12
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["orbit-count", "--pair", json.dumps(
+            {"case": "orthogonal", "n0": 0, "j": [], "n": 1, "p": 3, "a": HUGE})],
+        ["prasad-char", "--group", json.dumps({"family": "U", "m": 2, "k": HUGE}),
+         "--ext", json.dumps({"p": 3, "d": -1})],
+    ],
+    ids=["orbit-count", "prasad-char"],
+)
+def test_unfactorable_input_is_refused_in_bounded_time(args):
+    # trial division stops at 10^6; the timeout guards against an unbounded factorizer
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "localsym.cli", *args], capture_output=True, text=True, timeout=30
+    )
+    elapsed = time.perf_counter() - start
+    assert out.returncode == 1, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    assert elapsed < 2.0, f"refusal took {elapsed:.2f}s"
 
 
 @pytest.mark.parametrize("script", sorted(__import__("pathlib").Path(__file__).parent.parent.joinpath("demos").glob("*.py")))

@@ -21,6 +21,7 @@ from localsym.distinction import (
     necessary_condition,
 )
 from localsym.forms import Case
+from localsym.numfield import recover_hilbert90_matrix
 from localsym.symspace import (
     Component,
     SymplecticOrbit,
@@ -220,9 +221,8 @@ def test_end_to_end_soundness(bundled_pairs):
                     if not verdict.distinguished:
                         continue
                     wt = verdict.witness
-                    x, inv, z = build_xw(
-                        comp, wt.w, dict(wt.y_bits), wt.z_orbit, pair, return_z=True
-                    )
+                    x, inv = build_xw(comp, wt.w, dict(wt.y_bits), wt.z_orbit, pair)
+                    z = recover_hilbert90_matrix(x)
                     assert inv == target
                     assert classify_x(x, z, pair) == target
                     assert necessary_condition(data, wt.w)

@@ -10,6 +10,7 @@ from localsym.localfield import (
     Prime,
     QuadExtension,
     SquareClass,
+    _factorize,
     eta,
     hilbert,
     hilbert_oracle,
@@ -160,6 +161,17 @@ def test_reciprocity_cases():
         a = Fraction(rng.randint(1, 100), rng.randint(1, 100)) * rng.choice([1, -1])
         b = Fraction(rng.randint(1, 100), rng.randint(1, 100)) * rng.choice([1, -1])
         assert reciprocity_check(a, b).ok, (a, b)
+
+
+def test_factorize_bounded_trial_division():
+    assert _factorize(2**100) == [(2, 100)]
+    assert _factorize(-999983 * 999979**2) == [(999979, 2), (999983, 1)]
+    # a cofactor below 10^12 with no factor below 10^6 is prime
+    assert _factorize(999999999989) == [(999999999989, 1)]
+    with pytest.raises(LocalFieldError, match="too large to certify"):
+        _factorize(10**30 + 57)
+    with pytest.raises(LocalFieldError):
+        reciprocity_check(3, 10**30 + 57)
 
 
 def test_hilbert_real():

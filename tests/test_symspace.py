@@ -134,6 +134,8 @@ def test_classify_rejects_bad_input():
         classify_x(Mat.diagonal(f, [2, 1, 1]), Mat.identity(f, 3), pair)
     with pytest.raises(SymspaceError):
         classify_x(Mat.identity(f, 3), Mat.diagonal(f, [f.sqrt_a, f.one, f.one]), pair)
+    with pytest.raises(SymspaceError, match="z does not split x"):
+        classify_x(Mat.identity(f, 3), Mat.diagonal(f, [0, 1, 1]), pair)
 
 
 def test_classify_symplectic_unique():

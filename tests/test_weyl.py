@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from localsym.forms import Case
-from localsym.numfield import Mat, conj_transpose, in_isometry_group, in_symmetric_space
+from localsym.numfield import (
+    Mat,
+    conj_transpose,
+    in_isometry_group,
+    in_symmetric_space,
+    recover_hilbert90_matrix,
+)
 from localsym.symspace import (
     Component,
     classify_x,
@@ -297,7 +303,8 @@ def test_build_xw_invariant_matches_exact_classification(bundled_pairs):
                     iw = sorted(w.fixed_in_c)
                     for bits in itertools.product((0, 1), repeat=len(iw)):
                         y_bits = dict(zip(iw, bits))
-                        x, inv, z = build_xw(comp, w, y_bits, z_inv, pair, return_z=True)
+                        x, inv = build_xw(comp, w, y_bits, z_inv, pair)
+                        z = recover_hilbert90_matrix(x)
                         assert classify_x(x, z, pair) == inv, (pair.case, comp, w, bits, z_inv)
 
 
