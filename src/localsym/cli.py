@@ -52,32 +52,26 @@ def _json_file(path, what):
         raise CliError(f"bad JSON in {what}: {e}")
 
 
+def _json_list(s, what):
+    """A JSON list argument; any other JSON value (a string or an object
+    would iterate as its characters or keys) is malformed input."""
+    value = _json_arg(s, what)
+    if not isinstance(value, list):
+        raise CliError(f"{what} must be a JSON list")
+    return value
+
+
 def _gram_arg(s):
     """--gram as a square list of rows, its shape checked here once."""
-    gram = _json_arg(s, "--gram")
-    if not isinstance(gram, list) or any(not isinstance(row, list) or len(row) != len(gram) for row in gram):
+    gram = _json_list(s, "--gram")
+    if any(not isinstance(row, list) or len(row) != len(gram) for row in gram):
         raise CliError("--gram must be a square JSON list of rows")
     return gram
 
 
 def _entries_arg(s):
-    """--entries as a JSON list, checked here once."""
-    entries = _json_arg(s, "--entries")
-    if not isinstance(entries, list):
-        raise CliError("--entries must be a JSON list of rationals")
-    return [_fraction(str(e)) for e in entries]
-
-
-def _pair_from(d):
-    return symspace.ClassicalPair.from_json(d)
-
-
-def _comp_from(d):
-    return weyl.Composition.from_json(d)
-
-
-def _w_from(d):
-    return weyl.SignedInvolution.from_json(d)
+    """--entries as a list of rationals."""
+    return [_fraction(str(e)) for e in _json_list(s, "--entries")]
 
 
 def cmd_hilbert(args):
@@ -99,7 +93,7 @@ def cmd_form_invariants(args):
 
 def cmd_orbit_count(args):
     if args.pair:
-        pair = _pair_from(_json_arg(args.pair, "--pair"))
+        pair = symspace.ClassicalPair.from_json(_json_arg(args.pair, "--pair"))
         component = symspace.Component(args.component) if args.component else symspace.Component.FULL
         count = symspace.orbit_count_X(pair, component)
     else:
@@ -114,22 +108,22 @@ def cmd_orbit_count(args):
 
 
 def cmd_involutions(args):
-    comp = weyl.Composition(tuple(_json_arg(args.parts, "--parts")), args.r)
+    comp = weyl.Composition(tuple(_json_list(args.parts, "--parts")), args.r)
     ws = weyl.enumerate_involutions(comp, circ=args.circ)
     _emit("involutions", {"count": len(ws), "involutions": [w.to_json() for w in ws]})
 
 
 def cmd_build_tw(args):
-    pair = _pair_from(_json_arg(args.pair, "--pair"))
-    comp = _comp_from(_json_arg(args.comp, "--comp"))
-    w = _w_from(_json_arg(args.w, "--w"))
+    pair = symspace.ClassicalPair.from_json(_json_arg(args.pair, "--pair"))
+    comp = weyl.Composition.from_json(_json_arg(args.comp, "--comp"))
+    w = weyl.SignedInvolution.from_json(_json_arg(args.w, "--w"))
     t = weyl.build_tw(comp, w, pair)
     _emit("build-tw", {"matrix": t.to_json()})
 
 
 def cmd_descend(args):
-    comp = _comp_from(_json_arg(args.comp, "--comp"))
-    w = _w_from(_json_arg(args.w, "--w"))
+    comp = weyl.Composition.from_json(_json_arg(args.comp, "--comp"))
+    w = weyl.SignedInvolution.from_json(_json_arg(args.w, "--w"))
     conv = invgraph.Convention(wall_double=args.wall_double)
     vertex = invgraph.Vertex(comp, w)
     path, terminal = invgraph.descend(vertex, conv)
@@ -144,17 +138,17 @@ def cmd_descend(args):
 
 
 def cmd_cone(args):
-    w = _w_from(_json_arg(args.w, "--w"))
+    w = weyl.SignedInvolution.from_json(_json_arg(args.w, "--w"))
     conv = invgraph.Convention(wall_double=args.wall_double)
     theta = invgraph.ThetaAction.from_involution(w)
-    lam = [_fraction(str(x)) for x in _json_arg(args.lam, "--lambda")]
+    lam = [_fraction(str(x)) for x in _json_list(args.lam, "--lambda")]
     inside = invgraph.cone_contains(theta, lam, _fraction(args.c), conv)
     _emit("cone", {"contains": inside})
 
 
 def cmd_distinguish(args):
-    pair = _pair_from(_json_file(args.pair, "--pair"))
-    comp = _comp_from(_json_file(args.comp, "--comp"))
+    pair = symspace.ClassicalPair.from_json(_json_file(args.pair, "--pair"))
+    comp = weyl.Composition.from_json(_json_file(args.comp, "--comp"))
     data = distinction.CuspidalDatum.from_json(_json_file(args.data, "--data"))
     target = distinction.orbit_from_json(_json_file(args.target, "--target"))
     verdict = distinction.decide(pair, comp, data, target)

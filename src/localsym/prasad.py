@@ -19,7 +19,7 @@ from operator import mul
 from . import localfield
 from .forms import congruent_diagonal, is_anisotropic
 from .localfield import QuadExtension, SquareClass, hilbert_rational, reduce
-from .numfield import Bq, Mat, NumFieldError, RatMat, conj_transpose
+from .numfield import Bq, Mat, NumFieldError, RatMat, conj_transpose, recover_hilbert90
 
 
 class PrasadError(ValueError):
@@ -309,13 +309,10 @@ def wsn(g: Mat, gram=None) -> KClassElement:
     if conj_transpose(g, "sigma") * gram_m * g != gram_m:
         raise PrasadError("matrix is not unitary for the form")
     det = g.det()
-    if not (det * det.sigma() - 1).is_zero:
+    try:
+        z = recover_hilbert90(det, "sigma")
+    except NumFieldError:
         raise PrasadError("unitary determinant should have norm one")
-    z = det + 1
-    if z.is_zero:
-        z = field.sqrt_a
-    if not (z / z.sigma() - det).is_zero:
-        raise PrasadError("norm-one parametrization does not recover the determinant")
     return KClassElement.of(z)
 
 

@@ -139,11 +139,6 @@ class ClassicalPair:
         return self.n0 + 2 * self.n
 
     @property
-    def ext_e(self) -> QuadExtension:
-        """E/F, generated by sqrt(a)."""
-        return QuadExtension.of(self.field.a, self.prime)
-
-    @property
     def ext_fp(self) -> QuadExtension:
         """F'/F, generated by sqrt(b) (unitary case)."""
         if self.field.is_quadratic:
@@ -228,12 +223,13 @@ def eta0_mat(pair) -> Mat:
     return Mat.diagonal(field, [field.element(-1)] + [field.one] * (pair.n0 - 1))
 
 
-def eta_m_mat(pair, m: int, split_even_r0: bool = False) -> Mat:
-    """The involution eta_m of the inner block of size n0 + 2m."""
+def eta_m_mat(pair, m: int) -> Mat:
+    """The involution eta_m of the inner block of size n0 + 2m: eta0 on the
+    kernel between identity blocks when n0 > 0; in the split orthogonal case
+    the swap of the two middle coordinates (I_0 when m = 0); the identity
+    otherwise."""
     field = pair.field
     size = pair.n0 + 2 * m
-    if split_even_r0 and pair.split_even_orthogonal:
-        return Mat.identity(field, size)
     if pair.n0 > 0:
         return Mat.block_diag(field, [Mat.identity(field, m), eta0_mat(pair), Mat.identity(field, m)])
     if pair.case is Case.ORTHOGONAL:

@@ -43,7 +43,10 @@ class Composition:
     split_even_sign: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "parts", tuple(self.parts))
+        sign = () if self.split_even_sign is None else (self.split_even_sign,)
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (*self.parts, self.r, *sign)):
+            raise TypeError("parts, r and sign must be integers")
         if any(p < 1 for p in self.parts):
             raise WeylError("parts must be positive")
         if self.r < 0:
@@ -301,86 +304,57 @@ def _check_comp(comp: Composition, pair):
         raise WeylError("sign is a split even orthogonal notion")
 
 
-def _split_even_r0(comp, pair):
-    return pair.split_even_orthogonal and comp.r == 0
-
-
-def kappa_mat(pair) -> Mat:
-    field = pair.field
-    n = pair.n
-    return Mat.block_diag(
-        field,
-        [Mat.identity(field, n - 1), Mat.antidiag_ones(field, 2), Mat.identity(field, n - 1)],
-    )
-
-
-def _w_rho_mat(pair, comp, w) -> Mat:
-    field = pair.field
-    sizes = comp.parts
-    offs = [0]
-    for s in sizes:
-        offs.append(offs[-1] + s)
-    total = offs[-1]
-    zero, one = field.zero, field.one
-    rows = [[zero] * total for _ in range(total)]
-    for j in range(comp.k):
-        i = w.rho[j]
-        for t in range(sizes[j]):
-            rows[offs[i] + t][offs[j] + t] = one
-    return Mat(field, rows)
-
-
-def t_rho_mat(comp, w, pair) -> Mat:
-    field = pair.field
-    wr = _w_rho_mat(pair, comp, w)
-    total = wr.n
-    wtot = Mat.antidiag_ones(field, total)
-    star = wtot * wr * wtot  # t(w_rho)^{-tau} = w_rho for a permutation block
-    mid = Mat.identity(field, pair.n0 + 2 * comp.r)
-    return Mat.block_diag(field, [wr, mid, star])
-
-
-def t_i_mat(comp, i, pair) -> Mat:
-    field = pair.field
+def _signed_perm(comp, w, pair):
+    """t_rho t_c as a signed permutation (dest, sign): column x of t_w is
+    sign[x] e_dest[x] outside the inner block, where t_w acts as
+    eta_r^{o(c)} (kappa aside).  t_c swaps each block in c with its mirror,
+    the block's own columns picking up eps; t_rho moves block j and its
+    mirror to those of rho(j)."""
     N = pair.N
-    pre = sum(comp.parts[:i])
-    ni = comp.parts[i]
-    suffix = sum(comp.parts[i + 1:]) + comp.r
-    eta = eta_m_mat(pair, suffix, split_even_r0=_split_even_r0(comp, pair))
-    mid = eta if ni % 2 else Mat.identity(field, eta.n)
-    zero, one = field.zero, field.one
-    rows = [[zero] * N for _ in range(N)]
-    for t in range(pre):
-        rows[t][t] = one
-        rows[N - 1 - t][N - 1 - t] = one
-    for t in range(ni):
-        rows[pre + t][N - pre - ni + t] = one
-        rows[N - pre - ni + t][pre + t] = field.element(pair.eps)
-    for r in range(mid.n):
-        for c in range(mid.m):
-            rows[pre + ni + r][pre + ni + c] = mid.rows[r][c]
-    return Mat(field, rows)
+    dest, sign = list(range(N)), [1] * N
+    offs = [sum(comp.parts[:j]) for j in range(comp.k)]
+    for j, size in enumerate(comp.parts):
+        i = w.rho[j]
+        for t in range(size):
+            top, bot = offs[j] + t, N - offs[j] - size + t
+            to_top, to_bot = offs[i] + t, N - offs[i] - size + t
+            if j in w.c:
+                dest[top], dest[bot], sign[top] = to_bot, to_top, pair.eps
+            else:
+                dest[top], dest[bot] = to_top, to_bot
+    return dest, sign
 
 
-def t_c_mat(comp, w, pair) -> Mat:
-    field = pair.field
-    out = Mat.identity(field, pair.N)
-    for i in sorted(w.c):
-        out = out * t_i_mat(comp, i, pair)
-    return out
+def _kappa(comp, pair, m: Mat) -> Mat:
+    """kappa m kappa^{-1} for the -1 sign (kappa swaps coordinates n-1 and
+    n), else m."""
+    if comp.split_even_sign != -1:
+        return m
+    kap = list(range(pair.N))
+    kap[pair.n - 1], kap[pair.n] = pair.n, pair.n - 1
+    return Mat(m.field, [[m.rows[a][b] for b in kap] for a in kap])
+
+
+def _t_times(comp, w, pair, m: Mat) -> Mat:
+    """kappa (t_rho t_c) m kappa^{-1}, by moving and negating the rows of m."""
+    dest, sign = _signed_perm(comp, w, pair)
+    rows = [None] * m.n
+    for x, row in enumerate(m.rows):
+        rows[dest[x]] = row if sign[x] == 1 else [-e for e in row]
+    return _kappa(comp, pair, Mat(m.field, rows))
 
 
 def build_tw(comp: Composition, w: SignedInvolution, pair) -> Mat:
     """The representative t_w = t_rho t_c, kappa-conjugated when the
-    composition carries the -1 sign."""
+    composition carries the -1 sign: a signed permutation off the inner
+    block and eta_r^{o(c)} on it."""
     _check_comp(comp, pair)
     if not w.compatible(comp):
         raise WeylError("involution incompatible with the composition")
-    t = t_rho_mat(comp, w, pair) * t_c_mat(comp, w, pair)
-    if comp.split_even_sign == -1:
-        k = kappa_mat(pair)
-        t = k * t * k.inv()
-    return t
+    field = pair.field
+    inner = eta_m_mat(pair, comp.r) if w.o(comp) % 2 else Mat.identity(field, pair.n0 + 2 * comp.r)
+    outer = Mat.identity(field, comp.n - comp.r)
+    return _t_times(comp, w, pair, Mat.block_diag(field, [outer, inner, outer]))
 
 
 def t_w_square_pattern(comp, w, pair) -> Mat:
@@ -390,11 +364,7 @@ def t_w_square_pattern(comp, w, pair) -> Mat:
         Mat.identity(field, s) * (field.element(pair.eps) if i in w.c else field.one)
         for i, s in enumerate(comp.parts)
     ]
-    m = iota(pair, comp, blocks, Mat.identity(field, pair.n0 + 2 * comp.r))
-    if comp.split_even_sign == -1:
-        k = kappa_mat(pair)
-        m = k * m * k.inv()
-    return m
+    return _kappa(comp, pair, iota(pair, comp, blocks, Mat.identity(field, pair.n0 + 2 * comp.r)))
 
 
 def trivial_z_invariant(pair):
@@ -462,15 +432,9 @@ def build_xw(comp: Composition, w: SignedInvolution, y_bits, z_inv, pair):
             blocks.append(Mat.identity(field, size) * field.element(pair.eps))
         else:
             blocks.append(Mat.identity(field, size))
-    o_c = w.o(comp) % 2
-    eta_r = eta_m_mat(pair, comp.r, split_even_r0=_split_even_r0(comp, pair))
-    inner = (eta_r * z) if o_c else z
-    m = iota(pair, comp, blocks, inner)
-    t = t_rho_mat(comp, w, pair) * t_c_mat(comp, w, pair)
-    x = t * m
-    if comp.split_even_sign == -1:
-        k = kappa_mat(pair)
-        x = k * x * k.inv()
+    # t_w carries eta_r^{o(c)} on the inner block and eta_r^2 = I, so
+    # t_w iota(blocks; eta_r^{o(c)} z) is t_rho t_c applied to iota(blocks; z)
+    x = _t_times(comp, w, pair, iota(pair, comp, blocks, z))
     return x, predicted_orbit_invariant(comp, w, y_bits, z_inv, pair)
 
 

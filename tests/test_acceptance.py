@@ -248,8 +248,7 @@ def test_ac06_representative_identities(bundled_pairs):
                         weyl.gl_star(blocks[w.rho[i]]) if i in w.c else blocks[w.rho[i]]
                         for i in range(comp.k)
                     ]
-                    eta = symspace.eta_m_mat(pair, comp.r,
-                                             split_even_r0=pair.split_even_orthogonal and comp.r == 0)
+                    eta = symspace.eta_m_mat(pair, comp.r)
                     hp = (eta * h * eta.inv()) if w.o(comp) % 2 else h
                     assert conj == weyl.iota(pair, comp, expected, hp)
                     conj_checked += 1

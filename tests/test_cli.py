@@ -320,3 +320,37 @@ def test_unknown_enum_value_is_malformed_input(args, capsys):
     assert e.value.code == 2
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+
+_TW_PAIR = '{"case":"symplectic","n0":0,"j":[],"n":2,"p":3,"a":-1}'
+_W1 = '{"rho":[1],"c":[]}'
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cone", "--w", '{"rho":[1,2],"c":[1,2]}', "--lambda", '"53"'],
+        ["cone", "--w", '{"rho":[1,2],"c":[1,2]}', "--lambda", '{"5":0,"3":0}'],
+        ["involutions", "--parts", '"12"'],
+        ["involutions", "--parts", '{"1":0,"2":0}'],
+        ["involutions", "--parts", "[1.5]"],
+        ["involutions", "--parts", "[true]"],
+        ["build-tw", "--pair", _TW_PAIR, "--comp", '{"parts":[1.5],"r":0}', "--w", _W1],
+        ["build-tw", "--pair", _TW_PAIR, "--comp", '{"parts":[true],"r":1}', "--w", _W1],
+        ["build-tw", "--pair", _TW_PAIR, "--comp", '{"parts":[1],"r":1.0}', "--w", _W1],
+        ["build-tw", "--pair", _TW_PAIR, "--comp", '{"parts":"2","r":0}', "--w", _W1],
+        ["descend", "--comp", '{"parts":[1,1],"r":true}', "--w", '{"rho":[1,2],"c":[1]}'],
+        ["descend", "--comp", '{"parts":[2],"r":0,"sign":true}', "--w", '{"rho":[1],"c":[1]}'],
+    ],
+    ids=[
+        "lambda-string", "lambda-object", "parts-string", "parts-object", "parts-float",
+        "parts-bool", "comp-float-part", "comp-bool-part", "comp-float-r", "comp-string-parts",
+        "descend-bool-r", "descend-bool-sign",
+    ],
+)
+def test_list_and_integer_arguments_are_malformed(args, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(args)
+    assert e.value.code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}

@@ -172,6 +172,14 @@ def test_wsn_minus_one_branch():
     assert got.value == K.sqrt_a
 
 
+def test_wsn_determinant_off_the_norm_one_group():
+    # every matrix preserves the zero gram, so the determinant check is the one that fires
+    K = BiquadField(-1)
+    g = Mat.diagonal(K, [K.element(2), K.one])
+    with pytest.raises(PrasadError, match="norm one"):
+        wsn(g, [[0, 0], [0, 0]])
+
+
 def rand_unitary(rng, K, m):
     g = Mat.identity(K, m)
     for _ in range(3):

@@ -229,7 +229,7 @@ def test_conjugation_pattern(bundled_pairs):
                     expected_blocks.append(gl_star(blocks[src]) if i in w.c else blocks[src])
                 from localsym.symspace import eta_m_mat
 
-                eta = eta_m_mat(pair, comp.r, split_even_r0=(pair.split_even_orthogonal and comp.r == 0))
+                eta = eta_m_mat(pair, comp.r)
                 hp = (eta * h * eta.inv()) if w.o(comp) % 2 else h
                 assert conj == iota(pair, comp, expected_blocks, hp), (pair.case, comp, w)
 
@@ -378,18 +378,6 @@ def test_u_star_sideways_is_a_non_norm_at_every_prime():
         pair = ClassicalPair(Case.UNITARY, 0, (), 1, Prime(p), BiquadField(a, b))
         s, _, _, t = u_star_sideways(pair).coeffs
         assert hilbert_rational(s * s - a * b * t * t, a, p) == -1, (a, b, p)
-
-
-def test_t_i_factors_commute(bundled_pairs):
-    from localsym.weyl import t_i_mat
-
-    for pair in bundled_pairs[:6]:
-        for comp in grid(pair):
-            if comp.k < 2 or comp.split_even_sign == -1:
-                continue
-            t0 = t_i_mat(comp, 0, pair)
-            t1 = t_i_mat(comp, 1, pair)
-            assert t0 * t1 == t1 * t0, (pair.case, comp)
 
 
 def test_membership_negative_control(bundled_pairs):
