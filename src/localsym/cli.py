@@ -178,60 +178,46 @@ def cmd_spinor_norm(args):
 
 
 def _selftest_checks(bound):
+    """The named checks of `localsym selftest`, each True or False."""
     vals = [v for v in range(1, bound + 1)] + [-v for v in range(1, bound + 1)]
     checks = {}
-    ok = 0
-    bad = 0
     for p in (2, 3, 5):
         prime = localfield.Prime(p)
-        good = True
-        for a in vals:
-            for b in vals:
-                if localfield.hilbert_rational(a, b, prime) != localfield.hilbert_oracle(a, b, prime):
-                    good = False
-        checks[f"hilbert-formula-vs-oracle@p={p}"] = good
-        ok += good
-        bad += not good
+        checks[f"hilbert-formula-vs-oracle@p={p}"] = all(
+            localfield.hilbert_rational(a, b, prime) == localfield.hilbert_oracle(a, b, prime)
+            for a in vals for b in vals
+        )
     import random
 
     rng = random.Random(77)
-    good = all(
+    checks["hilbert-reciprocity"] = all(
         localfield.reciprocity_check(
             Fraction(rng.randint(1, 50), rng.randint(1, 50)) * rng.choice([1, -1]),
             Fraction(rng.randint(1, 50), rng.randint(1, 50)) * rng.choice([1, -1]),
         ).ok
         for _ in range(200)
     )
-    checks["hilbert-reciprocity"] = good
-    ok += good
-    bad += not good
 
     gram = prasad.w_gram(2)
-    good = True
-    for t in (2, 3, 5, 7):
-        g = [[Fraction(t), 0], [0, Fraction(1, t)]]
-        if prasad.spinor_norm_rational(g, gram) != prasad.squarefree_part(t):
-            good = False
-    checks["spinor-norm-so2"] = good
-    ok += good
-    bad += not good
+    checks["spinor-norm-so2"] = all(
+        prasad.spinor_norm_rational([[Fraction(t), 0], [0, Fraction(1, t)]], gram) == prasad.squarefree_part(t)
+        for t in (2, 3, 5, 7)
+    )
 
     field = numfield.BiquadField(-1, 3)
     pair = symspace.ClassicalPair(
         forms.Case.UNITARY, 0, (), 1, localfield.Prime(3), field
     )
     data = symspace.gamma_index_data(pair)
-    closed = symspace.gamma_bit(pair, field.element(-1))
-    good = data.minus_one_bit == closed
-    checks["gamma-oracle-vs-closed"] = good
-    ok += good
-    bad += not good
-    return checks, ok, bad
+    checks["gamma-oracle-vs-closed"] = data.minus_one_bit == symspace.gamma_bit(pair, field.element(-1))
+    return checks
 
 
 def cmd_selftest(args):
     bound = int(os.environ.get("LOCALSYM_SELFTEST_BOUND", "6"))
-    checks, ok, bad = _selftest_checks(bound)
+    checks = _selftest_checks(bound)
+    ok = sum(checks.values())
+    bad = len(checks) - ok
     _emit("selftest", {"passed": ok, "failed": bad, "checks": checks, "bound": bound})
     if bad:
         raise SystemExit(1)

@@ -227,7 +227,6 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
         iw = sorted(w.fixed_in_c)
         bit_ranges = [data.unitary_bits(i) for i in iw]
         inner = inner_orbit_invariants(comp, w, pair)
-        found_arith = False
         for bits in itertools.product(*bit_ranges):
             y_bits = dict(zip(iw, bits))
             for z_inv in inner:
@@ -238,12 +237,9 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
                 if predicted == target:
                     witness = Witness(w, tuple(sorted(y_bits.items())), z_inv)
                     return Verdict(True, witness, tuple(log))
-                found_arith = True
                 log.append(
                     f"{tag}: bits {bits} with inner orbit {z_inv.to_json()} lands in another orbit"
                 )
-        if not found_arith and not iw and not inner:
-            log.append(f"{tag}: no admissible inner orbit")
     return Verdict(False, None, tuple(log))
 
 

@@ -115,6 +115,20 @@ def hasse_invariant(entries, p) -> int:
     return h
 
 
+def split_gram(n: int, kernel=(), eps: int = 1):
+    """The split form with a diagonal kernel, as rows of Fractions:
+    antidiagonal one-blocks of size n around diag(kernel), the lower one
+    scaled by eps."""
+    m = 2 * n + len(kernel)
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(n):
+        rows[i][m - 1 - i] = Fraction(1)
+        rows[m - 1 - i][i] = Fraction(eps)
+    for i, e in enumerate(kernel):
+        rows[n + i][n + i] = Fraction(e)
+    return rows
+
+
 def congruent_diagonal(gram):
     """Symmetric congruence diagonalization over Q.
 

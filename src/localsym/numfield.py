@@ -313,10 +313,9 @@ def recover_hilbert90(x: Bq, which: str = "tau") -> Bq:
 
     c = 1 + x works unless x = -1, where the generator negated by the
     involution does (sqrt(b) for tau, sqrt(a) for sigma, sqrt(ab) for
-    sigma_tau).
+    sigma_tau).  Both choices of c are nonzero, so c / inv(c) = x is checked
+    as the product c = x * inv(c); for c = 1 + x that is x * inv(x) = 1.
     """
-    if not (x * x.apply(which) - 1).is_zero:
-        raise NumFieldError("x is not of norm one")
     c = x + 1
     if c.is_zero:
         f = x.field
@@ -328,8 +327,8 @@ def recover_hilbert90(x: Bq, which: str = "tau") -> Bq:
             c = gens[which]
         except KeyError:
             raise NumFieldError(f"no generator is negated by {which!r} here")
-    if not (c / c.apply(which) - x).is_zero:
-        raise NumFieldError("Hilbert-90 splitting failed its certification")
+    if c != x * c.apply(which):
+        raise NumFieldError("x is not of norm one")
     return c
 
 
@@ -684,6 +683,15 @@ def in_symmetric_space(x: Mat, j: Mat, eps: int | None = None) -> bool:
     return in_isometry_group(x, j, eps) and (x * x.sigma()).is_identity
 
 
+def splits(z: Mat, x: Mat) -> bool:
+    """Whether z sigma(z)^-1 = x, checked without an inverse: det z != 0
+    and z = x sigma(z), one determinant and one product.  Raises
+    NumFieldError when z is not square or x is not of z's size."""
+    if (x.n, x.m) != (z.n, z.m):
+        raise NumFieldError("dimension mismatch")
+    return not z.det().is_zero and x * z.sigma() == z
+
+
 def recover_hilbert90_matrix(x: Mat) -> Mat:
     """Given x with x sigma(x) = I, return invertible z with z sigma(z)^-1 = x.
 
@@ -693,19 +701,14 @@ def recover_hilbert90_matrix(x: Mat) -> Mat:
     det z_t = (1 - t sqrt(a))^n det(s_t I + x), s_t = (1 + t sqrt(a)) / (1 - t sqrt(a)).
     t -> s_t is injective on Q and the monic degree-n polynomial
     det(s I + x) has at most n roots, so some t <= n gives an invertible z_t.
+    The first z_t that `splits` x is returned, which certifies it; when
+    none does, x sigma(x) != I.
     """
-    if not (x * x.sigma()).is_identity:
-        raise NumFieldError("x sigma(x) != I")
     field = x.field
     for t in range(x.n + 1):
         c, cs = field.element(1, t), field.element(1, -t)
         z = Mat(field, [[cs * e + c if i == j else cs * e for j, e in enumerate(r)]
                         for i, r in enumerate(x.rows)])
-        try:
-            inv = z.sigma().inv()
-        except NumFieldError:
-            continue  # sigma(z_t) is singular exactly when z_t is
-        if z * inv != x:
-            raise NumFieldError("Hilbert-90 splitting failed its certification")
-        return z
-    raise NumFieldError("no invertible z_t for t <= n, against the degree bound")
+        if splits(z, x):
+            return z
+    raise NumFieldError("no z_t with t <= n splits x")

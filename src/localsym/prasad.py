@@ -17,7 +17,7 @@ from math import gcd
 from operator import mul
 
 from . import localfield
-from .forms import congruent_diagonal, is_anisotropic
+from .forms import congruent_diagonal, is_anisotropic, split_gram
 from .localfield import QuadExtension, SquareClass, hilbert_rational, reduce
 from .numfield import Bq, Mat, NumFieldError, RatMat, conj_transpose, recover_hilbert90
 
@@ -152,7 +152,7 @@ def opposition_group(Y: GroupDescriptor, e_gen: int) -> GroupDescriptor:
 
 def w_gram(m: int):
     """The antidiagonal unit form."""
-    return [[Fraction(1 if i + j == m - 1 else 0) for j in range(m)] for i in range(m)]
+    return split_gram(m // 2, (1,) * (m % 2))
 
 
 def _isometry_data(g, gram):
@@ -346,13 +346,4 @@ def so_form_gram(Y: GroupDescriptor):
     stored kernel."""
     if Y.family is not Family.SO:
         raise PrasadError("gram of a non-orthogonal descriptor")
-    n0 = Y.so_kernel_size
-    n = (Y.m - n0) // 2
-    m = Y.m
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(n):
-        rows[i][m - n + (n - 1 - i)] = Fraction(1)
-        rows[m - n + i][n - 1 - i] = Fraction(1)
-    for i in range(n0):
-        rows[n + i][n + i] = Fraction(Y.so_kernel[i])
-    return rows
+    return split_gram((Y.m - Y.so_kernel_size) // 2, Y.so_kernel)

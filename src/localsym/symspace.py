@@ -23,6 +23,7 @@ from .forms import (
     is_anisotropic,
     is_anisotropic_hermitian,
     orbit_count,
+    split_gram,
 )
 from .localfield import (
     Prime,
@@ -36,10 +37,9 @@ from .numfield import (
     BiquadField,
     Bq,
     Mat,
-    NumFieldError,
     conj_transpose,
-    in_symmetric_space,
     recover_hilbert90,
+    splits,
 )
 
 
@@ -180,19 +180,11 @@ def _sub_pair(pair, r):
     return ClassicalPair(pair.case, pair.n0, pair.j_entries, r, pair.prime, pair.field)
 
 
+@lru_cache(maxsize=None)
 def jn_mat(pair) -> Mat:
     """The split form with anisotropic kernel: antidiagonal one-blocks of
     size n around the kernel, the lower one scaled by eps."""
-    field = pair.field
-    n, n0, N = pair.n, pair.n0, pair.N
-    zero = field.zero
-    rows = [[zero] * N for _ in range(N)]
-    for i in range(n):
-        rows[i][N - n + (n - 1 - i)] = field.one
-        rows[N - n + i][n - 1 - i] = field.element(pair.eps)
-    for i in range(n0):
-        rows[n + i][n + i] = field.element(pair.j_entries[i])
-    return Mat(field, rows)
+    return Mat.from_rational(pair.field, split_gram(pair.n, pair.j_entries, pair.eps))
 
 
 def det_jn(pair) -> Fraction:
@@ -209,8 +201,7 @@ def jn_invariants(pair):
     by direct diagonalization of the block matrix."""
     if pair.case is not Case.ORTHOGONAL:
         raise SymspaceError("orthogonal-only invariants")
-    gram = [[e.rational for e in row] for row in jn_mat(pair).rows]
-    entries, _ = congruent_diagonal(gram)
+    entries, _ = congruent_diagonal(split_gram(pair.n, pair.j_entries, pair.eps))
     return (disc_class(entries, pair.prime), hasse_invariant(entries, pair.prime))
 
 
@@ -245,18 +236,16 @@ def eta_m_mat(pair, m: int) -> Mat:
 def classify_x(x: Mat, z: Mat, pair):
     """Orbit invariant of x in X, using z with x = z sigma(z)^{-1}.
 
-    The form y = t(z)^tau J z must descend to the base field; its
-    classification data is the orbit invariant."""
-    jn = jn_mat(pair)
-    if not in_symmetric_space(x, jn, pair.eps):
-        raise SymspaceError("x is not in the symmetric space")
-    try:
-        splits = z * z.sigma().inv() == x
-    except NumFieldError:
-        splits = False  # sigma(z) is singular exactly when z is
-    if not splits:
+    Two checks certify the input: z splits x (`numfield.splits`), and the
+    form y = t(z)^tau J z descends to the base field, sigma(y) = y.  They
+    put x in X, so x needs no test of its own: x sigma(x) =
+    z sigma(z)^-1 sigma(z) z^-1 = I, and since J is rational,
+    t(x)^tau J x = t(sigma(z))^-tau y sigma(z)^-1
+    = t(sigma(z))^-tau sigma(y) sigma(z)^-1 = J.  The classification data
+    of y is the orbit invariant."""
+    y = conj_transpose(z, "tau") * jn_mat(pair) * z  # first, so a z of the wrong size raises NumFieldError
+    if not splits(z, x):
         raise SymspaceError("z does not split x")
-    y = conj_transpose(z, "tau") * jn * z
     if y.sigma() != y:
         raise SymspaceError("twisted form does not descend; z inconsistent with x")
     if pair.case is Case.SYMPLECTIC:
@@ -395,8 +384,7 @@ def gamma_bit(pair, gamma: Bq) -> int:
 
 def _diag_frame(pair):
     """Rational congruence frame: entries D and g0 with t(g0) J g0 = D."""
-    gram = [[e.rational for e in row] for row in jn_mat(pair).rows]
-    entries, p = congruent_diagonal(gram)
+    entries, p = congruent_diagonal(split_gram(pair.n, pair.j_entries, pair.eps))
     return entries, Mat.from_rational(pair.field, p)
 
 

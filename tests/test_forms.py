@@ -18,6 +18,7 @@ from localsym.forms import (
     is_anisotropic,
     is_anisotropic_hermitian,
     orbit_count,
+    split_gram,
 )
 from localsym.localfield import (
     Prime,
@@ -95,6 +96,16 @@ def transpose(m):
 
 def mat_mul(a, b):
     return (RatMat.of(a) * RatMat.of(b)).fractions()
+
+
+def test_split_gram():
+    assert split_gram(0) == []
+    assert split_gram(1, (3,), -1) == [[0, 0, 1], [0, 3, 0], [-1, 0, 0]]
+    assert split_gram(2, (), 1) == [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+    assert split_gram(1, (1, Fraction(-2, 3))) == [
+        [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, Fraction(-2, 3), 0], [1, 0, 0, 0],
+    ]
+    assert all(type(e) is Fraction for r in split_gram(2, (5,), -1) for e in r)
 
 
 def test_diagonalize_diag_input():

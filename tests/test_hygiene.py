@@ -1,0 +1,44 @@
+"""Source hygiene checks over src/localsym that need only the stdlib."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "localsym"
+
+
+def _unused_imports(tree):
+    """Names bound by an import statement that no expression of the module
+    reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    # __init__ imports names to re-export them
+    modules = [f for f in sorted(SRC.glob("*.py")) if f.name != "__init__.py"]
+    assert modules
+    unused = {
+        f.name: found
+        for f in modules
+        if (found := _unused_imports(ast.parse(f.read_text(), filename=str(f))))
+    }
+    assert not unused, unused
+
+
+def test_unused_import_is_reported():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from a.b import c, d as e\n"
+        "import x.y\n"
+        "print(c, x)\n"
+    )
+    assert _unused_imports(tree) == [(2, "os"), (3, "e")]

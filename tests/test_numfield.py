@@ -15,6 +15,7 @@ from localsym.numfield import (
     in_symmetric_space,
     recover_hilbert90,
     recover_hilbert90_matrix,
+    splits,
 )
 
 F = BiquadField(-1, 3)
@@ -167,6 +168,22 @@ def test_hilbert90_matrix():
     xm = Mat.diagonal(F, [F.element(-1)])
     z = recover_hilbert90_matrix(xm)
     assert z * z.sigma().inv() == xm
+
+
+def test_splits():
+    t = F.element(1) + F.sqrt_a
+    z = Mat.diagonal(F, [t, F.one])
+    x = z * z.sigma().inv()
+    assert splits(z, x)
+    assert not splits(z, Mat.identity(F, 2))
+    assert not splits(Mat.diagonal(F, [0, 1]), Mat.diagonal(F, [-1, 1]))  # z = x sigma(z), det z = 0
+    with pytest.raises(NumFieldError):
+        splits(z, Mat.identity(F, 3))
+    with pytest.raises(NumFieldError):
+        splits(Mat(F, [[F.one, F.one]]), Mat(F, [[F.one, F.one]]))
+    # outside X no z_t splits, whatever t
+    with pytest.raises(NumFieldError, match="no z_t"):
+        recover_hilbert90_matrix(Mat.diagonal(F, [2, 1]))
 
 
 def _mat(field, rows):

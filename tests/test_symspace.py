@@ -2,10 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from localsym.forms import Case, DiagForm, invariants
 from localsym.localfield import Prime, hilbert_rational, reduce
-from localsym.numfield import BiquadField, Mat, recover_hilbert90_matrix
+from localsym.numfield import (
+    BiquadField,
+    Mat,
+    NumFieldError,
+    in_isometry_group,
+    in_symmetric_space,
+    recover_hilbert90_matrix,
+)
 from localsym.symspace import (
     ClassicalPair,
     Component,
@@ -166,6 +175,62 @@ def test_classify_orthogonal_matches_forms_invariants():
     entries, _ = congruent_diagonal(gram)
     assert inv.partial == disc_class(entries, pair.prime)
     assert inv.hasse == hasse_invariant(entries, pair.prime)
+
+
+def test_classify_rejects_a_split_non_isometry():
+    # x sigma(x) = I and z splits x, but x does not preserve J: the twisted
+    # form of z is irrational, so the descent check is the one that fails
+    pair = make_pair(Case.ORTHOGONAL, 1, (1,), 1)
+    f = pair.field
+    z = Mat.diagonal(f, [f.element(1) + f.sqrt_a, f.one, f.one])
+    x = z * z.sigma().inv()
+    assert (x * x.sigma()).is_identity
+    assert not in_isometry_group(x, jn_mat(pair), pair.eps)
+    with pytest.raises(SymspaceError, match="does not descend"):
+        classify_x(x, z, pair)
+
+
+def test_classify_shape_mismatch_is_a_numfield_error():
+    pair = make_pair(Case.ORTHOGONAL, 1, (1,), 1)
+    f = pair.field
+    for x, z in [(Mat.identity(f, 2), Mat.identity(f, 3)), (Mat.identity(f, 2), Mat.identity(f, 2))]:
+        with pytest.raises(NumFieldError):
+            classify_x(x, z, pair)
+
+
+CLASSIFY_PAIRS = [
+    make_pair(Case.SYMPLECTIC, 0, (), 2),
+    make_pair(Case.ORTHOGONAL, 1, (1,), 1),
+    make_pair(Case.ORTHOGONAL, 2, (1, 1), 1),
+    make_pair(Case.UNITARY, 1, (1,), 1),
+    make_pair(Case.UNITARY, 0, (), 2),
+]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_classify_accepts_exactly_the_symmetric_space(data):
+    # x = z sigma(z)^-1 always has x sigma(x) = I; classify_x must accept z
+    # exactly when x is also an isometry of J.  Half the z are g r with g an
+    # isometry and r rational, which lands in X.
+    pair = data.draw(st.sampled_from(CLASSIFY_PAIRS))
+    field, N = pair.field, pair.N
+    into_x = data.draw(st.booleans())
+    width = 1 if into_x else 2 if field.is_quadratic else 4
+    coeffs = st.lists(st.integers(-2, 2), min_size=width, max_size=width)
+    z = Mat(field, [[field.element(*data.draw(coeffs)) for _ in range(N)] for _ in range(N)])
+    if into_x:
+        z = random_isometry(pair, random.Random(data.draw(st.integers(0, 10**6)))) * z
+    assume(not z.det().is_zero)
+    x = z * z.sigma().inv()
+    if in_symmetric_space(x, jn_mat(pair), pair.eps):
+        classify_x(x, z, pair)
+    else:
+        with pytest.raises(SymspaceError):
+            classify_x(x, z, pair)
+    g = random_isometry(pair, random.Random(data.draw(st.integers(0, 10**6))))
+    x = g * g.sigma().inv()
+    classify_x(x, recover_hilbert90_matrix(x), pair)
 
 
 def test_orbit_counts_X():
