@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -35,21 +36,33 @@ def _fraction(s):
         raise CliError(f"bad rational {s!r}: {e}")
 
 
+def _finite(text):
+    """A JSON float or constant (NaN, Infinity, -Infinity) that is finite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise CliError(f"number out of range: {text}")
+    return x
+
+
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+
+
 def _json_arg(s, what):
+    """The one JSON decoder of the CLI: NaN, infinities (as words or as an
+    overflowing float) and nesting too deep to decode are malformed input."""
     try:
-        return json.loads(s)
-    except json.JSONDecodeError as e:
+        return _DECODER.decode(s)
+    except (json.JSONDecodeError, RecursionError) as e:
         raise CliError(f"bad JSON for {what}: {e}")
 
 
 def _json_file(path, what):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as e:
         raise CliError(f"cannot read {what}: {e}")
-    except json.JSONDecodeError as e:
-        raise CliError(f"bad JSON in {what}: {e}")
+    return _json_arg(text, what)
 
 
 def _json_list(s, what):

@@ -543,20 +543,17 @@ class Mat:
             return NotImplemented
         if self.m != other.n:
             raise NumFieldError("dimension mismatch")
+        # row i is the sum over the nonzero r[k] of r[k] times row k's nonzeros
         zero = self.field.zero
-        ocols = list(zip(*other.rows)) if other.rows else []
+        terms = [[(j, f) for j, f in enumerate(r) if not f.is_zero] for r in other.rows]
         out = []
         for r in self.rows:
-            row = []
-            for j in range(other.m):
-                acc = zero
-                col = ocols[j]
-                for k in range(self.m):
-                    e = r[k]
-                    if e.is_zero:
-                        continue
-                    acc = acc + e * col[k]
-                row.append(acc)
+            row = [zero] * other.m
+            for e, ts in zip(r, terms):
+                if ts and not e.is_zero:
+                    for j, f in ts:
+                        acc = row[j]
+                        row[j] = e * f if acc is zero else acc + e * f
             out.append(row)
         return Mat(self.field, out)
 
@@ -581,16 +578,22 @@ class Mat:
         return Mat(self.field, list(zip(*self.rows)) if self.rows else [])
 
     def map(self, fn: Callable[[Bq], Bq]):
+        """fn on every entry, zero entries included."""
         return Mat(self.field, [[fn(e) for e in r] for r in self.rows])
 
+    def _automorphism(self, fn):
+        """An automorphism fn on the nonzero entries; zeros stay the field's zero."""
+        zero = self.field.zero
+        return Mat(self.field, [[zero if e.is_zero else fn(e) for e in r] for r in self.rows])
+
     def sigma(self):
-        return self.map(lambda e: e.sigma())
+        return self._automorphism(Bq.sigma)
 
     def tau(self):
-        return self.map(lambda e: e.tau())
+        return self._automorphism(Bq.tau)
 
     def sigma_tau(self):
-        return self.map(lambda e: e.sigma_tau())
+        return self._automorphism(Bq.sigma_tau)
 
     @property
     def is_identity(self):
@@ -622,14 +625,17 @@ class Mat:
             if piv != col:
                 rows[col], rows[piv] = rows[piv], rows[col]
                 det = -det
-            pivot = rows[col][col]
-            det = det * pivot
-            inv = pivot.inverse()
-            for i in range(col + 1, n):
-                if rows[i][col].is_zero:
+            rc = rows[col]
+            det = det * rc[col]
+            inv = rc[col].inverse()
+            # columns up to col are read no more; a zero of rc leaves its column
+            cols = [j for j in range(col + 1, n) if not rc[j].is_zero]
+            for ri in rows[col + 1:]:
+                if ri[col].is_zero:
                     continue
-                f = rows[i][col] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+                f = ri[col] * inv
+                for j in cols:
+                    ri[j] = ri[j] - f * rc[j]
         return det
 
     def inv(self):
@@ -661,7 +667,9 @@ class Mat:
 
 
 def conj_transpose(g: Mat, which: str = "tau") -> Mat:
-    return g.T.map(lambda e: e.apply(which))
+    if which not in ("sigma", "tau", "sigma_tau"):
+        raise NumFieldError(f"unknown involution {which!r}")
+    return getattr(g.T, which)()
 
 
 def is_eps_hermitian(j: Mat, eps: int) -> bool:

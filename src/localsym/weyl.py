@@ -270,7 +270,16 @@ def y_representative(pair, size: int, bit: int) -> Mat:
 
 
 def gl_star(g: Mat) -> Mat:
-    """g* = w t(g)^{-tau} w on a square block."""
+    """g* = w t(g)^{-tau} w on a square block, w the antidiagonal ones.
+
+    A monomial g (one nonzero entry in each row and column, as every block
+    that `build_xw` passes) has t(g)^{-tau} = g with each nonzero entry e
+    replaced by tau(e)^{-1}; w on both sides reverses the rows and the
+    columns, so no inverse is formed.  Any other g takes `Mat.inv`."""
+    support = [[j for j, e in enumerate(r) if not e.is_zero] for r in g.rows]
+    if g.m == g.n and all(len(s) == 1 for s in support) and len({s[0] for s in support}) == g.n:
+        return Mat(g.field, [[e if e.is_zero else e.tau().inverse() for e in reversed(r)]
+                             for r in reversed(g.rows)])
     w = Mat.antidiag_ones(g.field, g.n)
     return w * conj_transpose(g, "tau").inv() * w
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from localsym.cli import main
 
@@ -354,3 +359,122 @@ def test_list_and_integer_arguments_are_malformed(args, capsys):
     assert e.value.code == 2
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+
+# ---------------------------------------------------------------------------
+# fuzz: malformed and edge-case JSON for every JSON argument, in process
+
+_FUZZ_PAIR = {"case": "orthogonal", "n0": 1, "j": ["1"], "n": 1, "p": 3, "a": -1, "b": None}
+_FUZZ_COMP = {"parts": [1, 1], "r": 0}
+_FUZZ_DATA = {"labels": ["pi1", "pi2"], "conj_dual": [[1, 2]], "linear_dist": [1],
+              "pi0_dist": [{"case": "orthogonal", "component": "SX", "hasse": 1,
+                            "partial": {"p": 3, "val": 0, "unit": 1}}]}
+_FUZZ_TARGET = {"case": "orthogonal", "component": "SX", "hasse": 1,
+                "partial": {"p": 3, "val": 0, "unit": 1}}
+_FUZZ_KEYS = sorted(set(_FUZZ_PAIR) | set(_FUZZ_COMP) | set(_FUZZ_DATA) | set(_FUZZ_TARGET)
+                    | {"gamma_bit", "sign", "val", "unit", "rho", "c"})
+
+# small integers only: a large rank or block size is a large matrix, which is
+# bounded time but not a fuzzing budget
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.sampled_from(["1/2", "-1", "0", "1/0", "x", "1e3", "SX", "orthogonal", "unitary",
+                     float("inf"), float("nan"), 10**30, -(10**30)]),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FUZZ_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _edited(draw, base):
+    """base (an object or a list) with one entry replaced, dropped or
+    added, or an arbitrary value."""
+    how = draw(st.sampled_from(["replace", "drop", "add", "any"]))
+    if how == "any" or not base:
+        return draw(_values)
+    doc = dict(base) if isinstance(base, dict) else list(base)
+    keys = sorted(doc) if isinstance(doc, dict) else range(len(doc))
+    if how == "add":
+        key = draw(st.sampled_from(_FUZZ_KEYS)) if isinstance(doc, dict) else len(doc)
+    else:
+        key = draw(st.sampled_from(keys))
+    if how == "drop":
+        doc.pop(key)
+    elif isinstance(doc, list) and key == len(doc):
+        doc.append(draw(_values))
+    else:
+        doc[key] = draw(_values)
+    return doc
+
+
+def _text(draw, base):
+    """JSON text for base edited, or text that is not JSON at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(_NOT_JSON))
+    return json.dumps(draw(_edited(base)))
+
+
+_NOT_JSON = ["", "{", "[1,", "nan", "NaN", "[Infinity]", "-Infinity", "1e999", "[-1e999]",
+             '"\\ud800"', "1" * 5000, "[" * 5000 + "]" * 5000, '{"a":' * 5000 + "1" + "}" * 5000]
+_FUZZ_FLAGS = ("--pair", "--comp", "--data", "--target", "--gram", "--entries")
+
+
+@settings(max_examples=200, derandomize=True, deadline=timedelta(seconds=5), suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_fuzz_one_json_line_and_exit_code(tmp_path_factory, data):
+    flag = data.draw(st.sampled_from(_FUZZ_FLAGS))
+    if flag in ("--gram", "--entries"):
+        base = [[1, 0], [0, "-1/2"]] if flag == "--gram" else ["1", "-1/2", 3]
+        argv = ["form-invariants", "--case", data.draw(st.sampled_from(["orthogonal", "unitary"])),
+                "--p", "3", "--ext-d", "-1", f"{flag}={_text(data.draw, base)}"]
+    elif data.draw(st.booleans()) or flag in ("--data", "--target"):
+        # distinguish reads its four arguments from files
+        docs = {"--pair": _FUZZ_PAIR, "--comp": _FUZZ_COMP, "--data": _FUZZ_DATA, "--target": _FUZZ_TARGET}
+        folder = tmp_path_factory.mktemp("fuzz")
+        argv = ["distinguish"]
+        for name, doc in docs.items():
+            path = folder / f"{name[2:]}.json"
+            path.write_text(_text(data.draw, doc) if name == flag else json.dumps(doc))
+            argv.append(f"{name}={path}")
+    elif flag == "--pair":
+        argv = data.draw(st.sampled_from([
+            ["orbit-count", "--component", "SX"],
+            ["build-tw", "--comp", json.dumps(_FUZZ_COMP), "--w", '{"rho":[2,1],"c":[]}'],
+        ])) + [f"--pair={_text(data.draw, _FUZZ_PAIR)}"]
+    else:
+        argv = data.draw(st.sampled_from([
+            ["descend", "--w", '{"rho":[2,1],"c":[1,2]}'],
+            ["build-tw", "--pair", json.dumps(_FUZZ_PAIR), "--w", '{"rho":[2,1],"c":[]}'],
+        ])) + [f"--comp={_text(data.draw, _FUZZ_COMP)}"]
+    _assert_one_json_line(argv)
+
+
+def _assert_one_json_line(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            main(argv)
+            code = 0
+        except SystemExit as e:
+            code = e.code
+    lines = out.getvalue().splitlines()
+    assert code in (0, 1, 2), (argv, code)
+    assert len(lines) == 1, (argv, lines)
+    doc = json.loads(lines[0])
+    assert set(doc) == ({"error"} if code else {"command", "version", "payload"}), (argv, doc)
+    return code
+
+
+@pytest.mark.parametrize("pair", [
+    "[" * 5000 + "]" * 5000,  # too deep to decode: was a RecursionError traceback
+    json.dumps(dict(_FUZZ_PAIR, j=[float("inf")])),  # was an OverflowError traceback
+    json.dumps(_FUZZ_PAIR).replace('"1"', "1e999"),  # an overflowing float is infinite too
+    json.dumps(dict(_FUZZ_PAIR, a=float("nan"))),
+])
+def test_cli_nonfinite_and_deep_json_is_malformed(pair):
+    assert _assert_one_json_line(["orbit-count", f"--pair={pair}"]) == 2

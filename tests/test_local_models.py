@@ -1,0 +1,96 @@
+"""Local-model gate: every admissible representative x_w is built,
+split and certified, not only the first witness that `decide` returns.
+
+Every invariant in scope factors through square classes, so at a fixed p
+the pairs below cover every local model of their shape:
+- orthogonal: a over the nontrivial classes, anisotropic kernels of rank
+  <= 3 drawn from the class representatives, n <= 2
+- symplectic: a over the nontrivial classes, n <= 3
+- unitary: every ordered (a, b) of distinct nontrivial classes,
+  anisotropic kernels of rank <= 2, n <= 2
+
+For each pair, each composition of the small grid, each involution, each
+bit vector over I(w) and each admissible inner orbit, the representative
+goes through build_xw -> recover_hilbert90_matrix -> classify_x and must
+land in the orbit that `predicted_orbit_invariant` names.  Tier-1 runs
+p = 3; with LOCALSYM_FULL_SWEEP=1 set it also runs p = 2, 5, 7 and 13.
+"""
+
+import itertools
+import os
+
+import pytest
+
+from localsym import weyl
+from localsym.forms import Case
+from localsym.localfield import Prime
+from localsym.numfield import BiquadField, recover_hilbert90_matrix
+from localsym.symspace import ClassicalPair, SymspaceError, classify_x
+
+from test_distinction import small_grid
+
+FULL = os.environ.get("LOCALSYM_FULL_SWEEP") == "1"
+# representatives certified per prime: pins the coverage, so that a change
+# which refuses models or orbits cannot pass by certifying fewer of them
+REPRESENTATIVES = {3: 4706, 5: 3678, 7: 4706, 13: 3678, 2: 71282}
+PRIMES = [3, 2, 5, 7, 13] if FULL else [3]
+
+
+def class_reps(p):
+    """Squarefree representatives of the square classes of Qp*."""
+    if p == 2:
+        return (1, 2, 3, 5, 6, 7, 10, 14)
+    u = Prime(p).nonresidue
+    return (1, u, p, p * u)
+
+
+def local_models(p, case):
+    prime = Prime(p)
+    reps = class_reps(p)
+    if case is Case.SYMPLECTIC:
+        shapes = [(BiquadField(a), (), n) for a in reps[1:] for n in (1, 2, 3)]
+    elif case is Case.ORTHOGONAL:
+        shapes = [(BiquadField(a), j, n) for a in reps[1:] for n0 in range(4)
+                  for j in itertools.combinations_with_replacement(reps, n0) for n in (1, 2)]
+    else:
+        shapes = [(BiquadField(a, b), j, n) for a, b in itertools.permutations(reps[1:], 2)
+                  for n0 in range(3) for j in itertools.combinations_with_replacement(reps, n0)
+                  for n in (1, 2)]
+    for field, j, n in shapes:
+        try:
+            yield ClassicalPair(case, len(j), j, n, prime, field)
+        except SymspaceError:
+            pass  # an isotropic kernel is no model
+
+
+def representatives(pair):
+    for comp in small_grid(pair):
+        circ = pair.split_even_orthogonal and comp.r == 0
+        for w in weyl.enumerate_involutions(comp, circ):
+            iw = sorted(w.fixed_in_c)
+            for bits in itertools.product((0, 1), repeat=len(iw)):
+                for z_inv in weyl.inner_orbit_invariants(comp, w, pair):
+                    yield comp, w, dict(zip(iw, bits)), z_inv
+
+
+def certify(pair, comp, w, y_bits, z_inv):
+    x, predicted = weyl.build_xw(comp, w, y_bits, z_inv, pair)
+    return classify_x(x, recover_hilbert90_matrix(x), pair) == predicted
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_every_representative_certifies(p):
+    certified, failed = 0, []
+    for case in Case:
+        for pair in local_models(p, case):
+            for comp, w, y_bits, z_inv in representatives(pair):
+                try:
+                    ok = certify(pair, comp, w, y_bits, z_inv)
+                except SymspaceError as exc:
+                    ok = str(exc)
+                if ok is True:
+                    certified += 1
+                else:
+                    failed.append((pair.to_json(), comp.to_json(), w.to_json(), y_bits, z_inv, ok))
+    assert not failed, (len(failed), failed[:3])
+    assert certified == REPRESENTATIVES[p]
