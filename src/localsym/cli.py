@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,11 +30,24 @@ def _emit(command, payload):
                      sort_keys=True, separators=(",", ":")))
 
 
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*$", re.IGNORECASE)
+_TOO_LONG = 10**localfield.DIGIT_LIMIT
+
+
 def _fraction(s):
+    """A rational read from text.  A numerator or denominator of more than
+    DIGIT_LIMIT decimal digits is malformed input, and so is an exponent
+    beyond that many places, refused before 10^exponent is built."""
+    exponent = _EXPONENT.search(s)
     try:
-        return Fraction(s)
+        if exponent and abs(int(exponent[1])) > localfield.DIGIT_LIMIT:
+            raise ValueError(f"exponent beyond {localfield.DIGIT_LIMIT}")
+        x = Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise CliError(f"bad rational {s!r}: {e}")
+    if abs(x.numerator) >= _TOO_LONG or x.denominator >= _TOO_LONG:
+        raise CliError(f"rational {s!r} has more than {localfield.DIGIT_LIMIT} digits")
+    return x
 
 
 def _finite(text):

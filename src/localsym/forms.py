@@ -100,9 +100,11 @@ class FormInvariants:
 
 
 def disc_class(entries, p) -> SquareClass:
-    d = Fraction(1)
+    """The class of the product of int or Fraction entries, formed from the
+    integers num * den, each in its entry's square class."""
+    d = 1
     for e in entries:
-        d *= Fraction(e)
+        d *= e.numerator * e.denominator
     return reduce(d, p)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 Rational = "int | Fraction"
 
@@ -107,16 +107,22 @@ def _num_den(x):
     return x.numerator, x.denominator
 
 
-def _split(num, den, p):
-    """(v, num', den') with num / den = p^v num' / den' and p prime to both."""
+def _split(n, p):
+    """(v, u) with the nonzero integer n = p^v u and p prime to u."""
     v = 0
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, num, den
+    return v, n
+
+
+def _class_int(x):
+    """A nonzero integer in the square class of the rational x: num / den
+    and num * den differ by the square den^2."""
+    num, den = _num_den(x)
+    if num == 0:
+        raise LocalFieldError("0 has no square class")
+    return num * den
 
 
 def valuation(x, p) -> int:
@@ -125,7 +131,7 @@ def valuation(x, p) -> int:
     num, den = _num_den(x)
     if num == 0:
         raise LocalFieldError("valuation of 0")
-    return _split(num, den, p)[0]
+    return _split(num, p)[0] - _split(den, p)[0]
 
 
 @dataclass(frozen=True)
@@ -162,7 +168,7 @@ class SquareClass:
             u = 1 if p.legendre(self.unit * other.unit) == 1 else p.nonresidue
         else:
             u = self.unit * other.unit % 8
-        return SquareClass(p, (self.val + other.val) % 2, u)
+        return _square_class(p.p, (self.val + other.val) % 2, u)
 
     @property
     def is_trivial(self):
@@ -184,21 +190,23 @@ class SquareClass:
         return f"SquareClass({self.rep} @ {self.prime.p})"
 
 
+@lru_cache(maxsize=1024)
+def _square_class(p, val, unit):
+    # one validated instance per class, shared by every caller
+    return SquareClass(_prime(p), val, unit)
+
+
 def reduce(x, p) -> SquareClass:
     """Canonicalize a nonzero rational into Qp*/Qp*^2."""
     p = _as_prime(p)
-    num, den = _num_den(x)
-    if num == 0:
-        raise LocalFieldError("0 has no square class")
-    v, num, den = _split(num, den, p.p)
-    # num / den and num * den differ by the square den^2, and den is a
-    # unit, so the unit class is that of num * den: its Legendre symbol for
-    # odd p, its residue mod 8 for p = 2 (den is odd, so den^2 = 1 mod 8)
+    v, u = _split(_class_int(x), p.p)
+    # the unit class of u: its Legendre symbol for odd p, its residue mod 8
+    # for p = 2
     if p.odd:
-        unit = 1 if p.legendre(num * den) == 1 else p.nonresidue
+        unit = 1 if p.legendre(u) == 1 else p.nonresidue
     else:
-        unit = num * den % 8
-    return SquareClass(p, v % 2, unit)
+        unit = u % 8
+    return _square_class(p.p, v % 2, unit)
 
 
 def square_classes(p):
@@ -206,7 +214,7 @@ def square_classes(p):
     p = _as_prime(p)
     units = (1, p.nonresidue) if p.odd else (1, 3, 5, 7)
     return tuple(
-        SquareClass(p, v, u) for v in (0, 1) for u in units
+        _square_class(p.p, v, u) for v in (0, 1) for u in units
     )
 
 
@@ -214,29 +222,39 @@ def square_class_reps(p):
     return tuple(c.rep for c in square_classes(p))
 
 
+def _symbol(alpha, u, beta, v, p) -> int:
+    """(p^alpha u, p^beta v)_p for integers u, v prime to p (Serre, A Course
+    in Arithmetic, ch. III, Thm 1)."""
+    if p == 2:
+        # eps(u) = 1 iff u = 3 mod 4, omega(u) = 1 iff u = 3, 5 mod 8
+        e = (u % 4 == 3) * (v % 4 == 3) + alpha * (v % 8 in (3, 5)) + beta * (u % 8 in (3, 5))
+    else:
+        e = alpha * beta * (p - 1) // 2
+        if beta % 2 and pow(u, (p - 1) // 2, p) != 1:
+            e += 1
+        if alpha % 2 and pow(v, (p - 1) // 2, p) != 1:
+            e += 1
+    return -1 if e % 2 else 1
+
+
+def _hilbert_int(a, b, p) -> int:
+    """(a, b)_p for nonzero integers a, b and a prime p."""
+    alpha, u = _split(a, p)
+    beta, v = _split(b, p)
+    return _symbol(alpha, u, beta, v, p)
+
+
 def hilbert(a: SquareClass, b: SquareClass) -> int:
     """Quadratic Hilbert symbol (a,b)_p by the closed formulas."""
     if a.prime != b.prime:
         raise LocalFieldError("mismatched primes")
-    p = a.prime
-    alpha, beta = a.val, b.val
-    u, w = a.unit, b.unit
-    if p.odd:
-        e = alpha * beta * ((p.p - 1) // 2)
-        s = (-1) ** e
-        if beta:
-            s *= p.legendre(u)
-        if alpha:
-            s *= p.legendre(w)
-        return s
-    eps_u, eps_w = (u - 1) // 2 % 2, (w - 1) // 2 % 2
-    om_u, om_w = (u * u - 1) // 8 % 2, (w * w - 1) // 8 % 2
-    return (-1) ** (eps_u * eps_w + alpha * om_w + beta * om_u)
+    return _symbol(a.val, a.unit, b.val, b.unit, a.prime.p)
 
 
 def hilbert_rational(a, b, p) -> int:
-    p = _as_prime(p)
-    return hilbert(reduce(a, p), reduce(b, p))
+    """(a, b)_p for nonzero rationals, from integers in their square classes."""
+    p = _as_prime(p).p
+    return _hilbert_int(_class_int(a), _class_int(b), p)
 
 
 def least_non_norm(a, p) -> int:
@@ -419,6 +437,10 @@ class ReciprocityReport:
 
 
 TRIAL_LIMIT = 10**6
+# the most decimal digits of a numerator or denominator read from text:
+# Python's own int-string limit, so that 10^k spelled out and spelled "1ek"
+# are refused alike
+DIGIT_LIMIT = 4300
 
 
 def _factorize(n) -> list:
@@ -464,16 +486,14 @@ def reciprocity_check(a, b) -> ReciprocityReport:
     Only places dividing 2ab and the real place can contribute a sign.  A
     failing product signals an implementation bug in the symbol formulas.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
+    (an, ad), (bn, bd) = _num_den(a), _num_den(b)
+    if an == 0 or bn == 0:
         raise LocalFieldError("zero input")
     support = {2}
-    for x in (a, b):
-        support.update(q for q, _ in _factorize(x.numerator))
-        support.update(q for q, _ in _factorize(x.denominator))
-    symbols = [(p, hilbert_rational(a, b, p)) for p in sorted(support)]
+    for n in (an, ad, bn, bd):
+        support.update(q for q, _ in _factorize(n))
+    a, b = an * ad, bn * bd
+    symbols = [(p, _hilbert_int(a, b, p)) for p in sorted(support)]
     symbols.append(("inf", hilbert_real(a, b)))
-    prod = 1
-    for _, s in symbols:
-        prod *= s
-    return ReciprocityReport(prod == 1, prod, tuple(symbols))
+    product = prod(s for _, s in symbols)
+    return ReciprocityReport(product == 1, product, tuple(symbols))

@@ -258,10 +258,9 @@ class Bq:
 
     def apply(self, which: str):
         """Apply an involution by name: 'sigma', 'tau' or 'sigma_tau'."""
-        try:
-            return getattr(self, which)()
-        except AttributeError:
+        if which not in ("sigma", "tau", "sigma_tau"):
             raise NumFieldError(f"unknown involution {which!r}")
+        return getattr(self, which)()
 
     def norm_to_E(self):
         """Norm to the subfield fixed by tau."""

@@ -264,6 +264,36 @@ def test_unfactorable_input_is_refused_in_bounded_time(args):
     assert elapsed < 2.0, f"refusal took {elapsed:.2f}s"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["hilbert", "-a", "1e300000", "-b", "3", "-p", "5"],
+        ["form-invariants", "--case", "orthogonal", "--p", "5", "--entries", '["1e300000", 3]'],
+        ["hilbert", "-a", "1" + "0" * 4300, "-b", "3", "-p", "5"],
+        ["hilbert", "-a", "1e4300", "-b", "3", "-p", "5"],
+        ["hilbert", "-a", "3", "-b", "1e-300000", "-p", "5"],
+    ],
+    ids=["exponent", "entries", "spelled-out", "exponent-4301-digits", "denominator"],
+)
+def test_huge_rational_is_refused_in_bounded_time(args):
+    # 10^4300 has 4301 digits; 10^300000 once took 87 s in the p-adic split
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "localsym.cli", *args], capture_output=True, text=True, timeout=30
+    )
+    elapsed = time.perf_counter() - start
+    assert out.returncode == 2, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    assert elapsed < 2.0, f"refusal took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("a", ["1e4299", "9" * 4300, "2e-4300"])
+def test_rational_of_4300_digits_is_accepted(a, capsys):
+    code, env = run_cli(["hilbert", "-a", a, "-b", "3", "-p", "5"], capsys)
+    assert code == 0 and env["payload"]["symbol"] in (1, -1)
+
+
 @pytest.mark.parametrize("script", sorted(__import__("pathlib").Path(__file__).parent.parent.joinpath("demos").glob("*.py")))
 def test_demo_scripts_run(script):
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=180)

@@ -100,6 +100,16 @@ def test_hilbert90_elements():
         recover_hilbert90(F.element(2), "tau")
 
 
+@pytest.mark.parametrize("name", ["inverse", "norm_to_E", "coeffs"])
+def test_apply_refuses_names_that_are_not_involutions(name):
+    # each is a method of Bq, so a lookup by attribute name alone would run it
+    x = F.element(2)
+    with pytest.raises(NumFieldError):
+        x.apply(name)
+    with pytest.raises(NumFieldError):
+        recover_hilbert90(x, name)
+
+
 def test_matrix_basics():
     rng = random.Random(8)
     m = Mat(F, [[rand_elem(F, rng) for _ in range(3)] for _ in range(3)])

@@ -16,7 +16,9 @@ from localsym.localfield import (
     Prime,
     SquareClass,
     hilbert,
+    hilbert_oracle,
     hilbert_rational,
+    reciprocity_check,
     reduce,
     valuation,
 )
@@ -77,6 +79,65 @@ def test_square_classes_match_fraction_reference(a, b, p, kind):
     assert valuation(x, p.p) == ref_valuation(a, p.p)
     assert reduce(x, p) == ref_reduce(a, p)
     assert hilbert_rational(x, y, p) == hilbert(ref_reduce(a, p), ref_reduce(b, p))
+
+
+def ref_hilbert(a: SquareClass, b: SquareClass) -> int:
+    """The former closed formula on two classes."""
+    p = a.prime
+    alpha, beta = a.val, b.val
+    u, w = a.unit, b.unit
+    if p.odd:
+        s = (-1) ** (alpha * beta * ((p.p - 1) // 2))
+        if beta:
+            s *= p.legendre(u)
+        if alpha:
+            s *= p.legendre(w)
+        return s
+    eps_u, eps_w = (u - 1) // 2 % 2, (w - 1) // 2 % 2
+    om_u, om_w = (u * u - 1) // 8 % 2, (w * w - 1) // 8 % 2
+    return (-1) ** (eps_u * eps_w + alpha * om_w + beta * om_u)
+
+
+ORACLE_FIT = 10**5  # the largest modulus p^m the brute-force oracle is run at here
+
+
+@st.composite
+def valued(draw, p):
+    """A nonzero rational p^v u with v in -3..3 (zero, odd and even) and u
+    prime to p, an integer about half the time."""
+    def prime_to_p(n):
+        return n if n % p else n + 1
+
+    num = draw(st.integers(-10**4, 10**4).map(prime_to_p))
+    den = draw(st.just(1) | st.integers(1, 10**3).map(prime_to_p))
+    return Fraction(num, den) * Fraction(p) ** draw(st.integers(-3, 3))
+
+
+kinds = st.sampled_from(["int", "Fraction", "str"])
+
+
+@kernel_settings
+@given(data=st.data(), p=st.sampled_from(PRIMES), kind_a=kinds, kind_b=kinds)
+def test_integer_symbols_match_class_formula_and_oracle(data, p, kind_a, kind_b):
+    a, b = data.draw(valued(p.p)), data.draw(valued(p.p))
+    x, y = as_kind(a, kind_a), as_kind(b, kind_b)
+    ca, cb = ref_reduce(a, p), ref_reduce(b, p)
+    got = reduce(x, p)
+    assert got == ca and got.to_json() == ca.to_json()
+    symbol = hilbert_rational(x, y, p)
+    assert symbol == ref_hilbert(ca, cb) == hilbert(ca, cb)
+    # num * den lies in the square class of num / den
+    ia, ib = a.numerator * a.denominator, b.numerator * b.denominator
+    if p.p ** (2 * ref_valuation(4 * ia * ib, p.p) + 3) <= ORACLE_FIT:
+        assert symbol == hilbert_oracle(ia, ib, p)
+
+
+def test_reciprocity_factors_numerator_and_denominator_apart():
+    # both are primes; their product 100000980001501 has no factor below the
+    # trial-division bound and is too large to certify as a prime
+    report = reciprocity_check(Fraction(10000019, 10000079), 3)
+    assert report.ok
+    assert [pl for pl, _ in report.symbols] == [2, 3, 10000019, 10000079, "inf"]
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0), "0", "0/5"])
