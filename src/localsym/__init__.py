@@ -2,7 +2,6 @@
 symmetric-space orbits and distinction criteria for classical pairs."""
 
 from .localfield import (
-    KleinExtension,
     LocalFieldError,
     Prime,
     QuadExtension,
@@ -27,7 +26,6 @@ from .symspace import (
     classify_x,
     gamma_index_data,
     orbit_count_X,
-    same_G0_orbit,
 )
 from .weyl import (
     Composition,

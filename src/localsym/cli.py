@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import os
-import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,32 +29,13 @@ def _emit(command, payload):
                      sort_keys=True, separators=(",", ":")))
 
 
-_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*$", re.IGNORECASE)
-_TOO_LONG = 10**localfield.DIGIT_LIMIT
-
-
-def _fraction(s):
-    """A rational read from text.  A numerator or denominator of more than
-    DIGIT_LIMIT decimal digits is malformed input, and so is an exponent
-    beyond that many places, refused before 10^exponent is built."""
-    exponent = _EXPONENT.search(s)
-    try:
-        if exponent and abs(int(exponent[1])) > localfield.DIGIT_LIMIT:
-            raise ValueError(f"exponent beyond {localfield.DIGIT_LIMIT}")
-        x = Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise CliError(f"bad rational {s!r}: {e}")
-    if abs(x.numerator) >= _TOO_LONG or x.denominator >= _TOO_LONG:
-        raise CliError(f"rational {s!r} has more than {localfield.DIGIT_LIMIT} digits")
-    return x
-
-
 def _finite(text):
-    """A JSON float or constant (NaN, Infinity, -Infinity) that is finite."""
-    x = float(text)
-    if not math.isfinite(x):
+    """A JSON number with a fraction or an exponent, or a constant (NaN,
+    Infinity, -Infinity): refused unless finite as a float, then read as
+    written, so that 0.1 is 1/10."""
+    if not math.isfinite(float(text)):
         raise CliError(f"number out of range: {text}")
-    return x
+    return localfield.rational(text)
 
 
 _DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
@@ -96,14 +76,9 @@ def _gram_arg(s):
     return gram
 
 
-def _entries_arg(s):
-    """--entries as a list of rationals."""
-    return [_fraction(str(e)) for e in _json_list(s, "--entries")]
-
-
 def cmd_hilbert(args):
     p = localfield.Prime(args.p)
-    sym = localfield.hilbert_rational(_fraction(args.a), _fraction(args.b), p)
+    sym = localfield.hilbert_rational(args.a, args.b, p)
     _emit("hilbert", {"symbol": sym})
 
 
@@ -114,7 +89,7 @@ def cmd_form_invariants(args):
     if args.gram:
         form, _ = forms.diagonalize(_gram_arg(args.gram), p, case, ext)
     else:
-        form = forms.DiagForm(case, p, tuple(_entries_arg(args.entries)), ext=ext)
+        form = forms.DiagForm(case, p, _json_list(args.entries, "--entries"), ext=ext)
     _emit("form-invariants", forms.invariants(form).to_json())
 
 
@@ -129,7 +104,7 @@ def cmd_orbit_count(args):
         if args.disc is not None:
             if args.p is None:
                 raise CliError("--disc needs --p")
-            disc = localfield.reduce(_fraction(args.disc), localfield.Prime(args.p))
+            disc = localfield.reduce(args.disc, localfield.Prime(args.p))
         count = forms.orbit_count(case, args.n, disc)
     _emit("orbit-count", {"count": count})
 
@@ -168,8 +143,8 @@ def cmd_cone(args):
     w = weyl.SignedInvolution.from_json(_json_arg(args.w, "--w"))
     conv = invgraph.Convention(wall_double=args.wall_double)
     theta = invgraph.ThetaAction.from_involution(w)
-    lam = [_fraction(str(x)) for x in _json_list(args.lam, "--lambda")]
-    inside = invgraph.cone_contains(theta, lam, _fraction(args.c), conv)
+    lam = _json_list(args.lam, "--lambda")
+    inside = invgraph.cone_contains(theta, lam, args.c, conv)
     _emit("cone", {"contains": inside})
 
 

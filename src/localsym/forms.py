@@ -18,6 +18,7 @@ from .localfield import (
     eta,
     hilbert,
     hilbert_rational,
+    rational,
     reduce,
 )
 from . import numfield
@@ -50,7 +51,7 @@ class DiagForm:
     symplectic_rank: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
+        object.__setattr__(self, "entries", tuple(map(rational, self.entries)))
         if any(e == 0 for e in self.entries):
             raise FormsError("zero diagonal entry")
         if self.case is Case.SYMPLECTIC:
@@ -267,12 +268,12 @@ def is_anisotropic(entries, p) -> bool:
     standard rank-by-rank criteria."""
     p = p if isinstance(p, Prime) else Prime(p)
     n = len(entries)
-    if any(Fraction(e) == 0 for e in entries):
+    if any(e == 0 for e in entries):
         raise FormsError("zero diagonal entry")
     if n == 0 or n == 1:
         return True
     if n == 2:
-        return not reduce(-Fraction(entries[0]) * Fraction(entries[1]), p).is_trivial
+        return not reduce(-entries[0] * entries[1], p).is_trivial
     d = disc_class(entries, p)
     h = hasse_invariant(entries, p)
     if n == 3:
@@ -289,5 +290,5 @@ def is_anisotropic_hermitian(entries, ext: QuadExtension) -> bool:
     if n <= 1:
         return True
     if n == 2:
-        return eta(ext, -Fraction(entries[0]) * Fraction(entries[1])) == -1
+        return eta(ext, -entries[0] * entries[1]) == -1
     return False

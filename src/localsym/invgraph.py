@@ -18,6 +18,7 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
+from .localfield import rational
 from .weyl import Composition, SignedInvolution, SignedPerm
 
 
@@ -26,11 +27,6 @@ class InvGraphError(ValueError):
 
 
 _HALF = Fraction(1, 2)
-
-
-def _exact(x):
-    """x as an int or a Fraction; Fraction(x) runs only for other types."""
-    return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ class ThetaAction:
         return tuple(vec[r] * s for s, r in zip(self.signs, self.rho))
 
     def anti_invariant_part(self, vec):
-        vec = tuple(_exact(x) for x in vec)
+        vec = tuple(map(rational, vec))
         return tuple(_HALF * (v - t) for v, t in zip(vec, self.apply(vec)))
 
 
@@ -109,7 +105,7 @@ def _wall_rows(theta: ThetaAction, conv: Convention):
 
 def _integer_point(lam):
     """(n, d) with lam = n / d, n integers and d the lcm of the denominators."""
-    lam = [_exact(x) for x in lam]
+    lam = [rational(x) for x in lam]
     dens = [x.denominator for x in lam]
     d = lcm(*dens)
     return tuple(x.numerator * (d // e) for x, e in zip(lam, dens)), d
@@ -178,9 +174,8 @@ def theta_on_root(theta: ThetaAction, alpha):
 def coroot_pairing(lam, alpha) -> Fraction:
     """<lam, alpha^vee> in the standard normalization: alpha^vee is
     2 alpha / (alpha, alpha)."""
-    num = sum(Fraction(l) * a for l, a in zip(lam, alpha))
-    den = sum(Fraction(a) * a for a in alpha)
-    return 2 * num / den
+    num = sum(rational(l) * a for l, a in zip(lam, alpha))
+    return Fraction(2 * num, sum(a * a for a in alpha))
 
 
 @lru_cache(maxsize=None)
@@ -280,12 +275,13 @@ def cone_contains(theta: ThetaAction, lam, c, conv: Convention) -> bool:
     """Membership in the open cone: lam anti-invariant under theta and
     <lam, alpha^vee> > c for every positive root made negative by theta.
     Decided on the integer numerators of lam over its common denominator."""
+    c = rational(c)
     num, d = _integer_point(lam)
     if len(num) != theta.k:
         raise InvGraphError("dimension mismatch")
     if theta.apply(num) != tuple(-x for x in num):
         return False
-    return _above_walls(num, d, _exact(c), _wall_rows(theta, conv))
+    return _above_walls(num, d, c, _wall_rows(theta, conv))
 
 
 def cone_recursion_holds(v: Vertex, idx: int, lam, c, conv: Convention) -> bool:
@@ -299,6 +295,6 @@ def cone_recursion_holds(v: Vertex, idx: int, lam, c, conv: Convention) -> bool:
     lhs = cone_contains(theta, lam, c, conv)
     moved = s_alpha_on_vector(v.comp.k, idx, lam)
     rhs = cone_contains(theta1, moved, c, conv) and _above_walls(
-        *_integer_point(lam), _exact(c), (_wall_row(alpha),)
+        *_integer_point(lam), rational(c), (_wall_row(alpha),)
     )
     return lhs == rhs

@@ -8,12 +8,11 @@ these finite groups, so all computations here are exact and finite.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, prod
-
-Rational = "int | Fraction"
 
 _ORACLE_MODULUS_CAP = 50_000_000
 
@@ -97,13 +96,45 @@ def _prime(p) -> Prime:
     return Prime(p)
 
 
+# the most decimal digits of a numerator or denominator read from text:
+# Python's own int-string limit, so that 10^k spelled out and spelled "1ek"
+# are refused alike
+DIGIT_LIMIT = 4300
+_TOO_LONG = 10**DIGIT_LIMIT
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*$", re.IGNORECASE)
+
+
+def rational(x):
+    """x as an int or a Fraction: the one reader of rationals given from
+    outside, such as the strings "-3/4" and "1e-5".  An int or a Fraction
+    comes back unchanged; anything else is read by Fraction.  A bool, a zero
+    denominator, and a numerator or denominator of more than DIGIT_LIMIT
+    digits are refused with TypeError or ValueError; an exponent beyond
+    DIGIT_LIMIT places is refused before 10^exponent is built."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, bool):
+        raise TypeError("a bool is not a rational")
+    if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        if exponent and abs(int(exponent[1])) > DIGIT_LIMIT:
+            raise ValueError(f"exponent of {x!r} beyond {DIGIT_LIMIT} places")
+    try:
+        q = Fraction(x)
+    except (ZeroDivisionError, OverflowError) as e:
+        raise ValueError(f"bad rational {x!r}: {e}") from None
+    if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
+        raise ValueError(f"rational with more than {DIGIT_LIMIT} digits")
+    return q
+
+
 def _num_den(x):
-    """Numerator and positive denominator of an int, Fraction or string
-    such as "-3/4", read without building a Fraction where possible."""
-    if isinstance(x, int):
+    """Numerator and positive denominator of a rational, read without
+    building a Fraction for an int."""
+    if type(x) is int:
         return x, 1
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
+    if type(x) is not Fraction:
+        x = rational(x)
     return x.numerator, x.denominator
 
 
@@ -304,7 +335,7 @@ def non_norm_value(m, d, p):
       mod 64 against every class d (repeated in the tests) finds a working
       x < 4 with v_2(t) <= 3."""
     p = _as_prime(p)
-    m = Fraction(m)
+    m = rational(m)
     if m == 0:
         raise LocalFieldError("the norm form x^2 + m y^2 needs m != 0")
     if reduce(d, p).is_trivial or reduce(-m, p) == reduce(d, p):
@@ -396,33 +427,6 @@ def eta(ext: QuadExtension, a) -> int:
 
 
 @dataclass(frozen=True)
-class KleinExtension:
-    """A biquadratic extension of Qp, given by two independent nontrivial
-    square classes.  Its three quadratic subextensions have pairwise
-    distinct norm groups."""
-
-    base: Prime
-    d1: SquareClass
-    d2: SquareClass
-
-    def __post_init__(self):
-        if self.d1.prime != self.base or self.d2.prime != self.base:
-            raise LocalFieldError("classes live over the wrong prime")
-        if self.d1.is_trivial or self.d2.is_trivial:
-            raise LocalFieldError("both classes must be non-squares")
-        if (self.d1 * self.d2).is_trivial:
-            raise LocalFieldError("classes must be independent")
-
-    @property
-    def subextensions(self):
-        return (
-            QuadExtension(self.base, self.d1),
-            QuadExtension(self.base, self.d2),
-            QuadExtension(self.base, self.d1 * self.d2),
-        )
-
-
-@dataclass(frozen=True)
 class ReciprocityReport:
     ok: bool
     product: int
@@ -437,10 +441,6 @@ class ReciprocityReport:
 
 
 TRIAL_LIMIT = 10**6
-# the most decimal digits of a numerator or denominator read from text:
-# Python's own int-string limit, so that 10^k spelled out and spelled "1ek"
-# are refused alike
-DIGIT_LIMIT = 4300
 
 
 def _factorize(n) -> list:

@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
 
-from .localfield import squarefree_part
+from .localfield import rational, squarefree_part
 
 
 class NumFieldError(ValueError):
@@ -117,7 +117,7 @@ class Bq:
         """coeffs: four ints, Fractions or strings such as "-3/4"."""
         if len(coeffs) != 4:
             raise NumFieldError("need 4 coefficients")
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        cs = [rational(c) for c in coeffs]
         if field.is_quadratic and (cs[2] or cs[3]):
             raise NumFieldError("quadratic model has no sqrt(b) component")
         den = lcm(*(c.denominator for c in cs))
@@ -340,7 +340,7 @@ def int_rows(rows):
     or strings such as "-3/4") as lists of integer numerators over one
     positive common denominator, in lowest terms.  Rows are read one by one,
     so a ragged input comes back ragged."""
-    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r] for r in rows]
+    rows = [[rational(x) for x in r] for r in rows]
     den = lcm(*(x.denominator for r in rows for x in r))
     return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
 
@@ -366,10 +366,9 @@ class RatMat:
     """A rational matrix as integer rows over one positive common
     denominator, in lowest terms, so equal matrices compare and hash equal.
 
-    Products, the transpose, the determinant (Bareiss elimination) and the
-    inverse (fraction-free Gauss-Jordan) run on the integer numerators;
-    `fractions` gives the entries as Fractions.  Treat instances as
-    immutable.
+    Products, the transpose and the determinant (Bareiss elimination) run
+    on the integer numerators; `fractions` gives the entries as Fractions.
+    Treat instances as immutable.
     """
 
     __slots__ = ("rows", "den")
@@ -418,15 +417,12 @@ class RatMat:
         d = self.den
         return [[Fraction(x, d) for x in r] for r in self.rows]
 
-    def _square(self):
-        if self.n != self.m:
-            raise NumFieldError("not a square matrix")
-        return self.n
-
     def det(self) -> Fraction:
         """Bareiss elimination: every quotient below is exact, since each
         entry is a minor of the integer matrix."""
-        n = self._square()
+        n = self.n
+        if n != self.m:
+            raise NumFieldError("not a square matrix")
         a = [list(r) for r in self.rows]
         sign, prev = 1, 1
         for k in range(n - 1):
@@ -446,29 +442,6 @@ class RatMat:
             prev = pk
         d = a[n - 1][n - 1] if n else 1
         return Fraction(sign * d, self.den ** n)
-
-    def inv(self):
-        """Fraction-free Gauss-Jordan on [A | I]: after the last pivot the
-        left block is d I and the right block R satisfies R A = d I, with
-        every quotient exact as in `det`."""
-        n = self._square()
-        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
-        prev = 1
-        for k in range(n):
-            piv = next((i for i in range(k, n) if aug[i][k]), None)
-            if piv is None:
-                raise NumFieldError("singular matrix")
-            aug[k], aug[piv] = aug[piv], aug[k]
-            rk = aug[k]
-            pk = rk[k]
-            for i in range(n):
-                if i != k:
-                    f = aug[i][k]
-                    aug[i] = [(pk * x - f * y) // prev for x, y in zip(aug[i], rk)]
-            prev = pk
-        # (A / den)^-1 = den R / d
-        den = self.den
-        return _ratmat([[den * x for x in r[n:]] for r in aug], prev)
 
 
 class Mat:

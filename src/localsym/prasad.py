@@ -18,7 +18,7 @@ from operator import mul
 
 from . import localfield
 from .forms import congruent_diagonal, is_anisotropic, split_gram
-from .localfield import QuadExtension, SquareClass, hilbert_rational, reduce
+from .localfield import QuadExtension, SquareClass, hilbert_rational, rational, reduce
 from .numfield import Bq, Mat, NumFieldError, RatMat, conj_transpose, recover_hilbert90
 
 
@@ -53,7 +53,7 @@ class GroupDescriptor:
     so_kernel: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "so_kernel", tuple(Fraction(e) for e in self.so_kernel))
+        object.__setattr__(self, "so_kernel", tuple(map(rational, self.so_kernel)))
         if self.m < 1:
             raise PrasadError("size must be positive")
         if self.family is Family.SP and self.m % 2:
@@ -83,9 +83,9 @@ class GroupDescriptor:
     @classmethod
     def from_json(cls, d):
         fam = Family(d["family"])
-        kernel = tuple(Fraction(e) for e in d.get("kernel", []))
+        kernel = d.get("kernel", ())
         if fam is Family.SO and "kernel" not in d:
-            kernel = (Fraction(1),) if d["m"] % 2 else ()
+            kernel = (1,) if d["m"] % 2 else ()
         return cls(fam, d["m"], d.get("k"), kernel)
 
 
@@ -175,12 +175,15 @@ def _isometry_data(g, gram):
 
 @lru_cache(maxsize=64)
 def _frame(gram: RatMat):
-    """The diagonal frame of a gram, fixed by its entries: the diagonal as
-    integer numerators over one denominator, the change of basis P and P^-1."""
+    """The diagonal frame of a gram, fixed by its entries: the diagonal D as
+    integer numerators over one denominator, the change of basis P and
+    P^-1 = D^-1 tP G, as tP G P = D."""
     entries, pmat = congruent_diagonal(gram.fractions())
     diag = RatMat.of([entries])
     pmat = RatMat.of(pmat)
-    return diag.rows[0], diag.den, pmat, pmat.inv()
+    m = len(entries)
+    d_inv = RatMat.of([[1 / e if i == j else 0 for j in range(m)] for i, e in enumerate(entries)])
+    return diag.rows[0], diag.den, pmat, d_inv * pmat.T * gram
 
 
 def _reflections(g: RatMat, gram: RatMat):

@@ -31,6 +31,7 @@ from .localfield import (
     SquareClass,
     hilbert_rational,
     non_norm_value,
+    rational,
     reduce,
 )
 from .numfield import (
@@ -102,7 +103,7 @@ class ClassicalPair:
     field: BiquadField
 
     def __post_init__(self):
-        object.__setattr__(self, "j_entries", tuple(Fraction(e) for e in self.j_entries))
+        object.__setattr__(self, "j_entries", tuple(map(rational, self.j_entries)))
         p = self.prime
         if self.n < 0 or self.N == 0:
             raise SymspaceError("need n >= 0 and a nonempty form (n0 + 2n >= 1)")
@@ -168,7 +169,7 @@ class ClassicalPair:
     def from_json(cls, d):
         field = BiquadField(d["a"], d.get("b"))
         return cls(
-            Case(d["case"]), d["n0"], tuple(Fraction(e) for e in d["j"]),
+            Case(d["case"]), d["n0"], d["j"],
             d["n"], Prime(d["p"]), field,
         )
 
@@ -270,13 +271,6 @@ def classify_x(x: Mat, z: Mat, pair):
     else:
         raise SymspaceError("discriminant outside the two admissible classes")
     return OrthogonalOrbit(component, disc, hasse)
-
-
-def same_G0_orbit(i1, i2) -> bool:
-    """Equality of complete orbit invariants (pairs must match)."""
-    if type(i1) is not type(i2):
-        raise SymspaceError("mixed invariant kinds")
-    return i1 == i2
 
 
 @lru_cache(maxsize=None)

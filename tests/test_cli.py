@@ -272,11 +272,18 @@ def test_unfactorable_input_is_refused_in_bounded_time(args):
         ["hilbert", "-a", "1" + "0" * 4300, "-b", "3", "-p", "5"],
         ["hilbert", "-a", "1e4300", "-b", "3", "-p", "5"],
         ["hilbert", "-a", "3", "-b", "1e-300000", "-p", "5"],
+        ["form-invariants", "--case", "orthogonal", "--p", "5", "--gram", '[["1e300000", 0], [0, 3]]'],
+        ["orbit-count", "--pair", json.dumps(
+            {"case": "orthogonal", "n0": 1, "j": ["1e300000"], "n": 1, "p": 3, "a": 2})],
+        ["prasad-char", "--group", '{"family": "U", "m": 2, "k": 3}', "--ext", '{"d": "1e300000", "p": 5}'],
+        ["spinor-norm", "--matrix", '[["1e300000", 0], [0, "1e-300000"]]'],
     ],
-    ids=["exponent", "entries", "spelled-out", "exponent-4301-digits", "denominator"],
+    ids=["exponent", "entries", "spelled-out", "exponent-4301-digits", "denominator",
+         "gram", "pair-j", "ext-d", "spinor-matrix"],
 )
-def test_huge_rational_is_refused_in_bounded_time(args):
+def test_huge_rational_is_refused_in_bounded_time(args, tmp_path):
     # 10^4300 has 4301 digits; 10^300000 once took 87 s in the p-adic split
+    args = _matrix_to_file(args, tmp_path)
     start = time.perf_counter()
     out = subprocess.run(
         [sys.executable, "-m", "localsym.cli", *args], capture_output=True, text=True, timeout=30
@@ -286,6 +293,26 @@ def test_huge_rational_is_refused_in_bounded_time(args):
     lines = out.stdout.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
     assert elapsed < 2.0, f"refusal took {elapsed:.2f}s"
+
+
+def _matrix_to_file(args, folder):
+    """args with the text after --matrix written to a file and replaced by
+    its path: spinor-norm reads its matrix from a file."""
+    if "--matrix" not in args:
+        return args
+    i = args.index("--matrix") + 1
+    path = folder / "matrix.json"
+    path.write_text(args[i])
+    return [*args[:i], str(path), *args[i + 1:]]
+
+
+def test_json_decimal_is_read_as_written(capsys):
+    # 0.1 as a JSON number is 1/10, not the binary double nearest to it
+    spellings = [["--gram", "[[0.1, 0], [0, 1]]"], ["--entries", "[0.1, 1]"],
+                 ["--gram", '[["1/10", 0], [0, 1]]']]
+    payloads = [run_cli(["form-invariants", "--p", "5", *s], capsys)[1]["payload"] for s in spellings]
+    assert payloads[0] == payloads[1] == payloads[2]
+    assert payloads[0]["disc"] == {"p": 5, "val": 1, "unit": 2}
 
 
 @pytest.mark.parametrize("a", ["1e4299", "9" * 4300, "2e-4300"])
@@ -401,7 +428,13 @@ _FUZZ_DATA = {"labels": ["pi1", "pi2"], "conj_dual": [[1, 2]], "linear_dist": [1
                             "partial": {"p": 3, "val": 0, "unit": 1}}]}
 _FUZZ_TARGET = {"case": "orthogonal", "component": "SX", "hasse": 1,
                 "partial": {"p": 3, "val": 0, "unit": 1}}
+_FUZZ_GROUPS = ({"family": "SO", "m": 3, "kernel": ["2"]}, {"family": "U", "m": 2, "k": 3})
+_FUZZ_EXT = {"d": -1, "p": 3}
+# diag(3, 1/3) preserves the antidiagonal gram, the default one
+_FUZZ_MATRICES = ({"matrix": [["3", 0], [0, "1/3"]], "gram": [[0, 1], [1, 0]]},
+                  [["3", 0], [0, "1/3"]])
 _FUZZ_KEYS = sorted(set(_FUZZ_PAIR) | set(_FUZZ_COMP) | set(_FUZZ_DATA) | set(_FUZZ_TARGET)
+                    | set(_FUZZ_GROUPS[0]) | set(_FUZZ_GROUPS[1]) | set(_FUZZ_EXT) | set(_FUZZ_MATRICES[0])
                     | {"gamma_bit", "sign", "val", "unit", "rho", "c"})
 
 # small integers only: a large rank or block size is a large matrix, which is
@@ -451,7 +484,7 @@ def _text(draw, base):
 
 _NOT_JSON = ["", "{", "[1,", "nan", "NaN", "[Infinity]", "-Infinity", "1e999", "[-1e999]",
              '"\\ud800"', "1" * 5000, "[" * 5000 + "]" * 5000, '{"a":' * 5000 + "1" + "}" * 5000]
-_FUZZ_FLAGS = ("--pair", "--comp", "--data", "--target", "--gram", "--entries")
+_FUZZ_FLAGS = ("--pair", "--comp", "--data", "--target", "--gram", "--entries", "--group", "--ext", "--matrix")
 
 
 @settings(max_examples=200, derandomize=True, deadline=timedelta(seconds=5), suppress_health_check=[HealthCheck.too_slow])
@@ -462,6 +495,16 @@ def test_cli_fuzz_one_json_line_and_exit_code(tmp_path_factory, data):
         base = [[1, 0], [0, "-1/2"]] if flag == "--gram" else ["1", "-1/2", 3]
         argv = ["form-invariants", "--case", data.draw(st.sampled_from(["orthogonal", "unitary"])),
                 "--p", "3", "--ext-d", "-1", f"{flag}={_text(data.draw, base)}"]
+    elif flag in ("--group", "--ext"):
+        docs = {"--group": data.draw(st.sampled_from(_FUZZ_GROUPS)), "--ext": _FUZZ_EXT}
+        argv = ["prasad-char", *(f"{name}={_text(data.draw, doc) if name == flag else json.dumps(doc)}"
+                                 for name, doc in docs.items())]
+        if data.draw(st.booleans()):
+            argv.append("--opposition")
+    elif flag == "--matrix":
+        path = tmp_path_factory.mktemp("fuzz") / "matrix.json"
+        path.write_text(_text(data.draw, data.draw(st.sampled_from(_FUZZ_MATRICES))))
+        argv = ["spinor-norm", f"--matrix={path}", "--p", "3"]
     elif data.draw(st.booleans()) or flag in ("--data", "--target"):
         # distinguish reads its four arguments from files
         docs = {"--pair": _FUZZ_PAIR, "--comp": _FUZZ_COMP, "--data": _FUZZ_DATA, "--target": _FUZZ_TARGET}
@@ -505,6 +548,18 @@ def _assert_one_json_line(argv):
     json.dumps(dict(_FUZZ_PAIR, j=[float("inf")])),  # was an OverflowError traceback
     json.dumps(_FUZZ_PAIR).replace('"1"', "1e999"),  # an overflowing float is infinite too
     json.dumps(dict(_FUZZ_PAIR, a=float("nan"))),
+    json.dumps(dict(_FUZZ_PAIR, j=["1/0"])),  # was a ZeroDivisionError traceback
 ])
 def test_cli_nonfinite_and_deep_json_is_malformed(pair):
     assert _assert_one_json_line(["orbit-count", f"--pair={pair}"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["form-invariants", "--p", "5", "--gram", '[["1/0", 0], [0, 3]]'],
+    ["prasad-char", "--group", '{"family": "U", "m": 2, "k": 3}', "--ext", '{"d": "1/0", "p": 5}'],
+    ["prasad-char", "--group", '{"family": "SO", "m": 3, "kernel": ["1/0"]}', "--ext", '{"d": -1, "p": 5}'],
+    ["spinor-norm", "--matrix", '[["1/0", 0], [0, 1]]'],
+], ids=["gram", "ext-d", "group-kernel", "spinor-matrix"])
+def test_cli_zero_denominator_is_malformed(args, tmp_path):
+    # each was a ZeroDivisionError traceback with no JSON line
+    assert _assert_one_json_line(_matrix_to_file(args, tmp_path)) == 2

@@ -29,7 +29,7 @@ from localsym.localfield import (
     square_class_reps,
     valuation,
 )
-from localsym.numfield import Bq, Mat, NumFieldError, RatMat
+from localsym.numfield import BiquadField, Bq, Mat, NumFieldError, RatMat
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -50,13 +50,14 @@ def det_image_witness(f: DiagForm, a, change_of_basis=None):
             raise FormsError("orthogonal determinants are +-1")
         if change_of_basis is None:
             return [[Fraction(a if i == 0 else 1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        g = RatMat.of(change_of_basis)
-        d = RatMat.of([[a if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+        # rational matrices, inverted over a quadratic model
+        g = Mat.from_rational(BiquadField(-1), change_of_basis)
+        d = Mat.diagonal(g.field, [a] + [1] * (n - 1))
         try:
             gi = g.inv()
         except NumFieldError as e:
             raise FormsError(str(e))
-        return (g * d * gi).fractions()
+        return [[e.rational for e in r] for r in (g * d * gi).rows]
     if not isinstance(a, Bq):
         raise FormsError("unitary determinant target must be a field element")
     if not (a * a.sigma_tau() - 1).is_zero and not (a * a.tau() - 1).is_zero:
@@ -239,8 +240,6 @@ def test_det_image_witness_identity_and_unitary():
     f = DiagForm(Case.ORTHOGONAL, P3, (1, 5))
     h = det_image_witness(f, 1)
     assert h == [[1, 0], [0, 1]]
-    from localsym.numfield import BiquadField
-
     E = BiquadField(-1)
     a = (E.element(1) + E.sqrt_a) / (E.element(1) - E.sqrt_a)  # norm one
     uf = DiagForm(Case.UNITARY, P3, (1,), ext=QuadExtension.of(-1, P3))
@@ -328,7 +327,7 @@ def test_symplectic_equivalence_rank_only():
 
 
 def test_det_image_witness_unitary_with_basis():
-    from localsym.numfield import BiquadField, Mat, conj_transpose
+    from localsym.numfield import conj_transpose
 
     E = BiquadField(-1)
     a = (E.element(1) + E.sqrt_a) / (E.element(1) - E.sqrt_a)

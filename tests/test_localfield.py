@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from localsym.localfield import (
-    KleinExtension,
     LocalFieldError,
     Prime,
     QuadExtension,
@@ -19,6 +18,7 @@ from localsym.localfield import (
     is_prime,
     least_non_norm,
     non_norm_value,
+    rational,
     reciprocity_check,
     reduce,
     square_class_reps,
@@ -136,14 +136,17 @@ def test_quad_extension_validation():
         QuadExtension.of(4, P3)
 
 
-def test_klein_extension():
-    K = KleinExtension(P3, reduce(-1, P3), reduce(3, P3))
-    norms = []
-    for ext in K.subextensions:
-        norms.append(frozenset(c for c in square_classes(P3) if eta(ext, c) == 1))
-    assert len(set(norms)) == 3
-    with pytest.raises(LocalFieldError):
-        KleinExtension(P3, reduce(-1, P3), reduce(-1, P3))
+def test_rational_reads_text_and_refuses_malformed_values():
+    q = Fraction(3, 4)
+    assert rational(q) is q and type(rational(7)) is int
+    assert rational("-3/4") == Fraction(-3, 4) and rational("0.1") == Fraction(1, 10)
+    assert rational("2e-4300") == Fraction(2, 10**4300)
+    for bad in ("1/0", "1e300000", "1e4300", "x", float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            rational(bad)
+    for bad in (True, None, [1]):
+        with pytest.raises(TypeError):
+            rational(bad)
 
 
 def test_reciprocity_minus_one():

@@ -38,7 +38,8 @@ def mat_mul(a, b):
 
 def gl_star_rat(h, m):
     w = w_gram(m)
-    return mat_mul(mat_mul(w, RatMat.of(h).T.inv().fractions()), w)
+    inv = Mat.from_rational(BiquadField(-1), h).T.inv()
+    return mat_mul(mat_mul(w, [[e.rational for e in r] for r in inv.rows]), w)
 
 
 def siegel(h):

@@ -33,7 +33,6 @@ from localsym.symspace import (
     minus_one_gamma_certificate,
     orbit_count_X,
     realizable_targets,
-    same_G0_orbit,
     z_orbit_representatives,
 )
 from localsym.weyl import gl_star
@@ -260,16 +259,6 @@ def test_orbit_count_full_is_sum():
         assert orbit_count_X(pair, Component.FULL) == orbit_count_X(
             pair, Component.IDENTITY
         ) + orbit_count_X(pair, Component.COMPLEMENT)
-
-
-def test_same_G0_orbit():
-    pair = make_pair(Case.ORTHOGONAL, 1, (1,), 1)
-    t1, t2 = realizable_targets(pair)
-    assert same_G0_orbit(t1, t1)
-    assert not same_G0_orbit(t1, t2)
-    assert t1.partial == t2.partial and t1.hasse != t2.hasse
-    with pytest.raises(SymspaceError):
-        same_G0_orbit(t1, SymplecticOrbit())
 
 
 def test_z_orbit_representatives_orthogonal():
