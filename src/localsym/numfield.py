@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .localfield import rational, squarefree_part
 
@@ -297,10 +297,6 @@ class Bq:
     def to_json(self):
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, field, data):
-        return Bq(field, data)
-
     def __repr__(self):
         names = ("", "*ra", "*rb", "*rab")
         parts = [f"{c}{n}" for c, n in zip(self.coeffs, names) if c]
@@ -468,10 +464,6 @@ class Mat:
         return cls(field, [[field.element(x) for x in r] for r in rows])
 
     @classmethod
-    def from_json(cls, field, data):
-        return cls(field, [[Bq.from_json(field, e) for e in r] for r in data])
-
-    @classmethod
     def diagonal(cls, field, entries):
         entries = [e if isinstance(e, Bq) else field.element(e) for e in entries]
         zero = field.zero
@@ -548,10 +540,6 @@ class Mat:
     @property
     def T(self):
         return Mat(self.field, list(zip(*self.rows)) if self.rows else [])
-
-    def map(self, fn: Callable[[Bq], Bq]):
-        """fn on every entry, zero entries included."""
-        return Mat(self.field, [[fn(e) for e in r] for r in self.rows])
 
     def _automorphism(self, fn):
         """An automorphism fn on the nonzero entries; zeros stay the field's zero."""

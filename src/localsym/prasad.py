@@ -53,6 +53,9 @@ class GroupDescriptor:
     so_kernel: tuple = ()
 
     def __post_init__(self):
+        k = () if self.k_gen is None else (self.k_gen,)
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.m, *k)):
+            raise TypeError("m and k must be integers")
         object.__setattr__(self, "so_kernel", tuple(map(rational, self.so_kernel)))
         if self.m < 1:
             raise PrasadError("size must be positive")
@@ -130,12 +133,15 @@ def prasad_character(Y: GroupDescriptor, E: QuadExtension) -> CharacterFormula:
     return CharacterFormula("wsn", Y.m - 1, "EK/K")
 
 
-def opposition_group(Y: GroupDescriptor, e_gen: int) -> GroupDescriptor:
+def opposition_group(Y: GroupDescriptor, e_gen) -> GroupDescriptor:
     """The opposition descriptor relative to E = F(sqrt(e_gen)): general
     linear and unitary-over-E swap, symplectic and special orthogonal are
     their own opposites, and a sideways unitary group moves to the third
-    quadratic subextension."""
-    e_gen = squarefree_part(e_gen)
+    quadratic subextension.  e_gen is any nonzero rational (read as
+    `QuadExtension.of` reads it); E is generated by the squarefree part of
+    its numerator times its denominator."""
+    e_gen = rational(e_gen)
+    e_gen = squarefree_part(e_gen.numerator * e_gen.denominator)
     if Y.family is Family.GL:
         return GroupDescriptor(Family.U, Y.m, k_gen=e_gen)
     if Y.family in (Family.SP, Family.SO):

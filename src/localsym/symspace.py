@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 
 from .forms import (
     Case,
@@ -189,49 +190,45 @@ def jn_mat(pair) -> Mat:
 
 
 def det_jn(pair) -> Fraction:
-    d = Fraction(1)
-    for e in pair.j_entries:
-        d *= e
     # det of the split block form is (-eps)^n times the kernel determinant
-    return (-pair.eps) ** pair.n * d
+    return (-pair.eps) ** pair.n * Fraction(prod(pair.j_entries))
+
+
+@lru_cache(maxsize=None)
+def jn_frame(pair):
+    """J diagonalized once per pair: (entries, g0) with g0 rational and
+    t(g0) J g0 = diag(entries).  Needs a symmetric J, so not symplectic."""
+    entries, g0 = congruent_diagonal(split_gram(pair.n, pair.j_entries, pair.eps))
+    return tuple(entries), Mat.from_rational(pair.field, g0)
 
 
 @lru_cache(maxsize=None)
 def jn_invariants(pair):
-    """(disc class, Hasse sign) of the full orthogonal form at p, computed
-    by direct diagonalization of the block matrix."""
+    """(disc class, Hasse sign) of the full orthogonal form at p, read off
+    the diagonal frame of the block matrix."""
     if pair.case is not Case.ORTHOGONAL:
         raise SymspaceError("orthogonal-only invariants")
-    entries, _ = congruent_diagonal(split_gram(pair.n, pair.j_entries, pair.eps))
+    entries, _ = jn_frame(pair)
     return (disc_class(entries, pair.prime), hasse_invariant(entries, pair.prime))
 
 
-def eta0_mat(pair) -> Mat:
-    """The chosen kernel involution: determinant -1 in the orthogonal case,
-    the identity in the unitary case."""
-    field = pair.field
-    if pair.case is Case.UNITARY:
-        return Mat.identity(field, pair.n0)
-    return Mat.diagonal(field, [field.element(-1)] + [field.one] * (pair.n0 - 1))
-
-
 def eta_m_mat(pair, m: int) -> Mat:
-    """The involution eta_m of the inner block of size n0 + 2m: eta0 on the
-    kernel between identity blocks when n0 > 0; in the split orthogonal case
-    the swap of the two middle coordinates (I_0 when m = 0); the identity
-    otherwise."""
+    """The involution eta_m of the inner block of size n0 + 2m.  Orthogonal:
+    diag(-1, 1, ..., 1) on the kernel between identity blocks when n0 > 0
+    (determinant -1), else the swap of the two middle coordinates (I_0 when
+    m = 0).  The identity otherwise."""
     field = pair.field
     size = pair.n0 + 2 * m
+    if pair.case is not Case.ORTHOGONAL:
+        return Mat.identity(field, size)
     if pair.n0 > 0:
-        return Mat.block_diag(field, [Mat.identity(field, m), eta0_mat(pair), Mat.identity(field, m)])
-    if pair.case is Case.ORTHOGONAL:
-        if m == 0:
-            return Mat.identity(field, 0)
-        return Mat.block_diag(
-            field,
-            [Mat.identity(field, m - 1), Mat.antidiag_ones(field, 2), Mat.identity(field, m - 1)],
-        )
-    return Mat.identity(field, size)
+        return Mat.diagonal(field, [field.one] * m + [field.element(-1)] + [field.one] * (size - m - 1))
+    if m == 0:
+        return Mat.identity(field, 0)
+    return Mat.block_diag(
+        field,
+        [Mat.identity(field, m - 1), Mat.antidiag_ones(field, 2), Mat.identity(field, m - 1)],
+    )
 
 
 def classify_x(x: Mat, z: Mat, pair):
@@ -376,12 +373,6 @@ def gamma_bit(pair, gamma: Bq) -> int:
 # Representatives of the inner-block orbits
 
 
-def _diag_frame(pair):
-    """Rational congruence frame: entries D and g0 with t(g0) J g0 = D."""
-    entries, p = congruent_diagonal(split_gram(pair.n, pair.j_entries, pair.eps))
-    return entries, Mat.from_rational(pair.field, p)
-
-
 def _block_coords(entries, p):
     """Two frame coordinates for the 2x2 block: a hyperbolic pair (entries
     alpha, beta with -alpha beta a square at p) where the frame has one, else
@@ -393,10 +384,11 @@ def _block_coords(entries, p):
 
 
 def _orth_candidates(pair, entries, component):
-    """Closed-form frame twists for one component: pairs (diagonal of
-    t(z_d) D z_d, z_d).  A twist puts sqrt(a) on coordinates T (det x =
-    (-1)^|T|).  The block [[u, -s beta v], [v, s alpha u]] on a frame pair
-    (alpha, beta), d = alpha beta, with u = x and v = alpha y w turns it into
+    """Closed-form frame twists for one component: triples (predicted
+    invariant, diagonal of t(z_d) D z_d, z_d).  A twist puts sqrt(a) on
+    coordinates T (det x = (-1)^|T|).  The block
+    [[u, -s beta v], [v, s alpha u]] on a frame pair (alpha, beta),
+    d = alpha beta, with u = x and v = alpha y w turns it into
     (g, s^2 d g), g = alpha (x^2 + m y^2), with det x = s / sigma(s): for
     s = 1, w = sqrt(a), m = a d it flips the Hasse sign of the untwisted pair,
     for s = w = sqrt(a), m = d that of the pair twisted at j, whenever
@@ -406,6 +398,7 @@ def _orth_candidates(pair, entries, component):
     compared with differ, and in the identity component the s = sqrt(a)
     block plus a twist at k differs from the twist at {j, k}."""
     field, p, a = pair.field, pair.prime, pair.field.a
+    comp = int(component is Component.COMPLEMENT)
     N = len(entries)
     i, j = _block_coords(entries, p) if N > 1 else (0, 0)
     k = next((t for t in range(N) if t not in (i, j)), None)
@@ -431,62 +424,58 @@ def _orth_candidates(pair, entries, component):
             sv, w = (field.one, ra) if s == 1 else (ra, field.one)
             u, v = field.element(xy[0]), field.element(alpha * xy[1]) * w
             rows[i][i], rows[i][j], rows[j][i], rows[j][j] = u, -sv * beta * v, v, sv * alpha * u
-        yield new, Mat(field, rows)
+        yield OrthogonalOrbit(comp, disc_class(new, p), hasse_invariant(new, p)), new, Mat(field, rows)
 
 
-def _z_reps_orthogonal(pair, component: Component):
-    entries, g0 = _diag_frame(pair)
-    p = pair.prime
-    want = set(component_orbits(pair, component))
-    comp = 0 if component is Component.IDENTITY else 1
-    found = {}
-    for new_entries, z_d in _orth_candidates(pair, entries, component):
-        inv = OrthogonalOrbit(comp, disc_class(new_entries, p), hasse_invariant(new_entries, p))
-        if inv in found:
-            continue
-        z = g0 * z_d * g0.inv()
-        x = z * z.sigma().inv()
-        if classify_x(x, z, pair) != inv:
-            raise SymspaceError("closed-form candidate disagrees with exact classification")
-        found[inv] = (x, z)
-        if found.keys() == want:
-            return tuple((i, x, z) for i, (x, z) in found.items())
-    raise SymspaceError(f"the closed forms gave {len(found)} of {len(want)} representatives for {component}")
-
-
-def _z_reps_unitary(pair):
-    """The identity, and diag(c, 1, ..., 1) in the frame with c = x + y sqrt(ab):
+def _unitary_candidates(pair, entries):
+    """The identity, and diag(c, 1, ..., 1) with c = x + y sqrt(ab):
     c tau(c) = x^2 - ab y^2 is rational, and it lies outside the norms from
     Qp(sqrt b), which moves the determinant class to the other coset."""
     field = pair.field
-    entries, g0 = _diag_frame(pair)
-    N = pair.N
-    i_n = Mat.identity(field, N)
-    x, y = non_norm_value(-field.a * field.b, field.b, pair.prime)
-    z = g0 * Mat.diagonal(field, [field.element(x, 0, 0, y)] + [field.one] * (N - 1)) * g0.inv()
-    x_mat = z * z.sigma().inv()
-    inv = classify_x(x_mat, z, pair)
-    if inv != UnitaryOrbit(1):
-        raise SymspaceError("nontrivial-coset candidate classifies as the trivial orbit")
-    return ((UnitaryOrbit(0), i_n, i_n), (inv, x_mat, z))
+    N = len(entries)
+    yield UnitaryOrbit(0), entries, Mat.identity(field, N)
+    ab = field.a * field.b
+    x, y = non_norm_value(-ab, field.b, pair.prime)
+    new = ((x * x - ab * y * y) * entries[0],) + entries[1:]
+    yield UnitaryOrbit(1), new, Mat.diagonal(field, [field.element(x, 0, 0, y)] + [field.one] * (N - 1))
 
 
 @lru_cache(maxsize=None)
 def z_orbit_representatives(pair, component: Component = Component.IDENTITY):
     """Triples (invariant, x, z) with x in the symmetric space of the pair,
     one per orbit of the requested component, and z a splitting with
-    x = z sigma(z)^{-1}.  The identity component always starts with x = I."""
+    x = z sigma(z)^{-1}.  The identity component always starts with x = I.
+
+    Each candidate of the diagonal frame t(g0) J g0 = D is a triple: its
+    predicted invariant, the rational diagonal y of t(z_d)^tau D z_d, and
+    z_d.  With z = g0 z_d, t(z)^tau J z = y, so z^{-1} = y^{-1} t(z)^tau J
+    and x = z sigma(z)^{-1} = z y^{-1} t(sigma(z))^tau J: no inverse is
+    formed, and `classify_x` certifies every candidate (a wrong y would
+    fail its split check)."""
     field = pair.field
-    N = pair.N
     if pair.case is Case.SYMPLECTIC:
         if component is not Component.IDENTITY:
             raise SymspaceError("symplectic space is connected")
-        i_n = Mat.identity(field, N)
+        i_n = Mat.identity(field, pair.N)
         return ((SymplecticOrbit(), i_n, i_n),)
+    if pair.case is Case.UNITARY and component is not Component.IDENTITY:
+        raise SymspaceError("unitary group is connected")
+    want = set(component_orbits(pair, component))  # refuses FULL: "pick a component"
+    entries, g0 = jn_frame(pair)
     if pair.case is Case.UNITARY:
-        if component is not Component.IDENTITY:
-            raise SymspaceError("unitary group is connected")
-        return _z_reps_unitary(pair)
-    if component is Component.FULL:
-        raise SymspaceError("pick a component")
-    return _z_reps_orthogonal(pair, component)
+        candidates = _unitary_candidates(pair, entries)
+    else:
+        candidates = _orth_candidates(pair, entries, component)
+    found = {}
+    for inv, y, z_d in candidates:
+        if inv in found:
+            continue
+        z = g0 * z_d
+        y_inv = Mat.diagonal(field, [1 / Fraction(e) for e in y])
+        x = z * y_inv * conj_transpose(z.sigma(), "tau") * jn_mat(pair)
+        if classify_x(x, z, pair) != inv:
+            raise SymspaceError("closed-form candidate disagrees with exact classification")
+        found[inv] = (x, z)
+        if found.keys() == want:
+            return tuple((i, x, z) for i, (x, z) in found.items())
+    raise SymspaceError(f"the closed forms gave {len(found)} of {len(want)} representatives for {component}")

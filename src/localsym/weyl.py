@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .forms import Case
 from .localfield import hilbert_rational, least_non_norm, non_norm_value, reduce
@@ -298,7 +299,9 @@ def iota(pair, comp: Composition, blocks, h: Mat) -> Mat:
     return Mat.block_diag(field, mats)
 
 
-def _check_comp(comp: Composition, pair):
+def _check_comp(comp: Composition, w: SignedInvolution, pair):
+    """Refuse a composition that does not fit the pair, or an involution
+    that does not fit the composition."""
     if comp.n != pair.n:
         raise WeylError("composition does not sum to the pair rank")
     if pair.split_even_orthogonal:
@@ -311,6 +314,8 @@ def _check_comp(comp: Composition, pair):
             raise WeylError("sign is only meaningful for r = 0 with n_k != 1")
     elif comp.split_even_sign is not None:
         raise WeylError("sign is a split even orthogonal notion")
+    if not w.compatible(comp):
+        raise WeylError("involution incompatible with the composition")
 
 
 def _signed_perm(comp, w, pair):
@@ -357,9 +362,7 @@ def build_tw(comp: Composition, w: SignedInvolution, pair) -> Mat:
     """The representative t_w = t_rho t_c, kappa-conjugated when the
     composition carries the -1 sign: a signed permutation off the inner
     block and eta_r^{o(c)} on it."""
-    _check_comp(comp, pair)
-    if not w.compatible(comp):
-        raise WeylError("involution incompatible with the composition")
+    _check_comp(comp, w, pair)
     field = pair.field
     inner = eta_m_mat(pair, comp.r) if w.o(comp) % 2 else Mat.identity(field, pair.n0 + 2 * comp.r)
     outer = Mat.identity(field, comp.n - comp.r)
@@ -419,9 +422,7 @@ def build_xw(comp: Composition, w: SignedInvolution, y_bits, z_inv, pair):
     y_bits maps each index of I(w) to the orbit bit of the hermitian block;
     z_inv selects the inner-block orbit, which must be admissible for the
     sign parity of w."""
-    _check_comp(comp, pair)
-    if not w.compatible(comp):
-        raise WeylError("involution incompatible with the composition")
+    _check_comp(comp, w, pair)
     iw = sorted(w.fixed_in_c)
     if set(y_bits) != set(iw):
         raise WeylError("y_bits must be indexed exactly by I(w)")
@@ -475,10 +476,7 @@ def predicted_orbit_invariant(comp, w, y_bits, z_inv, pair):
     for i in iw:
         if y_bits[i]:
             det_y *= u_star_rational(pair)
-    det_kernel = Fraction(1)
-    for e in pair.j_entries:
-        det_kernel *= e
-    two_detj = Fraction(2) * (det_kernel if pair.n0 > 0 else 1)
+    two_detj = Fraction(2) * prod(pair.j_entries)
     arg = Fraction((-1) ** (comp.r * o_c + nw * (nw - 1) // 2)) * two_detj ** o_c * det_y
     transfer = hilbert_rational(arg, a, p)
     sub = pair.sub_pair(comp.r)
@@ -492,9 +490,7 @@ def predicted_orbit_invariant(comp, w, y_bits, z_inv, pair):
 
 def admissible_orbit_count(comp: Composition, w: SignedInvolution, pair) -> int:
     """2^|I(w)| times the number of admissible inner orbits."""
-    _check_comp(comp, pair)
-    if not w.compatible(comp):
-        raise WeylError("involution incompatible with the composition")
+    _check_comp(comp, w, pair)
     return 2 ** len(w.fixed_in_c) * len(inner_orbit_invariants(comp, w, pair))
 
 

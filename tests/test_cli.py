@@ -183,6 +183,31 @@ def test_prasad_char(capsys):
     assert payload["opposition"]["family"] == "SO"
 
 
+@pytest.mark.parametrize("d", ['"5"', '"5/4"', '"20"', "5"])
+def test_prasad_opposition_reads_d_as_a_rational(d, capsys):
+    # --opposition reads d as the extension does; a text d was a TypeError (exit 2)
+    code, env = run_cli(
+        ["prasad-char", "--group", '{"family":"GL","m":2}', "--ext", f'{{"d":{d},"p":3}}', "--opposition"],
+        capsys,
+    )
+    assert code == 0
+    assert env["payload"]["opposition"] == {"family": "U", "m": 2, "k": 5}
+
+
+@pytest.mark.parametrize("group", [
+    '{"family":"GL","m":true}',  # was read as m = 1, exit 0
+    '{"family":"GL","m":2.5}',  # was a JSON serialization error
+    '{"family":"SO","m":3.0}',
+    '{"family":"U","m":2,"k":true}',
+    '{"family":"U","m":2,"k":3.0}',
+    '{"family":"U","m":2,"k":"3"}',
+])
+def test_prasad_group_sizes_must_be_integers(group, capsys):
+    code, env = run_cli(["prasad-char", "--group", group, "--ext", '{"d":5,"p":3}'], capsys)
+    assert code == 2
+    assert env == {"error": "malformed input: m and k must be integers"}
+
+
 def test_spinor_norm_file(tmp_path, capsys):
     f = tmp_path / "mat.json"
     f.write_text(json.dumps({"matrix": [["3", 0], [0, "1/3"]]}))

@@ -12,7 +12,9 @@ the pairs below cover every local model of their shape:
 For each pair, each composition of the small grid, each involution, each
 bit vector over I(w) and each admissible inner orbit, the representative
 goes through build_xw -> recover_hilbert90_matrix -> classify_x and must
-land in the orbit that `predicted_orbit_invariant` names.  Tier-1 runs
+land in the orbit that `predicted_orbit_invariant` names.  The pass runs
+with `Mat.inv` made to raise, after the representative cache is cleared,
+so it also pins that this path forms no matrix inverse.  Tier-1 runs
 p = 3; with LOCALSYM_FULL_SWEEP=1 set it also runs p = 2, 5, 7 and 13.
 """
 
@@ -24,8 +26,8 @@ import pytest
 from localsym import weyl
 from localsym.forms import Case
 from localsym.localfield import Prime
-from localsym.numfield import BiquadField, recover_hilbert90_matrix
-from localsym.symspace import ClassicalPair, SymspaceError, classify_x
+from localsym.numfield import BiquadField, Mat, recover_hilbert90_matrix
+from localsym.symspace import ClassicalPair, SymspaceError, classify_x, z_orbit_representatives
 
 from test_distinction import small_grid
 
@@ -78,8 +80,14 @@ def certify(pair, comp, w, y_bits, z_inv):
     return classify_x(x, recover_hilbert90_matrix(x), pair) == predicted
 
 
+def _no_inverse(self):
+    raise AssertionError("Mat.inv called while building or certifying a representative")
+
+
 @pytest.mark.parametrize("p", PRIMES)
-def test_every_representative_certifies(p):
+def test_every_representative_certifies(p, monkeypatch):
+    z_orbit_representatives.cache_clear()
+    monkeypatch.setattr(Mat, "inv", _no_inverse)
     certified, failed = 0, []
     for case in Case:
         for pair in local_models(p, case):
