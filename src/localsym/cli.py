@@ -68,6 +68,17 @@ def _json_list(s, what):
     return value
 
 
+# Bounds on what a command builds, so that it runs in bounded time: 8
+# one-blocks have 32400 signed involutions, and t_w of a pair is N x N.
+MAX_BLOCKS = 8
+MAX_MATRIX_SIZE = 64
+
+
+def _bound(size, limit, what):
+    if size > limit:
+        raise CliError(f"{what} is {size}; at most {limit} is supported")
+
+
 def _gram_arg(s):
     """--gram as a square list of rows, its shape checked here once."""
     gram = _json_list(s, "--gram")
@@ -110,15 +121,19 @@ def cmd_orbit_count(args):
 
 
 def cmd_involutions(args):
-    comp = weyl.Composition(tuple(_json_list(args.parts, "--parts")), args.r)
+    parts = _json_list(args.parts, "--parts")
+    _bound(len(parts), MAX_BLOCKS, "the block count of --parts")
+    comp = weyl.Composition(tuple(parts), args.r)
     ws = weyl.enumerate_involutions(comp, circ=args.circ)
     _emit("involutions", {"count": len(ws), "involutions": [w.to_json() for w in ws]})
 
 
 def cmd_build_tw(args):
     pair = symspace.ClassicalPair.from_json(_json_arg(args.pair, "--pair"))
+    _bound(pair.N, MAX_MATRIX_SIZE, "the matrix size N of --pair")
     comp = weyl.Composition.from_json(_json_arg(args.comp, "--comp"))
     w = weyl.SignedInvolution.from_json(_json_arg(args.w, "--w"))
+    _bound(max(comp.k, w.k), MAX_BLOCKS, "the block count of --comp or --w")
     t = weyl.build_tw(comp, w, pair)
     _emit("build-tw", {"matrix": t.to_json()})
 
@@ -126,6 +141,7 @@ def cmd_build_tw(args):
 def cmd_descend(args):
     comp = weyl.Composition.from_json(_json_arg(args.comp, "--comp"))
     w = weyl.SignedInvolution.from_json(_json_arg(args.w, "--w"))
+    _bound(max(comp.k, w.k), MAX_BLOCKS, "the block count of --comp or --w")
     conv = invgraph.Convention(wall_double=args.wall_double)
     vertex = invgraph.Vertex(comp, w)
     path, terminal = invgraph.descend(vertex, conv)
@@ -141,6 +157,7 @@ def cmd_descend(args):
 
 def cmd_cone(args):
     w = weyl.SignedInvolution.from_json(_json_arg(args.w, "--w"))
+    _bound(w.k, MAX_BLOCKS, "the block count of --w")
     conv = invgraph.Convention(wall_double=args.wall_double)
     theta = invgraph.ThetaAction.from_involution(w)
     lam = _json_list(args.lam, "--lambda")
@@ -150,7 +167,9 @@ def cmd_cone(args):
 
 def cmd_distinguish(args):
     pair = symspace.ClassicalPair.from_json(_json_file(args.pair, "--pair"))
+    _bound(pair.N, MAX_MATRIX_SIZE, "the matrix size N of --pair")
     comp = weyl.Composition.from_json(_json_file(args.comp, "--comp"))
+    _bound(comp.k, MAX_BLOCKS, "the block count of --comp")
     data = distinction.CuspidalDatum.from_json(_json_file(args.data, "--data"))
     target = distinction.orbit_from_json(_json_file(args.target, "--target"))
     verdict = distinction.decide(pair, comp, data, target)

@@ -115,7 +115,7 @@ class CuspidalDatum:
         }
 
     @classmethod
-    def from_json(cls, d, pair=None):
+    def from_json(cls, d):
         return cls.build(
             d["labels"],
             [tuple(i - 1 for i in rel) for rel in d.get("conj_dual", [])],
@@ -267,13 +267,14 @@ def necessary_condition(data: CuspidalDatum, w: SignedInvolution) -> bool:
 @dataclass(frozen=True)
 class GlBlocks:
     """A palindromic product pi_1 x ... x pi_k x Pi_0 x dual(pi_k) x ... x
-    dual(pi_1) with relation and flag data on the pi_i and on Pi_0.
+    dual(pi_1) with relation and flag data on the pi_i and on Pi_0.  The
+    positions follow from k: pi_i at i, the center (when center_size > 0)
+    at k and dual(pi_i) at L - 1 - i, where L = 2k + (1 with a center).
 
     chi_dist maps a character tag ("trivial" or "eta") to the flagged
     indices; center_chi_dist lists the tags for which the center block is
     distinguished."""
 
-    blocks: tuple
     sizes: tuple
     center_size: int = 0
     conj_dual: frozenset = frozenset()
@@ -285,14 +286,11 @@ class GlBlocks:
     @classmethod
     def build(cls, k, sizes, center_size=0, conj_dual=(), sigma_tau=(), chi_dist=(),
               unitary_dist=(), center_chi_dist=()):
-        blocks = tuple(
-            [("pi", i) for i in range(k)]
-            + ([("center", None)] if center_size else [])
-            + [("dual", i) for i in reversed(range(k))]
-        )
+        sizes = tuple(sizes)
+        if k != len(sizes):
+            raise DistinctionError("malformed palindrome")
         return cls(
-            blocks,
-            tuple(sizes),
+            sizes,
             center_size,
             _pairs(conj_dual),
             _pairs(sigma_tau),
@@ -311,16 +309,6 @@ class GlBlocks:
                 return idx
         return frozenset()
 
-    def validate(self):
-        k = self.k
-        expected = (
-            [("pi", i) for i in range(k)]
-            + ([("center", None)] if self.center_size else [])
-            + [("dual", i) for i in reversed(range(k))]
-        )
-        if list(self.blocks) != expected:
-            raise DistinctionError("malformed palindrome")
-
 
 def gl_product_check(blocks: GlBlocks, chi: str = "trivial"):
     """Decide the twisted distinction of the palindromic product by pairing
@@ -331,17 +319,11 @@ def gl_product_check(blocks: GlBlocks, chi: str = "trivial"):
     units by block positions."""
     if chi not in ("trivial", "eta"):
         raise DistinctionError("chi must be 'trivial' or 'eta'")
-    blocks.validate()
     k = blocks.k
     if blocks.center_size and chi not in blocks.center_chi_dist:
         return False, None, None
-    pos_pi = {i: p for p, (kind, i) in enumerate(blocks.blocks) if kind == "pi"}
-    pos_dual = {i: p for p, (kind, i) in enumerate(blocks.blocks) if kind == "dual"}
-    pos_center = next((p for p, (kind, _) in enumerate(blocks.blocks) if kind == "center"), None)
+    last = 2 * k - 1 + (1 if blocks.center_size else 0)  # dual(pi_i) sits at last - i
     flags = blocks.chi_flags(chi)
-    if k == 0:
-        units = [{"type": "closed", "blocks": [pos_center]}] if pos_center is not None else []
-        return True, units, ((), frozenset())
     for w in enumerate_involutions(Composition(blocks.sizes, 0)):
         if check_rows(w, blocks.sigma_tau, blocks.unitary_dist, blocks.conj_dual, flags):
             continue
@@ -350,17 +332,17 @@ def gl_product_check(blocks: GlBlocks, chi: str = "trivial"):
         for i in range(k):
             j = rho[i]
             if j == i and i not in c:
-                units.append({"type": "closed", "blocks": [pos_pi[i]]})
-                units.append({"type": "closed", "blocks": [pos_dual[i]]})
+                units.append({"type": "closed", "blocks": [i]})
+                units.append({"type": "closed", "blocks": [last - i]})
             elif j == i:
-                units.append({"type": "open", "blocks": [pos_pi[i], pos_dual[i]]})
+                units.append({"type": "open", "blocks": [i, last - i]})
             elif i < j and i not in c:
-                units.append({"type": "open", "blocks": [pos_pi[i], pos_pi[j]]})
-                units.append({"type": "open", "blocks": [pos_dual[i], pos_dual[j]]})
+                units.append({"type": "open", "blocks": [i, j]})
+                units.append({"type": "open", "blocks": [last - i, last - j]})
             elif i < j:
-                units.append({"type": "open", "blocks": [pos_pi[i], pos_dual[j]]})
-                units.append({"type": "open", "blocks": [pos_pi[j], pos_dual[i]]})
-        if pos_center is not None:
-            units.append({"type": "closed", "blocks": [pos_center]})
+                units.append({"type": "open", "blocks": [i, last - j]})
+                units.append({"type": "open", "blocks": [j, last - i]})
+        if blocks.center_size:
+            units.append({"type": "closed", "blocks": [k]})
         return True, units, (rho, c)
     return False, None, None

@@ -88,7 +88,7 @@ class GroupDescriptor:
         fam = Family(d["family"])
         kernel = d.get("kernel", ())
         if fam is Family.SO and "kernel" not in d:
-            kernel = (1,) if d["m"] % 2 else ()
+            kernel = (1,) if isinstance(d["m"], int) and d["m"] % 2 else ()
         return cls(fam, d["m"], d.get("k"), kernel)
 
 
@@ -264,13 +264,12 @@ def reflection_decomposition(g, gram=None):
 
 def spinor_norm_rational(g, gram=None) -> Fraction:
     """Product of the reflection q-values: a representative of the spinor
-    norm in Q*/Q*^2, returned with squarefree normalization."""
+    norm in Q*/Q*^2, returned with squarefree normalization.  A product of
+    t reflections has det (-1)^t, so an odd t is refused as outside SO."""
     g, gram = _isometry_data(g, gram)
-    if g.det() != 1:
-        raise PrasadError("spinor norm computed on the special orthogonal group")
     (_, dd, _, _), factors = _reflections(g, gram)
     if len(factors) % 2:
-        raise PrasadError("odd reflection count for a determinant-one isometry")
+        raise PrasadError("spinor norm computed on the special orthogonal group")
     prod = Fraction(1)
     for _, v_den, q in factors:
         prod *= Fraction(q, dd * v_den * v_den)

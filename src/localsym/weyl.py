@@ -528,7 +528,7 @@ class StabilizerShape:
         return {"factors": [f.to_json() for f in self.factors]}
 
 
-def stabilizer_shape(comp, w, y_bits, z_inv, pair=None) -> StabilizerShape:
+def stabilizer_shape(comp, w, y_bits, z_inv) -> StabilizerShape:
     """One factor per rho-orbit plus the inner block: paired indices give a
     general linear factor over the big field, fixed indices off the sign set
     one over the sideways-fixed field, fixed indices in the sign set a

@@ -201,6 +201,8 @@ def test_prasad_opposition_reads_d_as_a_rational(d, capsys):
     '{"family":"U","m":2,"k":true}',
     '{"family":"U","m":2,"k":3.0}',
     '{"family":"U","m":2,"k":"3"}',
+    '{"family":"SO","m":"3"}',  # the default kernel read m % 2 first: string formatting
+    '{"family":"SO","m":[3]}',  # and an unsupported operand for a list
 ])
 def test_prasad_group_sizes_must_be_integers(group, capsys):
     code, env = run_cli(["prasad-char", "--group", group, "--ext", '{"d":5,"p":3}'], capsys)
@@ -318,6 +320,46 @@ def test_huge_rational_is_refused_in_bounded_time(args, tmp_path):
     lines = out.stdout.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
     assert elapsed < 2.0, f"refusal took {elapsed:.2f}s"
+
+
+_NINE = [1] * 9
+_W_NINE = json.dumps({"rho": list(range(1, 10))})
+_PAIR_66 = {"case": "symplectic", "n0": 0, "j": [], "n": 33, "p": 3, "a": -1, "b": None}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["involutions", "--parts", json.dumps(_NINE)],
+        ["descend", "--comp", json.dumps({"parts": _NINE, "r": 0}), "--w", _W_NINE],
+        ["cone", "--w", _W_NINE, "--lambda", json.dumps(_NINE)],
+        ["build-tw", "--pair", json.dumps(_PAIR_66), "--comp", '{"parts":[33],"r":0}', "--w", '{"rho":[1]}'],
+        ["distinguish", "--pair", _PAIR_66, "--comp", {"parts": [33], "r": 0},
+         "--data", {"labels": ["pi1"]}, "--target", {"case": "symplectic"}],
+        ["distinguish", "--pair", dict(_PAIR_66, n=9), "--comp", {"parts": _NINE, "r": 0},
+         "--data", {"labels": [f"pi{i}" for i in range(9)]}, "--target", {"case": "symplectic"}],
+    ],
+    ids=["involutions-9-blocks", "descend-9-blocks", "cone-9-blocks", "build-tw-N66",
+         "distinguish-N66", "distinguish-9-blocks"],
+)
+def test_sizes_beyond_the_cli_bounds_are_refused_at_once(args, tmp_path):
+    # 9 one-blocks took 8 s and printed 7 MB for involutions; build-tw at N = 1000 took 50 s
+    args = [json.dumps(a) if isinstance(a, dict) else a for a in args]
+    if args[0] == "distinguish":
+        for i in range(2, len(args), 2):
+            path = tmp_path / f"{args[i - 1][2:]}.json"
+            path.write_text(args[i])
+            args[i] = str(path)
+    start = time.perf_counter()
+    assert _assert_one_json_line(args) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_matrix_size_64_is_within_the_cli_bound(capsys):
+    pair = dict(_PAIR_66, n=32)
+    code, env = run_cli(["build-tw", "--pair", json.dumps(pair), "--comp", '{"parts":[32],"r":0}',
+                         "--w", '{"rho":[1]}'], capsys)
+    assert code == 0 and len(env["payload"]["matrix"]) == 64
 
 
 def _matrix_to_file(args, folder):

@@ -319,10 +319,21 @@ def test_gl_product_check_swap_relations():
 
 
 def test_gl_product_malformed():
-    blocks = GlBlocks.build(2, (1, 1), 0)
-    object.__setattr__(blocks, "blocks", blocks.blocks[::-1])
-    with pytest.raises(DistinctionError):
-        gl_product_check(blocks, "trivial")
+    # k is the number of sizes; any other k does not describe a palindrome
+    with pytest.raises(DistinctionError, match="malformed palindrome"):
+        gl_product_check(GlBlocks.build(3, (1, 1), 0))
+
+
+@pytest.mark.parametrize("center_size, expected_units", [
+    (0, []),
+    (2, [{"type": "closed", "blocks": [0]}]),
+])
+def test_gl_product_check_without_blocks(center_size, expected_units):
+    # k = 0: the only involution is the rank-0 identity, which passes every row
+    blocks = GlBlocks.build(0, (), center_size, center_chi_dist=["trivial"])
+    assert gl_product_check(blocks, "trivial") == (True, expected_units, ((), frozenset()))
+    if center_size:
+        assert gl_product_check(blocks, "eta") == (False, None, None)
 
 
 def test_datum_json_roundtrip():

@@ -143,11 +143,11 @@ def test_reflection_count_even_and_exact():
 
 
 def test_spinor_norm_rejects():
-    with pytest.raises(PrasadError):
-        spinor_norm_rational([[2, 0], [0, 1]], w_gram(2))  # not an isometry
+    with pytest.raises(PrasadError, match="does not preserve the form"):
+        spinor_norm_rational([[2, 0], [0, 1]], w_gram(2))  # not an isometry (det 2)
     refl = reflection_matrix(w_gram(2), [Fraction(1), Fraction(1)])
-    with pytest.raises(PrasadError):
-        spinor_norm_rational(refl, w_gram(2))  # det -1
+    with pytest.raises(PrasadError, match="special orthogonal group"):
+        spinor_norm_rational(refl, w_gram(2))  # det -1: one reflection
 
 
 def test_wsn_basic():
