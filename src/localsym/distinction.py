@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .symspace import (
     OrthogonalOrbit,
@@ -23,6 +24,7 @@ from .weyl import (
     SignedInvolution,
     enumerate_involutions,
     inner_orbit_invariants,
+    involution_tags,
     predicted_orbit_invariant,
 )
 
@@ -203,12 +205,27 @@ def check_rows(w, sigma_tau, hermitian, conj_dual, linear):
     return None
 
 
+@lru_cache(maxsize=None)
+def _row_reason(fail):
+    """The log text of a `check_rows` failure (reason code, indices)."""
+    code, idx = fail
+    return "rows: " + ROW_PROSE[code].format(*idx)
+
+
 def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
     """Search for a witness (w, {y_i bits}, inner orbit) passing the five
     condition rows and the case arithmetic for the requested orbit.
 
     Enumeration order is deterministic: involutions by (|c|, rho, c), then
-    hermitian bits in increasing binary order, then inner orbits."""
+    hermitian bits in increasing binary order, then inner orbits.
+
+    Each failure-log line is 'w=<tag>: <reason>', the tag being the Python
+    repr (not JSON) of w.to_json(), 1-based.  The reason is 'rows: ' plus
+    the ROW_PROSE of the failing row, 'inner orbit <orbit> not flagged for
+    pi0', or 'bits <bits> with inner orbit <orbit> lands in another orbit'.
+    Each involution's tag is formatted once per process, when a search
+    first reaches it (`weyl.involution_tags`), and each row reason once per
+    (reason code, indices)."""
     data.validate(comp)
     if comp.n != pair.n:
         raise DistinctionError("composition does not match the pair")
@@ -217,12 +234,16 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
     circ = pair.split_even_orthogonal and comp.r == 0
     sub = pair.sub_pair(comp.r)
     hermitian = {i for i, _ in data.unitary_dist}
+    involutions = enumerate_involutions(comp, circ)
+    tags = involution_tags(comp.parts, circ)
     log = []
-    for w in enumerate_involutions(comp, circ):
-        tag = f"w={w.to_json()}"
+    for pos, w in enumerate(involutions):
+        tag = tags[pos]
+        if tag is None:
+            tag = tags[pos] = f"w={w.to_json()}: "
         fail = check_rows(w, data.sigma_tau, hermitian, data.conj_dual, data.linear_dist)
         if fail:
-            log.append(f"{tag}: rows: {ROW_PROSE[fail[0]].format(*fail[1])}")
+            log.append(tag + _row_reason(fail))
             continue
         iw = sorted(w.fixed_in_c)
         bit_ranges = [data.unitary_bits(i) for i in iw]
@@ -231,14 +252,14 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
             y_bits = dict(zip(iw, bits))
             for z_inv in inner:
                 if sub is not None and z_inv not in data.pi0_dist:
-                    log.append(f"{tag}: inner orbit {z_inv.to_json()} not flagged for pi0")
+                    log.append(f"{tag}inner orbit {z_inv.to_json()} not flagged for pi0")
                     continue
                 predicted = predicted_orbit_invariant(comp, w, y_bits, z_inv, pair)
                 if predicted == target:
                     witness = Witness(w, tuple(sorted(y_bits.items())), z_inv)
                     return Verdict(True, witness, tuple(log))
                 log.append(
-                    f"{tag}: bits {bits} with inner orbit {z_inv.to_json()} lands in another orbit"
+                    f"{tag}bits {bits} with inner orbit {z_inv.to_json()} lands in another orbit"
                 )
     return Verdict(False, None, tuple(log))
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import pathlib
@@ -21,8 +22,10 @@ from localsym.distinction import (
     necessary_condition,
 )
 from localsym.forms import Case
-from localsym.numfield import recover_hilbert90_matrix
+from localsym.localfield import Prime
+from localsym.numfield import BiquadField, recover_hilbert90_matrix
 from localsym.symspace import (
+    ClassicalPair,
     Component,
     SymplecticOrbit,
     UnitaryOrbit,
@@ -35,6 +38,7 @@ from localsym.weyl import (
     build_xw,
     enumerate_involutions,
     inner_z_choices,
+    predicted_orbit_invariant,
 )
 
 from conftest import make_pair
@@ -266,6 +270,100 @@ def test_check_rows_reason_codes(rho, c, drop, code, idx, prose):
     emptied = dict(full, **{drop: {0} if drop == "linear" else frozenset()})
     assert check_rows(w, **emptied) == (code, idx)
     assert ROW_PROSE[code].format(*idx) == prose
+
+
+def reference_verdict(pair, comp, data, target):
+    """decide's search with every failure-log line formatted afresh from the
+    involution's to_json and ROW_PROSE: the CLI's log format."""
+    circ = pair.split_even_orthogonal and comp.r == 0
+    sub = pair.sub_pair(comp.r)
+    hermitian = {i for i, _ in data.unitary_dist}
+    log = []
+    for w in enumerate_involutions(comp, circ):
+        fail = check_rows(w, data.sigma_tau, hermitian, data.conj_dual, data.linear_dist)
+        if fail:
+            code, idx = fail
+            log.append(f"w={w.to_json()}: rows: {ROW_PROSE[code].format(*idx)}")
+            continue
+        iw = sorted(w.fixed_in_c)
+        for bits in itertools.product(*(data.unitary_bits(i) for i in iw)):
+            for z_inv in inner_orbit_invariants(comp, w, pair):
+                if sub is not None and z_inv not in data.pi0_dist:
+                    log.append(f"w={w.to_json()}: inner orbit {z_inv.to_json()} not flagged for pi0")
+                    continue
+                if predicted_orbit_invariant(comp, w, dict(zip(iw, bits)), z_inv, pair) == target:
+                    witness = Witness(w, tuple(zip(iw, bits)), z_inv)
+                    return Verdict(True, witness, tuple(log)).to_json()
+                log.append(
+                    f"w={w.to_json()}: bits {bits} with inner orbit {z_inv.to_json()} lands in another orbit"
+                )
+    return Verdict(False, None, tuple(log)).to_json()
+
+
+def log_population():
+    """(pair, comp, datum, target) for every composition of parts 1 and 2
+    with k <= 5: the split even orthogonal pair with r = 0 (the circ list)
+    first, then symplectic, orthogonal and unitary pairs with r = 0 and 1 on
+    the same parts (the full list), each target at densities 0.5 and 0.15,
+    with a random half of the inner orbits flagged for pi0."""
+    rng = random.Random(16)
+    p3, quad, biq = Prime(3), BiquadField(-1), BiquadField(-1, 3)
+    for k in range(1, 6):
+        for parts in itertools.product((1, 2), repeat=k):
+            n = sum(parts)
+            cells = [(ClassicalPair(Case.ORTHOGONAL, 0, (), n, p3, quad),
+                      Composition(parts, 0, None if parts[-1] == 1 else 1))]
+            for r in (0, 1):
+                cells.append((ClassicalPair(Case.SYMPLECTIC, 0, (), n + r, p3, quad), Composition(parts, r)))
+                cells.append((ClassicalPair(Case.ORTHOGONAL, 1, (1,), n + r, p3, quad), Composition(parts, r)))
+                cells.append((ClassicalPair(Case.UNITARY, 0, (), n + r, p3, biq), Composition(parts, r)))
+            for pair, comp in cells:
+                circ = pair.split_even_orthogonal and comp.r == 0
+                inner = []
+                for w in enumerate_involutions(comp, circ):
+                    for inv in inner_orbit_invariants(comp, w, pair):
+                        if inv not in inner:
+                            inner.append(inv)
+                for target in realizable_targets(pair):
+                    for density in (0.5, 0.15):
+                        conj, st, lin, uni = [], [], [], []
+                        for i in range(k):
+                            for j in range(i, k):
+                                if parts[i] == parts[j]:
+                                    if rng.random() < density:
+                                        conj.append((i, j))
+                                    if rng.random() < density:
+                                        st.append((i, j))
+                            if rng.random() < density:
+                                lin.append(i)
+                            for b in (0, 1):
+                                if rng.random() < density:
+                                    uni.append((i, b))
+                        pi0 = [inv for inv in inner if rng.random() < 0.5]
+                        data = CuspidalDatum.build([f"pi{i}" for i in range(k)], conj, st, lin, uni, pi0)
+                        yield pair, comp, data, target
+
+
+# sha256 over the sorted-key JSON payloads of log_population, one per line,
+# computed before the failure-log tags were cached
+LOG_POPULATION_SHA256 = "60e14576640b32c691be627f1d2aef2b0db8010fbdda8a722fc9c70fa514489d"
+
+
+def test_failure_log_byte_for_byte():
+    """decide's whole payload equals the reference renderer's, query by
+    query, and all payloads hash as frozen; all three kinds of log line
+    occur."""
+    digest = hashlib.sha256()
+    kinds = dict.fromkeys(("rows: ", "not flagged for pi0", "lands in another orbit"), 0)
+    for pair, comp, data, target in log_population():
+        payload = decide(pair, comp, data, target).to_json()
+        assert payload == reference_verdict(pair, comp, data, target), (pair.case, comp)
+        digest.update(json.dumps(payload, sort_keys=True).encode() + b"\n")
+        for line in payload["failure_log"]:
+            for kind in kinds:
+                kinds[kind] += kind in line
+    assert all(kinds.values()), kinds
+    assert digest.hexdigest() == LOG_POPULATION_SHA256
 
 
 def test_gl_product_check_closed_orbit():
