@@ -24,7 +24,6 @@ from .weyl import (
     SignedInvolution,
     enumerate_involutions,
     inner_orbit_invariants,
-    involution_tags,
     predicted_orbit_invariant,
 )
 
@@ -206,6 +205,15 @@ def check_rows(w, sigma_tau, hermitian, conj_dual, linear):
 
 
 @lru_cache(maxsize=None)
+def _tags(parts: tuple, circ: bool) -> dict:
+    """The failure-log tags 'w=<w.to_json()>: ' of enumerate_involutions
+    for block sizes `parts`, by position in that list (which depends on
+    nothing else); decide adds each tag when a search first reaches its
+    involution."""
+    return {}
+
+
+@lru_cache(maxsize=None)
 def _row_reason(fail):
     """The log text of a `check_rows` failure (reason code, indices)."""
     code, idx = fail
@@ -224,8 +232,7 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
     the ROW_PROSE of the failing row, 'inner orbit <orbit> not flagged for
     pi0', or 'bits <bits> with inner orbit <orbit> lands in another orbit'.
     Each involution's tag is formatted once per process, when a search
-    first reaches it (`weyl.involution_tags`), and each row reason once per
-    (reason code, indices)."""
+    first reaches it, and each row reason once per (reason code, indices)."""
     data.validate(comp)
     if comp.n != pair.n:
         raise DistinctionError("composition does not match the pair")
@@ -234,11 +241,10 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
     circ = pair.split_even_orthogonal and comp.r == 0
     sub = pair.sub_pair(comp.r)
     hermitian = {i for i, _ in data.unitary_dist}
-    involutions = enumerate_involutions(comp, circ)
-    tags = involution_tags(comp.parts, circ)
+    tags = _tags(comp.parts, circ)
     log = []
-    for pos, w in enumerate(involutions):
-        tag = tags[pos]
+    for pos, w in enumerate(enumerate_involutions(comp, circ)):
+        tag = tags.get(pos)
         if tag is None:
             tag = tags[pos] = f"w={w.to_json()}: "
         fail = check_rows(w, data.sigma_tau, hermitian, data.conj_dual, data.linear_dist)

@@ -440,17 +440,6 @@ class RatMat:
         return Fraction(sign * d, self.den ** n)
 
 
-def _mat(field, rows, m):
-    """The Mat with `rows`, rows of m entries each that the kernel built
-    itself: their lengths are not checked."""
-    x = _new(Mat)
-    x.field = field
-    x.rows = tuple(map(tuple, rows))
-    x.n = len(x.rows)
-    x.m = m
-    return x
-
-
 class Mat:
     """An immutable matrix over a biquadratic field."""
 
@@ -492,7 +481,7 @@ class Mat:
                 for j in range(b.m):
                     rows[off + i][off + j] = b.rows[i][j]
             off += b.n
-        return _mat(field, rows, n)
+        return cls(field, rows)
 
     @classmethod
     def antidiag_ones(cls, field, n):
@@ -513,7 +502,7 @@ class Mat:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Bq)):
             s = other if isinstance(other, Bq) else self.field.element(other)
-            return _mat(self.field, [[e * s for e in r] for r in self.rows], self.m)
+            return Mat(self.field, [[e * s for e in r] for r in self.rows])
         if not isinstance(other, Mat):
             return NotImplemented
         if self.m != other.n:
@@ -530,7 +519,7 @@ class Mat:
                         acc = row[j]
                         row[j] = e * f if acc is zero else acc + e * f
             out.append(row)
-        return _mat(self.field, out, other.m)
+        return Mat(self.field, out)
 
     __rmul__ = __mul__
 
@@ -555,7 +544,7 @@ class Mat:
     def _automorphism(self, fn):
         """An automorphism fn on the nonzero entries; zeros stay the field's zero."""
         zero = self.field.zero
-        return _mat(self.field, [[zero if e.is_zero else fn(e) for e in r] for r in self.rows], self.m)
+        return Mat(self.field, [[zero if e.is_zero else fn(e) for e in r] for r in self.rows])
 
     def sigma(self):
         return self._automorphism(Bq.sigma)
@@ -686,8 +675,8 @@ def recover_hilbert90_matrix(x: Mat) -> Mat:
     field = x.field
     for t in range(x.n + 1):
         c, cs = field.element(1, t), field.element(1, -t)
-        z = _mat(field, [[cs * e + c if i == j else cs * e for j, e in enumerate(r)]
-                         for i, r in enumerate(x.rows)], x.m)
+        z = Mat(field, [[cs * e + c if i == j else cs * e for j, e in enumerate(r)]
+                        for i, r in enumerate(x.rows)])
         if splits(z, x):
             return z
     raise NumFieldError("no z_t with t <= n splits x")

@@ -15,7 +15,7 @@ from math import prod
 
 from .forms import Case
 from .localfield import hilbert_rational, least_non_norm, non_norm_value, reduce
-from .numfield import Mat, _mat, conj_transpose
+from .numfield import Mat, conj_transpose
 from .symspace import (
     Component,
     OrthogonalOrbit,
@@ -227,15 +227,6 @@ def _involutions_for(parts: tuple, circ: bool):
     return tuple(sorted(found, key=lambda w: w.sort_key))
 
 
-@lru_cache(maxsize=None)
-def involution_tags(parts: tuple, circ: bool) -> list:
-    """Slots for the failure-log tags 'w=<to_json()>: ' of
-    `_involutions_for(parts, circ)`, by position.  A slot holds None until
-    `distinction.decide` first reaches its involution and formats the tag,
-    so a search that stops early formats only what it visited."""
-    return [None] * len(_involutions_for(parts, circ))
-
-
 # ---------------------------------------------------------------------------
 # fixed non-norm scalars and hermitian representatives
 
@@ -288,8 +279,8 @@ def gl_star(g: Mat) -> Mat:
     columns, so no inverse is formed.  Any other g takes `Mat.inv`."""
     support = [[j for j, e in enumerate(r) if not e.is_zero] for r in g.rows]
     if g.m == g.n and all(len(s) == 1 for s in support) and len({s[0] for s in support}) == g.n:
-        return _mat(g.field, [[e if e.is_zero else e.tau().inverse() for e in reversed(r)]
-                              for r in reversed(g.rows)], g.m)
+        return Mat(g.field, [[e if e.is_zero else e.tau().inverse() for e in reversed(r)]
+                             for r in reversed(g.rows)])
     w = Mat.antidiag_ones(g.field, g.n)
     return w * conj_transpose(g, "tau").inv() * w
 
@@ -355,7 +346,7 @@ def _kappa(comp, pair, m: Mat) -> Mat:
         return m
     kap = list(range(pair.N))
     kap[pair.n - 1], kap[pair.n] = pair.n, pair.n - 1
-    return _mat(m.field, [[m.rows[a][b] for b in kap] for a in kap], m.m)
+    return Mat(m.field, [[m.rows[a][b] for b in kap] for a in kap])
 
 
 def _t_times(comp, w, pair, m: Mat) -> Mat:
@@ -364,7 +355,7 @@ def _t_times(comp, w, pair, m: Mat) -> Mat:
     rows = [None] * m.n
     for x, row in enumerate(m.rows):
         rows[dest[x]] = row if sign[x] == 1 else [-e for e in row]
-    return _kappa(comp, pair, _mat(m.field, rows, m.m))
+    return _kappa(comp, pair, Mat(m.field, rows))
 
 
 def build_tw(comp: Composition, w: SignedInvolution, pair) -> Mat:

@@ -127,22 +127,6 @@ def test_matrix_basics():
     assert (m * g).tau() == m.tau() * g.tau()
 
 
-def test_kernel_built_matrices_match_public_construction():
-    """Products, sigma/tau, scalar multiples and block_diag build their
-    result unchecked; it must be what the public constructor builds from
-    the same rows, and the public constructor still refuses ragged rows."""
-    rng = random.Random(10)
-    a = Mat(F, [[rand_elem(F, rng) for _ in range(3)] for _ in range(2)])
-    built = [a * a.T, a.T * a, a.sigma(), a.tau(), a.sigma_tau(), a * 3, -a,
-             Mat.block_diag(F, [a * a.T, Mat.identity(F, 1), Mat(F, [])])]
-    for m in built:
-        public = Mat(F, m.rows)
-        assert m == public and (m.n, m.m) == (public.n, public.m)
-        assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
-    with pytest.raises(NumFieldError, match="ragged rows"):
-        Mat(F, [[F.one, F.zero], [F.one]])
-
-
 def test_det_multiplicative_and_empty():
     rng = random.Random(9)
     a = Mat(F, [[rand_elem(F, rng) for _ in range(2)] for _ in range(2)])
