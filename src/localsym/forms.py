@@ -9,12 +9,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .localfield import (
     Prime,
     QuadExtension,
     SquareClass,
+    _as_prime,
+    _class_int,
+    _hilbert_int,
     eta,
     hilbert,
     hilbert_rational,
@@ -110,11 +112,18 @@ def disc_class(entries, p) -> SquareClass:
 
 
 def hasse_invariant(entries, p) -> int:
-    """Product of Hilbert symbols over pairs i < j of diagonal entries."""
-    classes = [reduce(e, p) for e in entries]
+    """Product of Hilbert symbols (a_i, a_j)_p over pairs i < j of diagonal
+    entries.  By bilinearity it is the product over j >= 2 of the n - 1
+    symbols (a_j, a_1 ... a_{j-1})_p, each taken on integers num * den in
+    the entries' square classes."""
     h = 1
-    for x, y in combinations(classes, 2):
-        h *= hilbert(x, y)
+    if entries:
+        p = _as_prime(p).p
+        run = _class_int(entries[0])
+        for e in entries[1:]:
+            a = _class_int(e)
+            h *= _hilbert_int(a, run, p)
+            run *= a
     return h
 
 

@@ -367,6 +367,22 @@ def _squares_mod(pm):
     return frozenset(x * x % pm for x in range(pm))
 
 
+_SCALED_BUDGET = 2**20
+_scaled = {}
+
+
+def _scaled_squares(b, pm):
+    """The set b * s mod pm over the squares s mod pm.  A set is kept for
+    reuse while the kept sets hold at most _SCALED_BUDGET residues in all
+    (about 70 MB), whatever moduli the oracle is asked for."""
+    out = _scaled.get((b, pm))
+    if out is None:
+        out = frozenset(b * s % pm for s in _squares_mod(pm))
+        if len(out) + sum(map(len, _scaled.values())) <= _SCALED_BUDGET:
+            _scaled[b, pm] = out
+    return out
+
+
 @lru_cache(maxsize=None)
 def hilbert_oracle(a: int, b: int, p) -> int:
     """Brute-force symbol: decide z^2 = a x^2 + b y^2 over Qp by searching a
@@ -390,7 +406,7 @@ def hilbert_oracle(a: int, b: int, p) -> int:
     for s in sq:  # y = 1: z^2 - a x^2 = b
         if (b + a * s) % pm in sq:
             return 1
-    bset = frozenset(b * s % pm for s in sq)
+    bset = _scaled_squares(b % pm, pm)
     for s in sq:  # z = 1: a x^2 + b y^2 = 1
         if (1 - a * s) % pm in bset:
             return 1
@@ -443,11 +459,11 @@ class ReciprocityReport:
 TRIAL_LIMIT = 10**6
 
 
-def _factorize(n) -> list:
-    """Prime factorization of a nonzero integer by trial division up to
-    TRIAL_LIMIT, as [(prime, exponent), ...] in increasing order; the sign
-    is dropped.  A cofactor below TRIAL_LIMIT^2 left by the division is
-    prime; a larger one is refused."""
+def _trial_division(n):
+    """(factors, cofactor) for a nonzero integer n: its prime factors up to
+    TRIAL_LIMIT as [(prime, exponent), ...] in increasing order, and the
+    cofactor left, which has none; the sign is dropped.  A cofactor below
+    TRIAL_LIMIT^2 is 1 or prime."""
     if n == 0:
         raise LocalFieldError("0 has no factorization")
     n = abs(n)
@@ -461,10 +477,22 @@ def _factorize(n) -> list:
                 e += 1
             out.append((d, e))
         d += 1 if d == 2 else 2
+    return out, n
+
+
+def _too_large(n):
+    return LocalFieldError(
+        f"cofactor {n} has no prime factor below {TRIAL_LIMIT} and is too large to certify"
+    )
+
+
+def _factorize(n) -> list:
+    """Prime factorization of a nonzero integer by trial division up to
+    TRIAL_LIMIT, as [(prime, exponent), ...] in increasing order; the sign
+    is dropped.  A cofactor of TRIAL_LIMIT^2 or more is refused."""
+    out, n = _trial_division(n)
     if n >= TRIAL_LIMIT**2:
-        raise LocalFieldError(
-            f"cofactor {n} has no prime factor below {TRIAL_LIMIT} and is too large to certify"
-        )
+        raise _too_large(n)
     if n > 1:
         out.append((n, 1))
     return out
@@ -472,9 +500,16 @@ def _factorize(n) -> list:
 
 def squarefree_part(n: int) -> int:
     """The squarefree integer in the class of the nonzero integer n modulo
-    squares; the sign is kept."""
-    out = 1 if n > 0 else -1
-    for q, e in _factorize(n):
+    squares; the sign is kept.  A cofactor of TRIAL_LIMIT^2 or more left by
+    the trial division counts 1 when it is a perfect square and is refused
+    otherwise."""
+    factors, c = _trial_division(n)
+    if c >= TRIAL_LIMIT**2:
+        if isqrt(c) ** 2 != c:
+            raise _too_large(c)
+        c = 1
+    out = c if n > 0 else -c
+    for q, e in factors:
         if e % 2:
             out *= q
     return out

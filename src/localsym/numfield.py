@@ -341,6 +341,12 @@ def int_rows(rows):
     return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
 
 
+def int_mul(a, b):
+    """The product of two matrices given as integer rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, r, c)) for c in cols] for r in a]
+
+
 def _ratmat(rows, den):
     """The RatMat rows / den for int rows and a nonzero int den, brought to
     lowest terms with den > 0."""
@@ -398,11 +404,7 @@ class RatMat:
             return NotImplemented
         if self.m != other.n:
             raise NumFieldError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        return _ratmat(
-            [[sum(map(mul, r, c)) for c in cols] for r in self.rows],
-            self.den * other.den,
-        )
+        return _ratmat(int_mul(self.rows, other.rows), self.den * other.den)
 
     @property
     def T(self):

@@ -19,7 +19,7 @@ from operator import mul
 from . import localfield
 from .forms import congruent_diagonal, is_anisotropic, split_gram
 from .localfield import QuadExtension, SquareClass, hilbert_rational, rational, reduce
-from .numfield import Bq, Mat, NumFieldError, RatMat, conj_transpose, recover_hilbert90
+from .numfield import Bq, Mat, NumFieldError, RatMat, _ratmat, conj_transpose, int_mul, recover_hilbert90
 
 
 class PrasadError(ValueError):
@@ -205,11 +205,17 @@ def _reflections(g: RatMat, gram: RatMat):
     frame's diagonal.  Returns the frame and [(V, den, Q)], one entry per
     reflection in application order, so that g = s_1 ... s_t: the vector
     is V / den, with q-value Q / (dd den^2).
+
+    Both products run on integer numerators: g = N / n preserves the gram
+    H / h when tN H N == n^2 H, and the work matrix P^-1 g P is one triple
+    product over the three denominators, brought to lowest terms once.
     """
-    if g.T * gram * g != gram:
+    n, h = g.rows, gram.rows
+    nn = g.den * g.den
+    if int_mul(list(zip(*n)), int_mul(h, n)) != [[nn * x for x in r] for r in h]:
         raise PrasadError("matrix does not preserve the form")
     frame = d, dd, pmat, pinv = _frame(gram)
-    work = pinv * g * pmat
+    work = _ratmat(int_mul(int_mul(pinv.rows, n), pmat.rows), pinv.den * g.den * pmat.den)
     w, den = [list(r) for r in work.rows], work.den
     m = len(w)
     factors = []
@@ -306,14 +312,19 @@ class KClassElement:
         return self.value.to_json()
 
 
+@lru_cache(maxsize=64)
+def _unit_gram_mat(field, m):
+    """w_gram(m) as a Mat over the field, built once per field and size."""
+    return Mat.from_rational(field, w_gram(m))
+
+
 def wsn(g: Mat, gram=None) -> KClassElement:
     """Determinant of a unitary matrix pulled back through the norm-one
     parametrization z F* -> z / conj(z); the result lives in K*/F*."""
     field = g.field
     if not field.is_quadratic:
         raise PrasadError("wsn works over a quadratic model")
-    m = g.n
-    gram_m = Mat.from_rational(field, gram if gram is not None else w_gram(m))
+    gram_m = Mat.from_rational(field, gram) if gram is not None else _unit_gram_mat(field, g.n)
     if conj_transpose(g, "sigma") * gram_m * g != gram_m:
         raise PrasadError("matrix is not unitary for the form")
     det = g.det()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from localsym.localfield import Prime, QuadExtension, hilbert_rational, reduce
+from localsym.localfield import LocalFieldError, Prime, QuadExtension, hilbert_rational, reduce
 from localsym.numfield import BiquadField, Mat, RatMat
 from localsym.prasad import (
     CharacterFormula,
@@ -305,3 +305,17 @@ def test_squarefree_part():
     assert squarefree_part(1) == 1
     with pytest.raises(PrasadError):
         squarefree_part(0)
+
+
+def test_squarefree_part_square_cofactor_above_trial_limit():
+    # 1000003 and 1000033 are primes above the trial-division limit
+    assert squarefree_part(3 * 1000003**2) == 3
+    assert squarefree_part(-2 * (1000003 * 1000033) ** 2) == -2
+    with pytest.raises(LocalFieldError, match="cofactor 1000036000099 .* too large to certify"):
+        squarefree_part(1000003 * 1000033)
+
+
+@pytest.mark.parametrize("t", [Fraction(3 * 1000003**2), Fraction(3, 1000003**2)])
+def test_spinor_norm_with_a_large_square_factor(t):
+    g = [[t, 0, 0], [0, 1, 0], [0, 0, 1 / t]]
+    assert spinor_norm_rational(g) == 3

@@ -1,16 +1,18 @@
 """The integer rational-matrix kernel, integer square classes, the
-fraction-free congruence diagonalization and the integer reflection loop,
-each against a Fraction reference: the definitions for the kernel, and
-copies of the former Fraction-by-Fraction code for the rest."""
+fraction-free congruence diagonalization, the integer reflection loop with
+its isometry test, and the chained Hasse product, each against a reference:
+the definitions for the kernel and the Hasse sign, and copies of the former
+Fraction-by-Fraction code for the rest."""
 
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localsym.forms import FormsError, congruent_diagonal
+from localsym.forms import FormsError, congruent_diagonal, hasse_invariant, split_gram
 from localsym.localfield import (
     LocalFieldError,
     Prime,
@@ -385,15 +387,23 @@ def ref_spinor_norm(g, gram):
     return Fraction(ref_squarefree_part(prod.numerator * prod.denominator))
 
 
-GRAMS = [
-    w_gram(3),
-    w_gram(4),
-    [[Fraction(x) for x in r] for r in [[1, 0, 0], [0, 2, 0], [0, 0, -3]]],
-]
+def diagonal_gram(entries):
+    return [[Fraction(x) if i == j else Fraction(0) for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
+# SO(3), SO(4) and SO(5) under the default unit gram, non-default diagonal
+# grams and split grams with a kernel
+GRAMS = (
+    [w_gram(m) for m in (3, 4, 5)]
+    + [diagonal_gram((1, 2, -3, 5, 7)[:m]) for m in (3, 4, 5)]
+    + [split_gram(1, (2,)), split_gram(1, (1, -3)), split_gram(2, (3,)), split_gram(1, (2, 5, -7))]
+)
 
 
 @st.composite
 def isometries(draw):
+    """(g, gram, args): a product of reflections for the gram, and the
+    arguments to pass, with the default gram left out half the time."""
     gram = draw(st.sampled_from(GRAMS))
     m = len(gram)
     g = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
@@ -404,12 +414,61 @@ def isometries(draw):
         if q:
             refl = [[Fraction(int(i == j)) - 2 * v[i] * gv[j] / q for j in range(m)] for i in range(m)]
             g = ref_mul(g, refl)
-    return g, gram
+    default = gram == w_gram(m) and draw(st.booleans())
+    return g, gram, (g,) if default else (g, gram)
 
 
-@kernel_settings
+@settings(kernel_settings, max_examples=300)
 @given(case=isometries())
 def test_reflection_loop_matches_fraction_reference(case):
-    g, gram = case
-    assert reflection_decomposition(g, gram) == ref_reflection_decomposition(g, gram)
-    assert outcome(spinor_norm_rational, g, gram) == outcome(ref_spinor_norm, g, gram)
+    g, gram, args = case
+    assert reflection_decomposition(*args) == ref_reflection_decomposition(g, gram)
+    assert outcome(spinor_norm_rational, *args) == outcome(ref_spinor_norm, g, gram)
+
+
+def test_reflection_loop_keeps_its_refusals():
+    gram = w_gram(3)
+    shear = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    reflection = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
+    for g, message in [
+        (shear, "matrix does not preserve the form"),
+        (reflection, "spinor norm computed on the special orthogonal group"),
+    ]:
+        g = [[Fraction(x) for x in r] for r in g]
+        assert outcome(spinor_norm_rational, g, gram) == outcome(ref_spinor_norm, g, gram) == (PrasadError, message)
+    assert outcome(spinor_norm_rational, [[1, 0, 0], [0, 1, 0]], gram) == (
+        PrasadError,
+        "the matrix must be square and non-empty",
+    )
+
+
+# ---------------------------------------------------------------------------
+# the chained Hasse product against the pairwise definition
+
+
+def ref_hasse_invariant(entries, p):
+    classes = [reduce(e, p) for e in entries]
+    h = 1
+    for x, y in combinations(classes, 2):
+        h *= hilbert(x, y)
+    return h
+
+
+def test_chained_hasse_matches_pairwise_definition():
+    rng = random.Random(1701)
+    for p in (2, 3, 5, 7, 11):
+        prime = Prime(p)
+        for n in range(9):
+            for _ in range(40):
+                entries = []
+                for _ in range(n):
+                    num = rng.choice([-1, 1]) * rng.randint(1, 500) * rng.choice([1, p, p * p])
+                    den = rng.choice([1, 1, 2, 3, p, 4 * p])
+                    x = Fraction(num, den)
+                    entries.append(int(x) if x.denominator == 1 and rng.random() < 0.5 else x)
+                assert hasse_invariant(entries, prime) == ref_hasse_invariant(entries, prime)
+                assert hasse_invariant(entries, p) == ref_hasse_invariant(entries, p)
+                if n:
+                    entries[rng.randrange(n)] = rng.choice([0, Fraction(0)])
+                    with pytest.raises(LocalFieldError, match="0 has no square class"):
+                        hasse_invariant(entries, prime)
