@@ -7,13 +7,12 @@ Hasse sign.
 """
 
 from localsym.forms import Case
-from localsym.localfield import Prime
+from localsym.localfield import Prime, hilbert_oracle
 from localsym.numfield import BiquadField, Mat
 from localsym.symspace import (
     ClassicalPair,
     Component,
     classify_x,
-    gamma_index_data,
     gamma_bit,
     orbit_count_X,
     realizable_targets,
@@ -37,9 +36,8 @@ print(f"unitary pair over Q(i, sqrt 3) at p = 3: {orbit_count_X(uni)} orbits")
 print(f"  realizable targets: {[t.to_json() for t in realizable_targets(uni)]}")
 print()
 
-data = gamma_index_data(uni)
-print("the norm-one coset group for the unitary pair:")
-print(f"  index-two quotient, class of -1 = bit {data.minus_one_bit} "
-      f"(box-oracle certificate: {data.certificate})")
 closed = gamma_bit(uni, uni.field.element(-1))
-print(f"  closed-form classification of -1 agrees: {closed == data.minus_one_bit}")
+oracle = hilbert_oracle(-1, 3, 3)
+print("the norm-one coset group for the unitary pair:")
+print(f"  index-two quotient, class of -1 = bit {closed} (closed form; -1 = c^(1-sigma), c = sqrt(-1))")
+print(f"  Hensel-search oracle (-1, 3)_3 = {oracle}; bit 1 exactly when it is -1: {closed == (oracle == -1)}")

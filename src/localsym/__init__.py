@@ -24,7 +24,6 @@ from .symspace import (
     SymspaceError,
     UnitaryOrbit,
     classify_x,
-    gamma_index_data,
     orbit_count_X,
 )
 from .weyl import (

@@ -225,12 +225,16 @@ def _selftest_checks(bound):
         for t in (2, 3, 5, 7)
     )
 
-    field = numfield.BiquadField(-1, 3)
-    pair = symspace.ClassicalPair(
-        forms.Case.UNITARY, 0, (), 1, localfield.Prime(3), field
+    # -1 = c^(1-sigma) with c = sqrt(a), so its coset bit is [(a, b)_p = -1]
+    def minus_one_bit(a, b, p):
+        field = numfield.BiquadField(a, b)
+        pair = symspace.ClassicalPair(forms.Case.UNITARY, 0, (), 1, localfield.Prime(p), field)
+        return symspace.gamma_bit(pair, field.element(-1))
+
+    checks["gamma-bit-vs-hensel-oracle"] = all(
+        minus_one_bit(a, b, p) == (localfield.hilbert_oracle(a, b, p) == -1)
+        for a, b, p in ((-1, 3, 3), (2, 5, 5), (-1, 2, 2), (3, 5, 2))
     )
-    data = symspace.gamma_index_data(pair)
-    checks["gamma-oracle-vs-closed"] = data.minus_one_bit == symspace.gamma_bit(pair, field.element(-1))
     return checks
 
 

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import prod
 
 from .forms import (
@@ -310,48 +310,6 @@ def realizable_targets(pair):
 
 # ---------------------------------------------------------------------------
 # Gamma: the index-two subgroup of norm-one classes in the unitary case
-
-
-@dataclass(frozen=True)
-class GammaData:
-    """The class of -1 in the two-element quotient (the identity has bit 0),
-    with the box-search certificate c when -1 is a gamma product."""
-
-    minus_one_bit: int
-    certificate: tuple | None
-
-
-GAMMA_BOX = 3
-
-
-def gamma_product(c: Bq) -> Bq:
-    """c^((1-sigma)(1-tau)), always a member of the index-two subgroup."""
-    return (c * c.sigma_tau()) / (c.sigma() * c.tau())
-
-
-def minus_one_gamma_certificate(field: BiquadField):
-    """Box search for c with c^((1-sigma)(1-tau)) = -1 and coefficients in
-    [-GAMMA_BOX, GAMMA_BOX]; None if exhausted."""
-    rng = range(-GAMMA_BOX, GAMMA_BOX + 1)
-    minus_one = field.element(-1)
-    for c0, c1, c2, c3 in product(rng, repeat=4):
-        if not (c0 or c1 or c2 or c3):
-            continue
-        c = field.element(c0, c1, c2, c3)
-        if (c * c.sigma() * c.tau() * c.sigma_tau()).rational == 0:
-            continue
-        if gamma_product(c) == minus_one:
-            return (c0, c1, c2, c3)
-    return None
-
-
-def gamma_index_data(pair) -> GammaData:
-    """The two-element quotient of the norm-one group by the gamma products,
-    with the class of -1 settled by the desk-scale box oracle."""
-    if pair.case is not Case.UNITARY:
-        raise SymspaceError("gamma data is a unitary notion")
-    cert = minus_one_gamma_certificate(pair.field)
-    return GammaData(0 if cert else 1, cert)
 
 
 def gamma_bit(pair, gamma: Bq) -> int:

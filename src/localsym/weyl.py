@@ -451,7 +451,12 @@ def build_xw(comp: Composition, w: SignedInvolution, y_bits, z_inv, pair):
 @lru_cache(maxsize=None)
 def unitary_parity_bits(pair):
     """Coset bits feeding the unitary orbit formula: the class of -1 and the
-    class contributed by a nontrivial hermitian block."""
+    class contributed by a nontrivial hermitian block.
+
+    -1 = c^(1-sigma) with c = sqrt(a), so the class of -1 is
+    [(a, b)_p = -1].  The contribution is 1 on every model: N(u) is a norm
+    from Qp(sqrt ab) and not from Qp(sqrt a), so
+    (N(u), b)_p = (N(u), a)_p = -1."""
     minus_one = gamma_bit(pair, pair.field.element(-1))
     u = u_star_sideways(pair)
     contrib = gamma_bit(pair, u.sigma() / u)

@@ -243,6 +243,15 @@ def test_selftest(capsys, monkeypatch):
     code, env = run_cli(["selftest"], capsys)
     assert code == 0
     assert env["payload"]["failed"] == 0
+    # the exact names, so a check that is dropped or renamed fails here
+    assert set(env["payload"]["checks"]) == {
+        "hilbert-formula-vs-oracle@p=2",
+        "hilbert-formula-vs-oracle@p=3",
+        "hilbert-formula-vs-oracle@p=5",
+        "hilbert-reciprocity",
+        "spinor-norm-so2",
+        "gamma-bit-vs-hensel-oracle",
+    }
     assert all(env["payload"]["checks"].values())
 
 

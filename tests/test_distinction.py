@@ -445,22 +445,21 @@ def test_datum_json_roundtrip():
 
 
 def test_gamma_defaults_file_frozen():
-    """The frozen data file must match live recomputation by both routes."""
-    from localsym.localfield import Prime
+    """The frozen data file must match live recomputation, and its class of
+    -1 must match the Hensel-search symbol: -1 = c^(1-sigma) with
+    c = sqrt(a), so the bit is 1 exactly when (a, b)_p = -1."""
+    from localsym.localfield import Prime, hilbert_oracle
     from localsym.numfield import BiquadField
-    from localsym.symspace import ClassicalPair, gamma_bit, gamma_index_data
+    from localsym.symspace import ClassicalPair, gamma_bit
     from localsym.weyl import u_star_sideways, unitary_parity_bits
 
     data = gamma_defaults()
     assert data["version"] == 1
-    assert len(data["models"]) == 3
+    assert len(data["models"]) == 4
     for row in data["models"]:
         field = BiquadField(row["a"], row["b"])
         pair = ClassicalPair(Case.UNITARY, 0, (), 1, Prime(row["p"]), field)
-        oracle = gamma_index_data(pair)
-        assert oracle.minus_one_bit == row["minus_one_bit"]
-        cert = oracle.certificate
-        assert (list(cert) if cert else None) == row["minus_one_certificate"]
+        assert row["minus_one_bit"] == (hilbert_oracle(row["a"], row["b"], row["p"]) == -1)
         assert gamma_bit(pair, field.element(-1)) == row["minus_one_bit"]
         u = u_star_sideways(pair)
         assert [str(c) for c in u.coeffs] == row["u_star"]

@@ -16,18 +16,24 @@ land in the orbit that `predicted_orbit_invariant` names.  The pass runs
 with `Mat.inv` made to raise, after the representative cache is cleared,
 so it also pins that this path forms no matrix inverse.  Tier-1 runs
 p = 3; with LOCALSYM_FULL_SWEEP=1 set it also runs p = 2, 5, 7 and 13.
+
+The unitary coset bits that the orbit formula reads are also checked
+against a local valuation oracle on every unitary model of the list above
+with an empty kernel: tier-1 at p = 2 and 3, p = 5, 7 and 13 with
+LOCALSYM_FULL_SWEEP=1.
 """
 
 import itertools
+import math
 import os
 
 import pytest
 
 from localsym import weyl
 from localsym.forms import Case
-from localsym.localfield import Prime
+from localsym.localfield import Prime, valuation
 from localsym.numfield import BiquadField, Mat, recover_hilbert90_matrix
-from localsym.symspace import ClassicalPair, SymspaceError, classify_x, z_orbit_representatives
+from localsym.symspace import ClassicalPair, SymspaceError, classify_x, gamma_bit, z_orbit_representatives
 
 from test_distinction import small_grid
 
@@ -36,6 +42,12 @@ FULL = os.environ.get("LOCALSYM_FULL_SWEEP") == "1"
 # which refuses models or orbits cannot pass by certifying fewer of them
 REPRESENTATIVES = {3: 4706, 5: 3678, 7: 4706, 13: 3678, 2: 71282}
 PRIMES = [3, 2, 5, 7, 13] if FULL else [3]
+# unitary models with an empty kernel per prime (ordered pairs of distinct
+# nontrivial classes), pinned for the same reason
+UNITARY_MODELS = {2: 42, 3: 6, 5: 6, 7: 6, 13: 6}
+# p = 2 stays in tier-1: every model on which a global search box
+# misreads the class of -1 is 2-adic
+ORACLE_PRIMES = [2, 3, 5, 7, 13] if FULL else [2, 3]
 
 
 def class_reps(p):
@@ -44,6 +56,28 @@ def class_reps(p):
         return (1, 2, 3, 5, 6, 7, 10, 14)
     u = Prime(p).nonresidue
     return (1, u, p, p * u)
+
+
+def gamma_product(c):
+    """c^((1-sigma)(1-tau)), a member of the index-two subgroup of the
+    norm-one group (coset bit 0)."""
+    return (c * c.sigma_tau()) / (c.sigma() * c.tau())
+
+
+def gamma_box(field):
+    """gamma_product(c) for every c != 0 of nonzero norm with coefficients
+    in [-3, 3], up to sign (c and -c give the same product)."""
+    for cs in itertools.product(range(-3, 4), repeat=4):
+        if next((x for x in cs if x), 0) > 0:
+            c = field.element(*cs)
+            if c.norm_to_Q() != 0:
+                yield gamma_product(c)
+
+
+def closeness(delta, p):
+    """min v_p over the coordinates of delta in the basis 1, sqrt a, sqrt b,
+    sqrt ab; infinite for delta = 0."""
+    return min((valuation(x, p) for x in delta.coeffs if x), default=math.inf)
 
 
 def local_models(p, case):
@@ -102,3 +136,32 @@ def test_every_representative_certifies(p, monkeypatch):
                     failed.append((pair.to_json(), comp.to_json(), w.to_json(), y_bits, z_inv, ok))
     assert not failed, (len(failed), failed[:3])
     assert certified == REPRESENTATIVES[p]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_unitary_parity_bits_vs_valuation_oracle(p):
+    """Both inputs of `weyl.unitary_parity_bits`, gamma = -1 and
+    gamma = sigma(u)/u for the sideways non-norm u, against a local oracle:
+    the best p-adic closeness of a gamma product over a coefficient box to
+    gamma.  If the subgroup H of gamma products is open in the norm-one
+    group, its coset reaches any valuation and the other coset stays below
+    a fixed one; bit 0 models reach >= 5 at p = 2 and meet gamma exactly at
+    odd p, bit 1 models stay <= 2.  This is evidence, not proof, until the
+    radius of H is derived; with the box [-2, 2] it does not separate at
+    p = 7, where (7, 21) has bit 0 but best closeness 0.  The gamma products
+    that come closest must themselves have bit 0."""
+    models = 0
+    for a, b in itertools.permutations(class_reps(p)[1:], 2):
+        field = BiquadField(a, b)
+        pair = ClassicalPair(Case.UNITARY, 0, (), 1, Prime(p), field)
+        u = weyl.u_star_sideways(pair)
+        box = list(gamma_box(field))
+        best = []
+        for gamma in (field.element(-1), u.sigma() / u):
+            v, g = max(((closeness(g - gamma, p), g) for g in box), key=lambda vg: vg[0])
+            assert gamma_bit(pair, g) == 0, (a, b, g)
+            best.append(v)
+        oracle = tuple(0 if v >= 4 else 1 for v in best)
+        assert weyl.unitary_parity_bits(pair) == oracle, (a, b, best)
+        models += 1
+    assert models == UNITARY_MODELS[p]

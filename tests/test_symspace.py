@@ -18,7 +18,6 @@ from localsym.numfield import (
 from localsym.symspace import (
     ClassicalPair,
     Component,
-    GammaData,
     OrthogonalOrbit,
     SymplecticOrbit,
     SymspaceError,
@@ -26,18 +25,15 @@ from localsym.symspace import (
     classify_x,
     det_jn,
     gamma_bit,
-    gamma_index_data,
-    gamma_product,
     jn_invariants,
     jn_mat,
-    minus_one_gamma_certificate,
     orbit_count_X,
     realizable_targets,
     z_orbit_representatives,
 )
 from localsym.weyl import gl_star
 
-from conftest import BIQ_2, BIQ_3, BIQ_5, P2, P3, P5, QUAD_M3, make_pair
+from conftest import BIQ_3, P2, P3, P5, QUAD_M3, make_pair
 
 
 def random_isometry(pair, rng, steps: int = 3) -> Mat:
@@ -337,41 +333,6 @@ def test_partial_takes_two_values():
         assert inv.partial == base
     for inv, _, _ in z_orbit_representatives(pair, Component.COMPLEMENT):
         assert inv.partial == base * acls
-
-
-def test_gamma_index_data():
-    pair = make_pair(Case.UNITARY, 0, (), 1)
-    data = gamma_index_data(pair)
-    # at (a,b) = (-1,3) and p = 3, -1 is not a gamma product
-    assert data.minus_one_bit == 1
-    # at (a,b) = (-1,2) and p = 2 it is, with a small certificate
-    pair2 = ClassicalPair(Case.UNITARY, 0, (), 1, P2, BIQ_2)
-    data2 = gamma_index_data(pair2)
-    assert data2.minus_one_bit == 0
-    c = BIQ_2.element(*data2.certificate)
-    assert gamma_product(c) == BIQ_2.element(-1)
-
-
-def test_gamma_bit_closed_form_agrees_with_oracle():
-    for pair in [
-        make_pair(Case.UNITARY, 0, (), 1),
-        ClassicalPair(Case.UNITARY, 0, (), 1, P2, BIQ_2),
-        ClassicalPair(Case.UNITARY, 0, (), 1, P5, BIQ_5),
-    ]:
-        f = pair.field
-        closed = gamma_bit(pair, f.element(-1))
-        assert closed == gamma_index_data(pair).minus_one_bit
-        # gamma products always classify as trivial
-        rng = random.Random(15)
-        hits = 0
-        while hits < 20:
-            c = f.element(
-                rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)
-            )
-            if c.is_zero or c.norm_to_Q() == 0:
-                continue
-            assert gamma_bit(pair, gamma_product(c)) == 0
-            hits += 1
 
 
 def test_gamma_bit_validates():
