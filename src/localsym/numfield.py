@@ -347,99 +347,31 @@ def int_mul(a, b):
     return [[sum(map(mul, r, c)) for c in cols] for r in a]
 
 
-def _ratmat(rows, den):
-    """The RatMat rows / den for int rows and a nonzero int den, brought to
-    lowest terms with den > 0."""
-    if den < 0:
-        rows = [[-x for x in r] for r in rows]
-        den = -den
-    if den != 1:
-        g = gcd(den, *(x for r in rows for x in r))
-        if g != 1:
-            rows = [[x // g for x in r] for r in rows]
-            den //= g
-    out = object.__new__(RatMat)
-    out.rows = tuple(tuple(r) for r in rows)
-    out.den = den
-    return out
-
-
-class RatMat:
-    """A rational matrix as integer rows over one positive common
-    denominator, in lowest terms, so equal matrices compare and hash equal.
-
-    Products, the transpose and the determinant (Bareiss elimination) run
-    on the integer numerators; `fractions` gives the entries as Fractions.
-    Treat instances as immutable.
-    """
-
-    __slots__ = ("rows", "den")
-
-    @classmethod
-    def of(cls, rows):
-        """A RatMat from rows of ints, Fractions or strings."""
-        num, den = int_rows(rows)
-        if any(len(r) != len(num[0]) for r in num):
-            raise NumFieldError("ragged rows")
-        return _ratmat(num, den)
-
-    @property
-    def n(self):
-        return len(self.rows)
-
-    @property
-    def m(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def __eq__(self, other):
-        if not isinstance(other, RatMat):
-            return NotImplemented
-        return self.den == other.den and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.rows, self.den))
-
-    def __mul__(self, other):
-        if not isinstance(other, RatMat):
-            return NotImplemented
-        if self.m != other.n:
-            raise NumFieldError("dimension mismatch")
-        return _ratmat(int_mul(self.rows, other.rows), self.den * other.den)
-
-    @property
-    def T(self):
-        return _ratmat(list(zip(*self.rows)), self.den)
-
-    def fractions(self):
-        """The entries as lists of Fractions."""
-        d = self.den
-        return [[Fraction(x, d) for x in r] for r in self.rows]
-
-    def det(self) -> Fraction:
-        """Bareiss elimination: every quotient below is exact, since each
-        entry is a minor of the integer matrix."""
-        n = self.n
-        if n != self.m:
-            raise NumFieldError("not a square matrix")
-        a = [list(r) for r in self.rows]
-        sign, prev = 1, 1
-        for k in range(n - 1):
-            if not a[k][k]:
-                piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if piv is None:
-                    return Fraction(0)
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            rk = a[k]
-            pk = rk[k]
-            for i in range(k + 1, n):
-                ri = a[i]
-                f = ri[k]
-                for j in range(k + 1, n):
-                    ri[j] = (pk * ri[j] - f * rk[j]) // prev
-            prev = pk
-        d = a[n - 1][n - 1] if n else 1
-        return Fraction(sign * d, self.den ** n)
+def int_det(rows) -> int:
+    """The determinant of a square matrix of integer rows, by Bareiss
+    elimination: every quotient below is exact, since each entry is a minor
+    of the matrix."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NumFieldError("not a square matrix")
+    a = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rk = a[k]
+        pk = rk[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (pk * ri[j] - f * rk[j]) // prev
+        prev = pk
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 class Mat:

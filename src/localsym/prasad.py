@@ -19,7 +19,7 @@ from operator import mul
 from . import localfield
 from .forms import congruent_diagonal, is_anisotropic, split_gram
 from .localfield import QuadExtension, SquareClass, hilbert_rational, rational, reduce
-from .numfield import Bq, Mat, NumFieldError, RatMat, _ratmat, conj_transpose, int_mul, recover_hilbert90
+from .numfield import Bq, Mat, NumFieldError, conj_transpose, int_det, int_mul, int_rows, recover_hilbert90
 
 
 class PrasadError(ValueError):
@@ -161,38 +161,56 @@ def w_gram(m: int):
     return split_gram(m // 2, (1,) * (m % 2))
 
 
+def _int_matrix(rows):
+    """rows as (integer rows, den), a ragged matrix refused."""
+    num, den = int_rows(rows)
+    if any(len(r) != len(num[0]) for r in num):
+        raise PrasadError("malformed matrix: ragged rows")
+    return num, den
+
+
 def _isometry_data(g, gram):
-    """g and its gram (w_gram by default) as RatMats, checked once: g square
-    and non-empty, the gram of the same size."""
-    try:
-        g = RatMat.of(g)
-        gram = RatMat.of(gram) if gram is not None else None
-    except NumFieldError as e:
-        raise PrasadError(f"malformed matrix: {e}")
-    m = g.n
-    if m == 0 or g.m != m:
+    """g as (integer rows, den) and its gram (w_gram by default) as the
+    hashable (tuple of row tuples, den), checked once: g square and
+    non-empty, the gram of the same size."""
+    g, den = _int_matrix(g)
+    gram = None if gram is None else _int_matrix(gram)
+    m = len(g)
+    if m == 0 or len(g[0]) != m:
         raise PrasadError("the matrix must be square and non-empty")
-    if gram is None:
-        gram = RatMat.of(w_gram(m))
-    elif (gram.n, gram.m) != (m, m):
+    rows, h = int_rows(w_gram(m)) if gram is None else gram
+    if len(rows) != m or len(rows[0]) != m:
         raise PrasadError("the gram must be square of the matrix's size")
-    return g, gram
+    return (g, den), (tuple(map(tuple, rows)), h)
+
+
+def _lowest(rows, den):
+    """Integer rows over a nonzero int den, brought to lowest terms with
+    den > 0."""
+    if den < 0:
+        rows = [[-x for x in r] for r in rows]
+        den = -den
+    c = gcd(den, *(x for r in rows for x in r))
+    if c != 1:
+        rows = [[x // c for x in r] for r in rows]
+        den //= c
+    return rows, den
 
 
 @lru_cache(maxsize=64)
-def _frame(gram: RatMat):
-    """The diagonal frame of a gram, fixed by its entries: the diagonal D as
-    integer numerators over one denominator, the change of basis P and
-    P^-1 = D^-1 tP G, as tP G P = D."""
-    entries, pmat = congruent_diagonal(gram.fractions())
-    diag = RatMat.of([entries])
-    pmat = RatMat.of(pmat)
-    m = len(entries)
-    d_inv = RatMat.of([[1 / e if i == j else 0 for j in range(m)] for i, e in enumerate(entries)])
-    return diag.rows[0], diag.den, pmat, d_inv * pmat.T * gram
+def _frame(gram):
+    """The diagonal frame of the gram H / h, fixed by its entries:
+    congruent_diagonal on the integer numerators gives tP H P = E, so the
+    frame's diagonal is E / h, returned as integer numerators over one
+    denominator, with P and P^-1 = E^-1 tP H as (integer rows, den)."""
+    hrows, h = gram
+    entries, pmat = congruent_diagonal(hrows)
+    (d,), dd = int_rows([[e / h for e in entries]])
+    etp, etp_den = int_rows([[x / e for x in col] for col, e in zip(zip(*pmat), entries)])
+    return d, dd, int_rows(pmat), _lowest(int_mul(etp, hrows), etp_den)
 
 
-def _reflections(g: RatMat, gram: RatMat):
+def _reflections(g, gram):
     """Reflections taking g to the identity, found in the diagonal frame of
     the gram, where every basis vector is anisotropic: a column that moves
     is fixed by one reflection when the difference vector is anisotropic
@@ -206,17 +224,17 @@ def _reflections(g: RatMat, gram: RatMat):
     reflection in application order, so that g = s_1 ... s_t: the vector
     is V / den, with q-value Q / (dd den^2).
 
-    Both products run on integer numerators: g = N / n preserves the gram
-    H / h when tN H N == n^2 H, and the work matrix P^-1 g P is one triple
-    product over the three denominators, brought to lowest terms once.
+    g = N / n and the gram H / h come as (integer rows, den) pairs.  N
+    preserves the gram when tN H N == n^2 H, and the work matrix P^-1 g P
+    is one triple product over the three denominators, brought to lowest
+    terms once.
     """
-    n, h = g.rows, gram.rows
-    nn = g.den * g.den
+    (n, g_den), (h, _) = g, gram
+    nn = g_den * g_den
     if int_mul(list(zip(*n)), int_mul(h, n)) != [[nn * x for x in r] for r in h]:
         raise PrasadError("matrix does not preserve the form")
-    frame = d, dd, pmat, pinv = _frame(gram)
-    work = _ratmat(int_mul(int_mul(pinv.rows, n), pmat.rows), pinv.den * g.den * pmat.den)
-    w, den = [list(r) for r in work.rows], work.den
+    frame = d, dd, (prows, pden), (pinv, pinv_den) = _frame(gram)
+    w, den = _lowest(int_mul(int_mul(pinv, n), prows), pinv_den * g_den * pden)
     m = len(w)
     factors = []
 
@@ -225,15 +243,7 @@ def _reflections(g: RatMat, gram: RatMat):
         dv = list(map(mul, d, v))
         q = sum(map(mul, dv, v))
         s = [sum(map(mul, dv, col)) for col in zip(*w)]
-        w = [[q * x - 2 * vi * sc for x, sc in zip(row, s)] for row, vi in zip(w, v)]
-        den *= q
-        if den < 0:
-            w = [[-x for x in row] for row in w]
-            den = -den
-        c = gcd(den, *(x for row in w for x in row))
-        if c != 1:
-            w = [[x // c for x in row] for row in w]
-            den //= c
+        w, den = _lowest([[q * x - 2 * vi * sc for x, sc in zip(row, s)] for row, vi in zip(w, v)], den * q)
         factors.append((v, v_den, q))
 
     for i in range(m):
@@ -259,12 +269,12 @@ def reflection_decomposition(g, gram=None):
     and their q-values, ordered so that g = s_{v_1} ... s_{v_t}.
     """
     g, gram = _isometry_data(g, gram)
-    (_, dd, pmat, _), factors = _reflections(g, gram)
+    (_, dd, (prows, pden), _), factors = _reflections(g, gram)
     vectors = []
     for v, v_den, _ in factors:
         # P (v / v_den) in the original frame
-        scale = pmat.den * v_den
-        vectors.append([Fraction(sum(map(mul, row, v)), scale) for row in pmat.rows])
+        scale = pden * v_den
+        vectors.append([Fraction(sum(map(mul, row, v)), scale) for row in prows])
     return vectors, [Fraction(q, dd * v_den * v_den) for _, v_den, q in factors]
 
 
@@ -350,7 +360,8 @@ def evaluate_character(formula: CharacterFormula, element, E: QuadExtension, gra
         return 1
     e = formula.exponent % 2
     if formula.kind == "det":
-        d = RatMat.of(element).det()
+        num, den = int_rows(element)
+        d = Fraction(int_det(num), den ** len(num))
         return hilbert_rational(d, E.d.rep, E.base) ** e
     if formula.kind == "sn":
         s = spinor_norm_rational(element, gram)

@@ -83,11 +83,7 @@ class SignedPerm:
     c: frozenset
 
     def __post_init__(self):
-        k = len(self.rho)
-        if sorted(self.rho) != list(range(k)):
-            raise WeylError("rho is not a permutation")
-        if not set(self.c) <= set(range(k)):
-            raise WeylError("c out of range")
+        _check_signed_perm(self.rho, self.c)
 
     @classmethod
     def identity(cls, k):
@@ -113,6 +109,15 @@ class SignedPerm:
         return self.rho == tuple(range(self.k)) and not self.c
 
 
+def _check_signed_perm(rho, c):
+    """Refuse a rho that is not a permutation of [0, k) and a c outside it."""
+    k = len(rho)
+    if sorted(rho) != list(range(k)):
+        raise WeylError("rho is not a permutation")
+    if not set(c) <= set(range(k)):
+        raise WeylError("c out of range")
+
+
 def _inv_perm(rho):
     out = [0] * len(rho)
     for i, v in enumerate(rho):
@@ -128,8 +133,9 @@ class SignedInvolution:
     c: frozenset
 
     def __post_init__(self):
-        perm = SignedPerm(self.rho, self.c)
-        if not (perm * perm).is_identity:
+        rho, c = self.rho, self.c
+        _check_signed_perm(rho, c)
+        if any(rho[rho[i]] != i for i in range(len(rho))) or any(rho[i] not in c for i in c):
             raise WeylError("not an involution")
 
     @classmethod

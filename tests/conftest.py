@@ -1,4 +1,8 @@
-"""Bundled field models and pairs shared across the suite."""
+"""Bundled field models and pairs shared across the suite, and the Fraction
+reference for rational matrices."""
+
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -18,6 +22,28 @@ QUAD_M5 = BiquadField(2)       # Q(sqrt 2), nonsquare at 5
 BIQ_3 = BiquadField(-1, 3)
 BIQ_5 = BiquadField(2, 5)
 BIQ_2 = BiquadField(-1, 2)
+
+
+def mat_mul(a, b):
+    """The product of two rational matrices, entry by entry in Fractions."""
+    return [[sum((Fraction(x) * Fraction(y) for x, y in zip(r, c)), Fraction(0)) for c in zip(*b)] for r in a]
+
+
+def leibniz_det(a):
+    """The determinant by the Leibniz formula, in Fractions."""
+    n = len(a)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = Fraction(sign)
+        for i in range(n):
+            term *= Fraction(a[i][perm[i]])
+        total += term
+    return total
 
 
 def make_pair(case, n0, j, n, p=P3, field=None):

@@ -17,7 +17,6 @@ from localsym.localfield import Prime, hilbert_oracle, hilbert_rational, reduce
 from localsym.numfield import (
     BiquadField,
     Mat,
-    RatMat,
     in_isometry_group,
     in_symmetric_space,
     recover_hilbert90_matrix,
@@ -25,8 +24,7 @@ from localsym.numfield import (
 from localsym.symspace import ClassicalPair, Component, classify_x, jn_mat, orbit_count_X
 from localsym.weyl import Composition, SignedInvolution, enumerate_involutions
 
-from conftest import BIQ_3, BIQ_5, P2, P3, P5, QUAD_M3, make_pair
-from test_prasad import mat_mul
+from conftest import BIQ_3, BIQ_5, P2, P3, P5, QUAD_M3, leibniz_det, make_pair, mat_mul
 
 # covers the named set {+-1, +-2, +-3, +-5, +-7, +-10} and pads to the
 # stated 784 = 28^2 checks per prime
@@ -366,7 +364,7 @@ def test_ac11_spinor_norm_laws():
     for _ in range(100):
         m = rng.choice([1, 2, 3])
         h = rand_gl(rng, m)
-        d = RatMat.of(h).det()
+        d = leibniz_det(h)
         assert prasad.spinor_norm_rational(siegel(h), prasad.w_gram(2 * m)) == prasad.squarefree_part(
             d.numerator * d.denominator
         )

@@ -29,7 +29,9 @@ from localsym.localfield import (
     square_class_reps,
     valuation,
 )
-from localsym.numfield import BiquadField, Bq, Mat, NumFieldError, RatMat
+from localsym.numfield import BiquadField, Bq, Mat, NumFieldError
+
+from conftest import mat_mul
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -93,10 +95,6 @@ def rand_symmetric(rng, n, span=5):
 
 def transpose(m):
     return [list(r) for r in zip(*m)]
-
-
-def mat_mul(a, b):
-    return (RatMat.of(a) * RatMat.of(b)).fractions()
 
 
 def test_split_gram():

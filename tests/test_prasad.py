@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from localsym.localfield import LocalFieldError, Prime, QuadExtension, hilbert_rational, reduce
-from localsym.numfield import BiquadField, Mat, RatMat
+from localsym.numfield import BiquadField, Mat
 from localsym.prasad import (
     CharacterFormula,
     Family,
@@ -24,16 +24,14 @@ from localsym.prasad import (
     wsn,
 )
 
+from conftest import leibniz_det, mat_mul
+
 P3 = Prime(3)
 E3 = QuadExtension.of(-1, P3)
 
 
 def rat_mat(rows):
-    return RatMat.of(rows).fractions()
-
-
-def mat_mul(a, b):
-    return (RatMat.of(a) * RatMat.of(b)).fractions()
+    return [[Fraction(x) for x in r] for r in rows]
 
 
 def gl_star_rat(h, m):
@@ -58,7 +56,7 @@ def siegel(h):
 def rand_gl(rng, m, span=3):
     while True:
         h = [[Fraction(rng.randint(-span, span)) for _ in range(m)] for _ in range(m)]
-        if RatMat.of(h).det() != 0:
+        if leibniz_det(h) != 0:
             return h
 
 
@@ -109,7 +107,7 @@ def test_spinor_norm_siegel_block():
         m = rng.choice([1, 2, 3])
         h = rand_gl(rng, m)
         g = siegel(h)
-        d = RatMat.of(h).det()
+        d = leibniz_det(h)
         expected = squarefree_part(d.numerator * d.denominator)
         assert spinor_norm_rational(g, w_gram(2 * m)) == expected
 

@@ -1,15 +1,18 @@
-"""The integer rational-matrix kernel, integer square classes, the
+"""The rational-matrix kernel on integer rows over one denominator
+(`int_rows`, `int_mul`, `int_det`), integer square classes, the
 fraction-free congruence diagonalization, the integer reflection loop with
 its isometry test, and the chained Hasse product, each against a reference:
-the definitions for the kernel and the Hasse sign, and copies of the former
+the definitions for the kernel (the Fraction product and the Leibniz
+determinant of conftest) and the Hasse sign, and copies of the former
 Fraction-by-Fraction code for the rest."""
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localsym.forms import FormsError, congruent_diagonal, hasse_invariant, split_gram
@@ -24,8 +27,10 @@ from localsym.localfield import (
     reduce,
     valuation,
 )
-from localsym.numfield import NumFieldError, RatMat
+from localsym.numfield import NumFieldError, int_det, int_mul, int_rows
 from localsym.prasad import PrasadError, reflection_decomposition, spinor_norm_rational, w_gram
+
+from conftest import leibniz_det, mat_mul
 
 kernel_settings = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -164,34 +169,18 @@ def rat_matrices(draw, n=None, m=None, zeros=0.3):
     ]
 
 
-def leibniz_det(a):
-    n = len(a)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = Fraction(sign)
-        for i in range(n):
-            term *= a[i][perm[i]]
-        total += term
-    return total
-
-
 @kernel_settings
 @given(data=st.data())
-def test_kernel_mul_and_transpose_by_definition(data):
+def test_kernel_int_rows_and_mul_by_definition(data):
     n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
     a = data.draw(rat_matrices(n, k))
     b = data.draw(rat_matrices(k, m))
-    prod = (RatMat.of(a) * RatMat.of(b)).fractions()
-    assert prod == [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-    assert RatMat.of(a).T.fractions() == [[a[i][j] for i in range(n)] for j in range(k)]
-    assert RatMat.of(a) == RatMat.of([[str(x) for x in r] for r in a])
-    with pytest.raises(NumFieldError):
-        RatMat.of(a) * RatMat.of(data.draw(rat_matrices(k + 1, m)))
+    (na, da), (nb, db) = int_rows(a), int_rows(b)
+    assert [[Fraction(x, da) for x in r] for r in na] == a
+    assert da > 0 and gcd(da, *(x for r in na for x in r)) == 1
+    assert int_rows([[str(x) for x in r] for r in a]) == (na, da)
+    prod = [[Fraction(x, da * db) for x in r] for r in int_mul(na, nb)]
+    assert prod == mat_mul(a, b)
 
 
 @kernel_settings
@@ -199,15 +188,21 @@ def test_kernel_mul_and_transpose_by_definition(data):
 def test_kernel_det_and_inverse_by_definition(data):
     n = data.draw(st.integers(1, 4))
     a = data.draw(rat_matrices(n, n, zeros=data.draw(st.sampled_from([0.0, 0.4, 0.7]))))
-    assert RatMat.of(a).det() == leibniz_det(a)
+    num, den = int_rows(a)
+    assert Fraction(int_det(num), den**n) == leibniz_det(a)
 
 
 def test_kernel_shapes():
     with pytest.raises(NumFieldError):
-        RatMat.of([[1, 2], [3]])
+        int_det([[1, 2], [3]])
     with pytest.raises(NumFieldError):
-        RatMat.of([[1, 2]]).det()
-    assert RatMat.of([]).det() == 1
+        int_det([[1, 2]])
+    assert int_det([]) == 1
+    assert outcome(spinor_norm_rational, [[1, 0], [0]]) == (PrasadError, "malformed matrix: ragged rows")
+    assert outcome(spinor_norm_rational, [[1, 0], [0, 1]], [[0, 1], [1]]) == (
+        PrasadError,
+        "malformed matrix: ragged rows",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +387,24 @@ def diagonal_gram(entries):
 
 
 # SO(3), SO(4) and SO(5) under the default unit gram, non-default diagonal
-# grams and split grams with a kernel
+# grams, split grams with a kernel, and grams with non-integral entries,
+# whose denominator the frame's diagonal has to carry into the q-values
 GRAMS = (
     [w_gram(m) for m in (3, 4, 5)]
     + [diagonal_gram((1, 2, -3, 5, 7)[:m]) for m in (3, 4, 5)]
     + [split_gram(1, (2,)), split_gram(1, (1, -3)), split_gram(2, (3,)), split_gram(1, (2, 5, -7))]
+    + [diagonal_gram((Fraction(1, 2), 1, 3)), diagonal_gram((Fraction(-2, 3), Fraction(5, 4), 1, 7))]
+    + [split_gram(1, (Fraction(1, 2),)), split_gram(1, (Fraction(3, 2), Fraction(-5, 6)))]
+    + [[[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 3), 1, 0], [0, 0, Fraction(2, 5)]]]
 )
+
+
+def reflection(gram, v):
+    """The reflection s_v of the gram, for an anisotropic v."""
+    m = len(gram)
+    gv = [sum(gram[i][j] * v[j] for j in range(m)) for i in range(m)]
+    q = sum(v[i] * gv[i] for i in range(m))
+    return [[Fraction(int(i == j)) - 2 * v[i] * gv[j] / q for j in range(m)] for i in range(m)]
 
 
 @st.composite
@@ -409,17 +416,20 @@ def isometries(draw):
     g = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
     vectors = st.lists(st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 1, 2])), min_size=m, max_size=m)
     for v in draw(st.lists(vectors, max_size=5)):
-        gv = [sum(gram[i][j] * v[j] for j in range(m)) for i in range(m)]
-        q = sum(v[i] * gv[i] for i in range(m))
-        if q:
-            refl = [[Fraction(int(i == j)) - 2 * v[i] * gv[j] / q for j in range(m)] for i in range(m)]
-            g = ref_mul(g, refl)
+        if sum(v[i] * gram[i][j] * v[j] for i in range(m) for j in range(m)):
+            g = ref_mul(g, reflection(gram, v))
     default = gram == w_gram(m) and draw(st.booleans())
     return g, gram, (g,) if default else (g, gram)
 
 
+HALF_GRAM = diagonal_gram((Fraction(1, 2), 1, 3))
+HALF_G = ref_mul(reflection(HALF_GRAM, [1, 1, 0]), reflection(HALF_GRAM, [0, 1, 1]))
+
+
 @settings(kernel_settings, max_examples=300)
 @given(case=isometries())
+# q-values [2/3, 1]; a frame diagonal that drops the gram's denominator 2 reads [4/3, 2]
+@example(case=(HALF_G, HALF_GRAM, (HALF_G, HALF_GRAM)))
 def test_reflection_loop_matches_fraction_reference(case):
     g, gram, args = case
     assert reflection_decomposition(*args) == ref_reflection_decomposition(g, gram)

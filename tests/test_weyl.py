@@ -79,6 +79,35 @@ def test_signed_perm_group_law():
     assert (rho * c * rho.inv()).c == frozenset({1, 3})
 
 
+def refusal(cls, rho, c):
+    """None when cls(rho, c) is built, else its WeylError message."""
+    try:
+        cls(rho, c)
+    except WeylError as e:
+        return str(e)
+    return None
+
+
+def test_involution_check_matches_its_definition():
+    """SignedInvolution accepts exactly the signed permutations w with
+    w * w = 1, and refuses the rest with SignedPerm's messages; rho and c
+    range past [0, k) to reach non-permutations and out-of-range signs."""
+    accepted = []
+    for k in range(5):
+        count = 0
+        for rho in itertools.product(range(k + 1), repeat=k):
+            for bits in range(1 << (k + 1)):
+                c = frozenset(i for i in range(k + 1) if bits >> i & 1)
+                expected = refusal(SignedPerm, rho, c)
+                if expected is None:
+                    w = SignedPerm(rho, c)
+                    expected = None if (w * w).is_identity else "not an involution"
+                assert refusal(SignedInvolution, rho, c) == expected, (rho, c)
+                count += expected is None
+        accepted.append(count)
+    assert accepted == [1, 2, 6, 20, 76]
+
+
 def test_enumerate_involutions_examples():
     comp1 = Composition((2,), 0)
     assert len(enumerate_involutions(comp1)) == 2  # id and the sign flip
