@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -198,9 +197,13 @@ def cmd_spinor_norm(args):
     _emit("spinor-norm", payload)
 
 
-def _selftest_checks(bound):
-    """The named checks of `localsym selftest`, each True or False."""
-    vals = [v for v in range(1, bound + 1)] + [-v for v in range(1, bound + 1)]
+SELFTEST_BOUND = 6
+
+
+def _selftest_checks():
+    """The named checks of `localsym selftest`, each True or False; the
+    Hilbert symbols are compared on 0 < |a|, |b| <= SELFTEST_BOUND."""
+    vals = [s * v for s in (1, -1) for v in range(1, SELFTEST_BOUND + 1)]
     checks = {}
     for p in (2, 3, 5):
         prime = localfield.Prime(p)
@@ -239,11 +242,10 @@ def _selftest_checks(bound):
 
 
 def cmd_selftest(args):
-    bound = int(os.environ.get("LOCALSYM_SELFTEST_BOUND", "6"))
-    checks = _selftest_checks(bound)
+    checks = _selftest_checks()
     ok = sum(checks.values())
     bad = len(checks) - ok
-    _emit("selftest", {"passed": ok, "failed": bad, "checks": checks, "bound": bound})
+    _emit("selftest", {"passed": ok, "failed": bad, "checks": checks, "bound": SELFTEST_BOUND})
     if bad:
         raise SystemExit(1)
 

@@ -94,14 +94,6 @@ class CuspidalDatum:
             if i not in range(self.k) or b not in (0, 1):
                 raise DistinctionError("bad hermitian flag")
 
-    # -- derived facts ------------------------------------------------
-    def selfdual_bar(self, i):
-        """pi_i is isomorphic to its conjugate dual."""
-        return frozenset({i}) in self.conj_dual or i in self.linear_dist
-
-    def selfdual_sigma_tau(self, i):
-        return frozenset({i}) in self.sigma_tau or any(j == i for j, _ in self.unitary_dist)
-
     def unitary_bits(self, i):
         return tuple(sorted(b for j, b in self.unitary_dist if j == i))
 
@@ -270,21 +262,20 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
     return Verdict(False, None, tuple(log))
 
 
+def _singletons(relations):
+    return {i for rel in relations if len(rel) == 1 for i in rel}
+
+
 def necessary_condition(data: CuspidalDatum, w: SignedInvolution) -> bool:
     """The tuple identity w(pi_1, ..., pi_k; pi_0) = (conjugate duals; pi_0),
     verified symbolically: each slot must be derivably isomorphic to the
     conjugate dual of the original entry."""
     if data.k != w.k:
         raise DistinctionError("rank mismatch")
-    for i in range(w.k):
-        j = w.rho[i]
-        if i not in w.c:
-            ok = data.selfdual_bar(i) if j == i else frozenset({i, j}) in data.conj_dual
-        else:
-            ok = data.selfdual_sigma_tau(i) if j == i else frozenset({i, j}) in data.sigma_tau
-        if not ok:
-            return False
-    return True
+    # a fixed index also passes on a self-relation {i}
+    hermitian = {i for i, _ in data.unitary_dist} | _singletons(data.sigma_tau)
+    linear = data.linear_dist | _singletons(data.conj_dual)
+    return check_rows(w, data.sigma_tau, hermitian, data.conj_dual, linear) is None
 
 
 # ---------------------------------------------------------------------------

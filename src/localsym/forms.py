@@ -221,7 +221,7 @@ def diagonalize(gram, p, case: Case = Case.ORTHOGONAL, ext=None):
     if case is Case.SYMPLECTIC:
         raise FormsError("symplectic forms are not diagonalizable")
     entries, pmat = congruent_diagonal(gram)
-    p = p if isinstance(p, Prime) else Prime(p)
+    p = _as_prime(p)
     return DiagForm(case, p, entries, ext=ext), pmat
 
 
@@ -275,7 +275,7 @@ def orbit_count(case: Case, rank: int, disc: SquareClass | None = None) -> int:
 def is_anisotropic(entries, p) -> bool:
     """Anisotropy of a rational diagonal quadratic form over Qp, by the
     standard rank-by-rank criteria."""
-    p = p if isinstance(p, Prime) else Prime(p)
+    p = _as_prime(p)
     n = len(entries)
     if any(e == 0 for e in entries):
         raise FormsError("zero diagonal entry")

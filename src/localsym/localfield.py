@@ -367,22 +367,6 @@ def _squares_mod(pm):
     return frozenset(x * x % pm for x in range(pm))
 
 
-_SCALED_BUDGET = 2**20
-_scaled = {}
-
-
-def _scaled_squares(b, pm):
-    """The set b * s mod pm over the squares s mod pm.  A set is kept for
-    reuse while the kept sets hold at most _SCALED_BUDGET residues in all
-    (about 70 MB), whatever moduli the oracle is asked for."""
-    out = _scaled.get((b, pm))
-    if out is None:
-        out = frozenset(b * s % pm for s in _squares_mod(pm))
-        if len(out) + sum(map(len, _scaled.values())) <= _SCALED_BUDGET:
-            _scaled[b, pm] = out
-    return out
-
-
 @lru_cache(maxsize=None)
 def hilbert_oracle(a: int, b: int, p) -> int:
     """Brute-force symbol: decide z^2 = a x^2 + b y^2 over Qp by searching a
@@ -399,16 +383,12 @@ def hilbert_oracle(a: int, b: int, p) -> int:
     if pm > _ORACLE_MODULUS_CAP:
         raise LocalFieldError(f"oracle modulus {p.p}^{m} too large for desk scale")
     sq = _squares_mod(pm)
-    # A primitive solution can be scaled so that some coordinate equals 1.
-    for s in sq:  # x = 1: z^2 - b y^2 = a
-        if (a + b * s) % pm in sq:
-            return 1
-    for s in sq:  # y = 1: z^2 - a x^2 = b
-        if (b + a * s) % pm in sq:
-            return 1
-    bset = _scaled_squares(b % pm, pm)
-    for s in sq:  # z = 1: a x^2 + b y^2 = 1
-        if (1 - a * s) % pm in bset:
+    # A primitive solution has x or y a unit: if p divided both, p^2 would
+    # divide a x^2 + b y^2 = z^2 (as m >= 2), so p would divide z.  Scaling
+    # that unit to 1 gives z^2 = a + b s (x = 1) or z^2 = b + a s (y = 1) for
+    # a square s, so these two tests over the squares decide the symbol.
+    for s in sq:
+        if (a + b * s) % pm in sq or (b + a * s) % pm in sq:
             return 1
     return -1
 

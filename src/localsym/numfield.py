@@ -212,21 +212,6 @@ class Bq:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        return self._lift(other) * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     @property
     def is_zero(self):
         return self._num == (0, 0, 0, 0)
@@ -464,12 +449,6 @@ class Mat:
             self.field,
             [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)],
         )
-
-    def __sub__(self, other):
-        return self + (other * (-1))
-
-    def __neg__(self):
-        return self * (-1)
 
     @property
     def T(self):

@@ -7,7 +7,6 @@ Indices are 0-based internally; JSON encodings are 1-based.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -180,26 +179,6 @@ class SignedInvolution:
         return cls(tuple(i - 1 for i in d["rho"]), frozenset(i - 1 for i in d.get("c", [])))
 
 
-def _involutions_sk(k):
-    """All involutions of S_k as image tuples."""
-    out = []
-
-    def rec(remaining, rho):
-        if not remaining:
-            out.append(tuple(rho))
-            return
-        i = remaining[0]
-        rho[i] = i
-        rec(remaining[1:], rho)
-        for j in remaining[1:]:
-            rho[i], rho[j] = j, i
-            rec([x for x in remaining[1:] if x != j], rho)
-            rho[i], rho[j] = i, j
-
-    rec(list(range(k)), list(range(k)))
-    return out
-
-
 def enumerate_involutions(comp: Composition, circ: bool = False):
     """Involutions rho . c with rho(c) = c and matching block sizes; `circ`
     additionally keeps only those with an even number of odd-size sign
@@ -210,26 +189,28 @@ def enumerate_involutions(comp: Composition, circ: bool = False):
 
 @lru_cache(maxsize=None)
 def _involutions_for(parts: tuple, circ: bool):
-    """The sorted tuple for block sizes `parts`; r and the sign play no part."""
+    """The sorted tuple for block sizes `parts`; r and the sign play no part.
+    Each index in turn is fixed or swapped with a later free index of the
+    same block size, and the orbit so formed is put in c or left out."""
     k = len(parts)
+    rho = [None] * k
     found = []
-    for rho in _involutions_sk(k):
-        if any(parts[rho[i]] != parts[i] for i in range(k)):
-            continue
-        orbits = []
-        seen = set()
-        for i in range(k):
-            if i in seen:
-                continue
-            orb = frozenset({i, rho[i]})
-            seen |= orb
-            orbits.append(orb)
-        for pick in itertools.product((False, True), repeat=len(orbits)):
-            c = frozenset().union(*(o for o, take in zip(orbits, pick) if take)) if any(pick) else frozenset()
-            w = SignedInvolution(rho, c)
-            if circ and sum(parts[i] % 2 for i in c) % 2:
-                continue
-            found.append(w)
+
+    def rec(i, c):
+        while i < k and rho[i] is not None:
+            i += 1
+        if i == k:
+            if not (circ and sum(parts[j] % 2 for j in c) % 2):
+                found.append(SignedInvolution(tuple(rho), c))
+            return
+        for j in range(i, k):
+            if rho[j] is None and parts[j] == parts[i]:
+                rho[i], rho[j] = j, i
+                rec(i + 1, c)
+                rec(i + 1, c | {i, j})
+                rho[i] = rho[j] = None
+
+    rec(0, frozenset())
     return tuple(sorted(found, key=lambda w: w.sort_key))
 
 

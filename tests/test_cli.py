@@ -239,10 +239,12 @@ def test_spinor_norm_bad_shape_is_a_domain_error(data, tmp_path, capsys):
 
 
 def test_selftest(capsys, monkeypatch):
-    monkeypatch.setenv("LOCALSYM_SELFTEST_BOUND", "3")
+    # the symbol grid is fixed: no environment variable narrows or empties it
+    monkeypatch.setenv("LOCALSYM_SELFTEST_BOUND", "0")
     code, env = run_cli(["selftest"], capsys)
     assert code == 0
     assert env["payload"]["failed"] == 0
+    assert env["payload"]["bound"] == 6
     # the exact names, so a check that is dropped or renamed fails here
     assert set(env["payload"]["checks"]) == {
         "hilbert-formula-vs-oracle@p=2",

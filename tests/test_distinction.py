@@ -254,6 +254,48 @@ def test_necessary_condition_negative_control():
     assert not necessary_condition(data2, SignedInvolution((1, 0), frozenset()))
 
 
+def _necessary_by_definition(data, w):
+    """Slot i of w(pi) is derivably the conjugate dual of pi_i: a moved
+    index needs the pair relation of its row, a fixed one a self-relation
+    {i} or the row's distinction flag."""
+    for i, j in enumerate(w.rho):
+        rels = data.sigma_tau if i in w.c else data.conj_dual
+        if j != i:
+            ok = frozenset({i, j}) in rels
+        elif i in w.c:
+            ok = frozenset({i}) in rels or any(f == i for f, _ in data.unitary_dist)
+        else:
+            ok = frozenset({i}) in rels or i in data.linear_dist
+        if not ok:
+            return False
+    return True
+
+
+def test_necessary_condition_matches_its_definition_with_self_relations():
+    """Every involution for k <= 3 against random data whose relations
+    include singletons {i}; some pairs hold only through a singleton."""
+    rng = random.Random(2020)
+    through_singleton = 0
+    for k in range(1, 4):
+        involutions = enumerate_involutions(Composition((1,) * k, 0))
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        selfs = [(i, i) for i in range(k)]
+        for _ in range(300):
+            def some(xs):
+                return [x for x in xs if rng.random() < 0.5]
+
+            conj_dual, sigma_tau = some(pairs), some(pairs)
+            flags = dict(linear_dist=some(range(k)),
+                         unitary_dist=[(i, rng.randint(0, 1)) for i in some(range(k))])
+            data = CuspidalDatum.build(range(k), conj_dual + some(selfs), sigma_tau + some(selfs), **flags)
+            plain = CuspidalDatum.build(range(k), conj_dual, sigma_tau, **flags)
+            for w in involutions:
+                expected = _necessary_by_definition(data, w)
+                assert necessary_condition(data, w) == expected, (data, w)
+                through_singleton += expected and not _necessary_by_definition(plain, w)
+    assert through_singleton > 100
+
+
 ALL_PAIRS = frozenset({frozenset({0, 1})})
 
 

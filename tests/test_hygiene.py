@@ -21,16 +21,46 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _parsed(f):
+    return ast.parse(f.read_text(), filename=str(f))
+
+
 def test_no_unused_imports():
     # __init__ imports names to re-export them
     modules = [f for f in sorted(SRC.glob("*.py")) if f.name != "__init__.py"]
     assert modules
-    unused = {
-        f.name: found
-        for f in modules
-        if (found := _unused_imports(ast.parse(f.read_text(), filename=str(f))))
-    }
+    unused = {f.name: found for f in modules if (found := _unused_imports(_parsed(f)))}
     assert not unused, unused
+
+
+def _debug_only(tree):
+    """Lines of the statements that python -O strips or changes: assert
+    statements and reads of __debug__."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
+    )
+
+
+def test_no_assert_in_library():
+    # the library runs the same under python -O only while it has no
+    # assert statement and never reads __debug__
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {f.name: lines for f in modules if (lines := _debug_only(_parsed(f)))}
+    assert not found, found
+
+
+def test_debug_only_code_is_reported():
+    tree = ast.parse(
+        "def f(x):\n"
+        "    assert x, 'positive'\n"
+        "    if __debug__:\n"
+        "        print(x)\n"
+        "    return x\n"
+    )
+    assert _debug_only(tree) == [2, 3]
 
 
 def test_unused_import_is_reported():

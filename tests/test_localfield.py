@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from localsym import localfield
 from localsym.localfield import (
     LocalFieldError,
     Prime,
@@ -108,17 +107,6 @@ def test_oracle_trivial_cases():
     assert hilbert_oracle(1, 7, P3) == 1
     assert hilbert_oracle(3, 3, P3) == hilbert_rational(3, 3, P3)
     assert hilbert_oracle(2, 5, P5) == hilbert_rational(2, 5, P5)
-
-
-def test_oracle_keeps_scaled_squares_within_budget(monkeypatch):
-    monkeypatch.setattr(localfield, "_SCALED_BUDGET", 300)
-    monkeypatch.setattr(localfield, "_scaled", {})
-    pm = 3**7
-    squares = {x * x % pm for x in range(pm)}
-    for b in range(1, 12):
-        assert localfield._scaled_squares(b, pm) == {b * s % pm for s in squares}
-        assert sum(map(len, localfield._scaled.values())) <= 300
-    assert localfield._scaled
 
 
 @pytest.mark.parametrize("p", [P2, P3, P5])
