@@ -1,9 +1,11 @@
 """The combinatorial graph on (composition, involution) vertices: the
 twisted involution acts on the restricted-root space R^k, edges follow
 simple roots made negative (but not anti-fixed) by the action, descent
-walks edges until none remain, and the convergence cone is an exact
-rational membership predicate, decided in integers: the point is put over
-one common denominator and each wall is compared without Fractions.
+walks edges along a route cached per involution until none remain, and the
+convergence cone is an exact rational membership predicate, decided in
+integers on each coordinate's reduced (numerator, denominator) pair: one
+comparison per orbit of rho, then one sparse wall of each pair
+{alpha, -theta alpha}, which an anti-invariant point meets alike.
 
 Only the combinatorial layer lives here; no analytic data is attached to
 edges.  Descent stops at vertices with no eligible simple root; stronger
@@ -15,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from operator import mul
 
 from .localfield import rational
 from .weyl import Composition, SignedInvolution, SignedPerm
@@ -26,10 +26,10 @@ class InvGraphError(ValueError):
     pass
 
 
-_HALF = Fraction(1, 2)
+_ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Convention:
     """Root normalization: the wall root is 2 e_k in the split even
     orthogonal convention with r = 0, else e_k."""
@@ -37,7 +37,7 @@ class Convention:
     wall_double: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThetaAction:
     """(theta l)_i = signs_i * l_{rho(i)}, signs -1 exactly on the sign set
     and +1 elsewhere."""
@@ -47,7 +47,7 @@ class ThetaAction:
 
     @classmethod
     def from_involution(cls, w: SignedInvolution) -> "ThetaAction":
-        return cls(w.rho, tuple(-1 if i in w.c else 1 for i in range(w.k)))
+        return _theta(w)
 
     @property
     def k(self):
@@ -57,11 +57,41 @@ class ThetaAction:
         return tuple(vec[r] * s for s, r in zip(self.signs, self.rho))
 
     def anti_invariant_part(self, vec):
-        vec = tuple(map(rational, vec))
-        return tuple(_HALF * (v - t) for v, t in zip(vec, self.apply(vec)))
+        """(vec - theta vec) / 2 in Fractions, one value per orbit of rho:
+        coordinate rho(i) is -s_i times coordinate i, the same object when
+        s_i = -1, and the coordinates fixed with s_i = +1 share one zero."""
+        pts = _ratios(vec)
+        out = [_ZERO] * self.k
+        for i, r, s in _orbits(self):
+            (n, d), (m, e) = pts[i], pts[r]
+            if r != i:
+                x = out[i] = _fraction(n * e - s * m * d, 2 * d * e)
+                out[r] = x if s < 0 else -x
+            elif s < 0:
+                out[i] = _fraction(n, d)
+        return tuple(out)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=1024)
+def _fraction(n, d):
+    """Fraction(n, d), one object for each recent (n, d): the values of
+    anti-invariant parts recur, and points that keep them share them."""
+    return Fraction(n, d)
+
+
+@lru_cache(maxsize=None)
+def _theta(w: SignedInvolution) -> ThetaAction:
+    return ThetaAction(w.rho, tuple(-1 if i in w.c else 1 for i in range(w.k)))
+
+
+@lru_cache(maxsize=None)
+def _orbits(theta: ThetaAction):
+    """(i, rho(i), s_i) for i <= rho(i): lam is anti-invariant iff
+    lam_rho(i) = -s_i lam_i on each."""
+    return tuple((i, r, s) for i, (r, s) in enumerate(zip(theta.rho, theta.signs)) if i <= r)
+
+
+@dataclass(frozen=True, slots=True)
 class Vertex:
     comp: Composition
     w: SignedInvolution
@@ -93,31 +123,40 @@ def constraining_roots(theta: ThetaAction, conv: Convention):
     )
 
 
-def _wall_row(alpha):
-    return alpha, sum(a * a for a in alpha)
+@lru_cache(maxsize=None)
+def _sparse_wall(alpha):
+    """(i, j, s, f) with <lam, alpha^vee> = f (lam_i + s lam_j)."""
+    support = [t for t, a in enumerate(alpha) if a]
+    i, j = support[0], support[-1]
+    return (i, j, alpha[j], 1) if i != j else (i, i, 0, 2 // alpha[i])
 
 
 @lru_cache(maxsize=None)
-def _wall_rows(theta: ThetaAction, conv: Convention):
-    """(alpha, |alpha|^2) for each wall of the cone."""
-    return tuple(_wall_row(alpha) for alpha in constraining_roots(theta, conv))
+def _cone(theta: ThetaAction, conv: Convention):
+    """(orbits, walls): one sparse wall for each pair {alpha, -theta alpha}
+    of constraining roots.  theta is an orthogonal involution, so for an
+    anti-invariant lam, <lam, -theta alpha> = <theta lam, -alpha> =
+    <lam, alpha> and |theta alpha| = |alpha|: the partner repeats alpha."""
+    walls, partners = [], set()
+    for alpha in constraining_roots(theta, conv):
+        if alpha not in partners:
+            partners.add(tuple(-x for x in theta.apply(alpha)))
+            walls.append(_sparse_wall(alpha))
+    return _orbits(theta), tuple(walls)
 
 
-def _integer_point(lam):
-    """(n, d) with lam = n / d, n integers and d the lcm of the denominators."""
-    lam = [rational(x) for x in lam]
-    dens = [x.denominator for x in lam]
-    d = lcm(*dens)
-    return tuple(x.numerator * (d // e) for x, e in zip(lam, dens)), d
+def _ratios(lam):
+    """Each coordinate of lam as its reduced (numerator, denominator)."""
+    return [rational(x).as_integer_ratio() for x in lam]
 
 
-def _above_walls(num, d, c, rows) -> bool:
-    """<lam, alpha^vee> > c on every row (alpha, |alpha|^2), for lam = num / d
-    and c = p / q: the wall test 2 q <num, alpha> > p d |alpha|^2 in integers."""
-    q2 = 2 * c.denominator
-    pd = c.numerator * d
-    for alpha, norm2 in rows:
-        if q2 * sum(map(mul, num, alpha)) <= pd * norm2:
+def _above(pts, p, q, walls) -> bool:
+    """<lam, alpha^vee> > p / q on every sparse wall (i, j, s, f), with
+    lam_i = n / d and lam_j = m / e read from pts: q f (n e + s m d) > p d e
+    in integers, as d, e and q are positive."""
+    for i, j, s, f in walls:
+        (n, d), (m, e) = pts[i], pts[j]
+        if q * f * (n * e + s * m * d) <= p * d * e:
             return False
     return True
 
@@ -174,8 +213,11 @@ def theta_on_root(theta: ThetaAction, alpha):
 def coroot_pairing(lam, alpha) -> Fraction:
     """<lam, alpha^vee> in the standard normalization: alpha^vee is
     2 alpha / (alpha, alpha)."""
-    num = sum(rational(l) * a for l, a in zip(lam, alpha))
-    return Fraction(2 * num, sum(a * a for a in alpha))
+    n, d = 0, 1
+    for l, a in zip(lam, alpha):
+        x, e = rational(l).as_integer_ratio()
+        n, d = n * e + a * x * d, d * e
+    return Fraction(2 * n, d * sum(a * a for a in alpha))
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +274,7 @@ def s_alpha_on_vector(k: int, idx: int, vec):
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescentStep:
     step: int
     alpha: tuple
@@ -247,6 +289,21 @@ class DescentStep:
         }
 
 
+@lru_cache(maxsize=None)
+def _route(w: SignedInvolution, conv: Convention):
+    """The greedy descent from w as (idx, alpha, w') steps, w' the involution
+    after the step: the route depends on the involution alone."""
+    route = []
+    bound = len(positive_roots(w.k, conv))
+    while options := _eligible(w, conv):
+        idx, alpha = options[0]
+        w = _reflect(w, idx)
+        route.append((idx, alpha, w))
+        if len(route) > bound:
+            raise InvGraphError("descent exceeded the positive-root bound")
+    return tuple(route)
+
+
 def descend(v: Vertex, conv: Convention):
     """Greedy descent along least eligible simple roots; returns the list of
     steps (empty for a terminal vertex) and the terminal vertex reached.
@@ -254,17 +311,14 @@ def descend(v: Vertex, conv: Convention):
     The walk is bounded by the number of positive restricted roots; a longer
     one raises InvGraphError, which would signal a bug."""
     path = []
-    bound = len(positive_roots(v.comp.k, conv))
     current = v
-    while True:
-        options = _eligible(current.w, conv)
-        if not options:
-            return path, current
-        idx, alpha = options[0]
-        current = apply_symmetry(current, idx)
+    comp, last = v.comp, v.comp.k - 1
+    for idx, alpha, w in _route(v.w, conv):
+        if idx < last:
+            comp = _swap_parts(comp, idx)
+        current = Vertex._image(comp, w)
         path.append(DescentStep(len(path) + 1, alpha, current))
-        if len(path) > bound:
-            raise InvGraphError("descent exceeded the positive-root bound")
+    return path, current
 
 
 def is_terminal(v: Vertex, conv: Convention) -> bool:
@@ -274,14 +328,19 @@ def is_terminal(v: Vertex, conv: Convention) -> bool:
 def cone_contains(theta: ThetaAction, lam, c, conv: Convention) -> bool:
     """Membership in the open cone: lam anti-invariant under theta and
     <lam, alpha^vee> > c for every positive root made negative by theta.
-    Decided on the integer numerators of lam over its common denominator."""
-    c = rational(c)
-    num, d = _integer_point(lam)
-    if len(num) != theta.k:
+    Decided in integers on each coordinate's reduced (numerator,
+    denominator) pair: anti-invariance orbit by orbit, then one wall of
+    each pair {alpha, -theta alpha}."""
+    p, q = rational(c).as_integer_ratio()
+    pts = _ratios(lam)
+    if len(pts) != theta.k:
         raise InvGraphError("dimension mismatch")
-    if theta.apply(num) != tuple(-x for x in num):
-        return False
-    return _above_walls(num, d, c, _wall_rows(theta, conv))
+    pairs, walls = _cone(theta, conv)
+    for i, r, s in pairs:
+        (n, d), (m, e) = pts[i], pts[r]
+        if m != -s * n or e != d:
+            return False
+    return _above(pts, p, q, walls)
 
 
 def cone_recursion_holds(v: Vertex, idx: int, lam, c, conv: Convention) -> bool:
@@ -294,7 +353,7 @@ def cone_recursion_holds(v: Vertex, idx: int, lam, c, conv: Convention) -> bool:
     theta1 = ThetaAction.from_involution(target.w)
     lhs = cone_contains(theta, lam, c, conv)
     moved = s_alpha_on_vector(v.comp.k, idx, lam)
-    rhs = cone_contains(theta1, moved, c, conv) and _above_walls(
-        *_integer_point(lam), rational(c), (_wall_row(alpha),)
+    rhs = cone_contains(theta1, moved, c, conv) and _above(
+        _ratios(lam), *rational(c).as_integer_ratio(), (_sparse_wall(alpha),)
     )
     return lhs == rhs

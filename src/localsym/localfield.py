@@ -362,33 +362,37 @@ def hilbert_real(a, b) -> int:
     return -1 if a < 0 and b < 0 else 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _squares_mod(pm):
     return frozenset(x * x % pm for x in range(pm))
 
 
 @lru_cache(maxsize=None)
 def hilbert_oracle(a: int, b: int, p) -> int:
-    """Brute-force symbol: decide z^2 = a x^2 + b y^2 over Qp by searching a
-    primitive solution mod p^m with the Hensel-sufficient exponent
-    m = 2 val_p(4ab) + 3.
+    """Brute-force symbol: decide z^2 = a x^2 + b y^2 over Qp by two
+    searches, z^2 = a + b s mod p^m_x and z^2 = b + a s mod p^m_y over the
+    squares s, with m_x = 2 val_p(2a) + 1 and m_y = 2 val_p(2b) + 1.
+
+    A primitive solution has x or y a unit, and scaling that unit to 1
+    gives a solution of one search.  Conversely, a solution of the x = 1
+    search with s = y^2 makes f(X) = a X^2 + b y^2 - z^2 vanish at X = 1
+    mod p^m_x, and f'(1) = 2a with 2 val_p(2a) < m_x, so by Hensel's lemma
+    (Serre, A Course in Arithmetic, ch. II 2.2) f has a root X = 1 mod p,
+    a unit; the y = 1 search likewise with f'(1) = 2b.
 
     Independent of `hilbert`; used as its ground truth in tests.
     """
     p = _as_prime(p)
     if a == 0 or b == 0:
         raise LocalFieldError("zero input")
-    m = 2 * valuation(4 * a * b, p) + 3
-    pm = p.p ** m
-    if pm > _ORACLE_MODULUS_CAP:
-        raise LocalFieldError(f"oracle modulus {p.p}^{m} too large for desk scale")
-    sq = _squares_mod(pm)
-    # A primitive solution has x or y a unit: if p divided both, p^2 would
-    # divide a x^2 + b y^2 = z^2 (as m >= 2), so p would divide z.  Scaling
-    # that unit to 1 gives z^2 = a + b s (x = 1) or z^2 = b + a s (y = 1) for
-    # a square s, so these two tests over the squares decide the symbol.
-    for s in sq:
-        if (a + b * s) % pm in sq or (b + a * s) % pm in sq:
+    for u, t in ((a, b), (b, a)):
+        # the search z^2 = u + t s, whose solutions lift since f'(1) = 2u
+        m = 2 * valuation(2 * u, p) + 1
+        pm = p.p ** m
+        if pm > _ORACLE_MODULUS_CAP:
+            raise LocalFieldError(f"oracle modulus {p.p}^{m} too large for desk scale")
+        sq = _squares_mod(pm)
+        if any((u + t * s) % pm in sq for s in sq):
             return 1
     return -1
 

@@ -32,7 +32,7 @@ class WeylError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Composition:
     """Block sizes (n_1, ..., n_k) plus the inner rank r; the optional sign
     picks one of the two conjugate parabolic classes in the split even
@@ -73,7 +73,7 @@ class Composition:
         return cls(tuple(d["parts"]), d.get("r", 0), d.get("sign"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedPerm:
     """rho . c in the signed permutation group, with rho a permutation of
     [0, k) and c a subset; conjugation satisfies rho c rho^{-1} = rho(c)."""
@@ -124,7 +124,7 @@ def _inv_perm(rho):
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedInvolution:
     """An involution rho . c: rho^2 = id and rho(c) = c."""
 

@@ -15,6 +15,7 @@ from localsym.invgraph import (
     apply_symmetry,
     cone_contains,
     cone_recursion_holds,
+    constraining_roots,
     coroot_pairing,
     descend,
     eligible_simple_roots,
@@ -24,6 +25,7 @@ from localsym.invgraph import (
     simple_roots,
     theta_on_root,
 )
+from localsym.invgraph import _cone
 from localsym.weyl import Composition, SignedInvolution, SignedPerm, enumerate_involutions
 
 CONVS = (Convention(False), Convention(True))
@@ -263,6 +265,79 @@ def test_cone_contains_dimension_mismatch():
             for lam in [(1,) * (theta.k + 1), (Fraction(1, 2),) * (theta.k - 1)]:
                 with pytest.raises(InvGraphError):
                     cone_contains(theta, lam, 0, conv)
+
+
+def wall_root(wall, k):
+    """The positive root of a sparse wall (i, j, s, f), read back from
+    <lam, alpha^vee> = f (lam_i + s lam_j)."""
+    i, j, s, f = wall
+    root = [0] * k
+    if i == j:
+        root[i] = 2 // f
+    else:
+        root[i], root[j] = 1, s
+    return tuple(root)
+
+
+def test_cone_keeps_one_wall_per_partner_pair():
+    rng = random.Random(5)
+    for conv in CONVS:
+        for theta in SMALL_THETAS:
+            walls = constraining_roots(theta, conv)
+            partner = {a: tuple(-x for x in theta.apply(a)) for a in walls}
+            assert all(b in walls for b in partner.values())
+            classes = {frozenset((a, b)) for a, b in partner.items()}
+            kept = [wall_root(wall, theta.k) for wall in _cone(theta, conv)[1]]
+            assert set(kept) <= set(walls) and len(kept) == len(classes)
+            assert {frozenset((a, partner[a])) for a in kept} == classes
+            lam = theta.anti_invariant_part(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(theta.k)]
+            )
+            for a in walls:
+                assert coroot_pairing(lam, a) == coroot_pairing(lam, partner[a])
+            for (i, j, s, f), a in zip(_cone(theta, conv)[1], kept):
+                assert f * (lam[i] + s * lam[j]) == coroot_pairing(lam, a)
+
+
+def test_anti_invariance_compares_denominators():
+    # theta swaps the coordinates: lam is anti-invariant iff lam_2 = -lam_1
+    theta = ThetaAction.from_involution(SignedInvolution((1, 0), frozenset()))
+    for conv in CONVS:
+        assert cone_contains(theta, (Fraction(1, 2), Fraction(-1, 2)), 0, conv)
+        assert not cone_contains(theta, (Fraction(1, 2), Fraction(-1, 3)), 0, conv)
+        assert cone_contains(theta, ("1/2", "-2/4"), 0, conv)
+
+
+def coordinates(kind):
+    fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+    if kind == "int":
+        return st.integers(-40, 40)
+    if kind == "str":
+        return fractions.map(str)
+    return fractions
+
+
+@st.composite
+def theta_vectors(draw):
+    theta = draw(st.sampled_from(SMALL_THETAS))
+    kind = draw(st.sampled_from(["int", "fraction", "str", "mixed"]))
+    kinds = [
+        draw(st.sampled_from(["int", "fraction", "str"])) if kind == "mixed" else kind
+        for _ in range(theta.k)
+    ]
+    return theta, tuple(draw(coordinates(x)) for x in kinds)
+
+
+@cone_settings
+@given(query=theta_vectors())
+def test_anti_invariant_part_matches_definition(query):
+    theta, vec = query
+    lam = tuple(Fraction(x) for x in vec)
+    want = tuple((v - t) / 2 for v, t in zip(lam, theta.apply(lam)))
+    part = theta.anti_invariant_part(vec)
+    assert part == want
+    assert all(type(x) is Fraction for x in part)
+    assert theta.apply(part) == tuple(-x for x in part)
 
 
 # ---------------------------------------------------------------------------
