@@ -335,8 +335,8 @@ def cone_contains(theta: ThetaAction, lam, c, conv: Convention) -> bool:
     pts = _ratios(lam)
     if len(pts) != theta.k:
         raise InvGraphError("dimension mismatch")
-    pairs, walls = _cone(theta, conv)
-    for i, r, s in pairs:
+    orbits, walls = _cone(theta, conv)
+    for i, r, s in orbits:
         (n, d), (m, e) = pts[i], pts[r]
         if m != -s * n or e != d:
             return False
