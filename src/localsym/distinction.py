@@ -22,6 +22,7 @@ from .symspace import (
 from .weyl import (
     Composition,
     SignedInvolution,
+    admissible_class,
     enumerate_involutions,
     inner_orbit_invariants,
     predicted_orbit_invariant,
@@ -226,11 +227,9 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
     Each involution's tag is formatted once per process, when a search
     first reaches it, and each row reason once per (reason code, indices)."""
     data.validate(comp)
-    if comp.n != pair.n:
-        raise DistinctionError("composition does not match the pair")
+    circ = admissible_class(comp, pair)
     if target not in realizable_targets(pair):
         raise DistinctionError(f"target {target} is not realizable for this pair")
-    circ = pair.split_even_orthogonal and comp.r == 0
     sub = pair.sub_pair(comp.r)
     hermitian = {i for i, _ in data.unitary_dist}
     tags = _tags(comp.parts, circ)

@@ -362,11 +362,6 @@ def hilbert_real(a, b) -> int:
     return -1 if a < 0 and b < 0 else 1
 
 
-@lru_cache(maxsize=8)
-def _squares_mod(pm):
-    return frozenset(x * x % pm for x in range(pm))
-
-
 @lru_cache(maxsize=None)
 def hilbert_oracle(a: int, b: int, p) -> int:
     """Brute-force symbol: decide z^2 = a x^2 + b y^2 over Qp by two
@@ -380,18 +375,24 @@ def hilbert_oracle(a: int, b: int, p) -> int:
     (Serre, A Course in Arithmetic, ch. II 2.2) f has a root X = 1 mod p,
     a unit; the y = 1 search likewise with f'(1) = 2b.
 
+    a and b are read without their even powers of p, which bounds the
+    modulus by 2^5 at p = 2 and p^3 at odd p (the cap binds only for odd
+    p > 368 at odd valuation, or p above it); x' = p^k x maps the solutions
+    of z^2 = a p^(2k) x^2 + b y^2 onto those of z^2 = a x'^2 + b y^2.
+
     Independent of `hilbert`; used as its ground truth in tests.
     """
     p = _as_prime(p)
     if a == 0 or b == 0:
         raise LocalFieldError("zero input")
+    a, b = (n // p.p ** (valuation(n, p) // 2 * 2) for n in (a, b))
     for u, t in ((a, b), (b, a)):
         # the search z^2 = u + t s, whose solutions lift since f'(1) = 2u
         m = 2 * valuation(2 * u, p) + 1
         pm = p.p ** m
         if pm > _ORACLE_MODULUS_CAP:
             raise LocalFieldError(f"oracle modulus {p.p}^{m} too large for desk scale")
-        sq = _squares_mod(pm)
+        sq = frozenset(x * x % pm for x in range(pm))
         if any((u + t * s) % pm in sq for s in sq):
             return 1
     return -1

@@ -125,25 +125,14 @@ def _inv_perm(rho):
 
 
 @dataclass(frozen=True, slots=True)
-class SignedInvolution:
+class SignedInvolution(SignedPerm):
     """An involution rho . c: rho^2 = id and rho(c) = c."""
-
-    rho: tuple
-    c: frozenset
 
     def __post_init__(self):
         rho, c = self.rho, self.c
         _check_signed_perm(rho, c)
         if any(rho[rho[i]] != i for i in range(len(rho))) or any(rho[i] not in c for i in c):
             raise WeylError("not an involution")
-
-    @classmethod
-    def identity(cls, k):
-        return cls(tuple(range(k)), frozenset())
-
-    @property
-    def k(self):
-        return len(self.rho)
 
     @property
     def fixed_in_c(self) -> frozenset:
@@ -168,7 +157,7 @@ class SignedInvolution:
         return (len(self.c), self.rho, tuple(sorted(self.c)))
 
     def conjugate_by(self, s: SignedPerm) -> "SignedInvolution":
-        w = s * SignedPerm(self.rho, self.c) * s.inv()
+        w = s * self * s.inv()
         return SignedInvolution(w.rho, w.c)
 
     def to_json(self):
@@ -182,8 +171,7 @@ class SignedInvolution:
 def enumerate_involutions(comp: Composition, circ: bool = False):
     """Involutions rho . c with rho(c) = c and matching block sizes; `circ`
     additionally keeps only those with an even number of odd-size sign
-    blocks (the identity-component restriction for split even orthogonal
-    parabolic data with r = 0)."""
+    blocks (the restriction that `admissible_class` names)."""
     return _involutions_for(comp.parts, bool(circ))
 
 
@@ -286,9 +274,10 @@ def iota(pair, comp: Composition, blocks, h: Mat) -> Mat:
     return Mat.block_diag(field, mats)
 
 
-def _check_comp(comp: Composition, w: SignedInvolution, pair):
-    """Refuse a composition that does not fit the pair, or an involution
-    that does not fit the composition."""
+def admissible_class(comp: Composition, pair) -> bool:
+    """Refuse a composition that names no parabolic class of the pair; say
+    whether only even o(c) is admissible (split even orthogonal, r = 0: an
+    odd o(c) gives det t_w = -1 and no orbit meeting X-circ)."""
     if comp.n != pair.n:
         raise WeylError("composition does not sum to the pair rank")
     if pair.split_even_orthogonal:
@@ -301,8 +290,17 @@ def _check_comp(comp: Composition, w: SignedInvolution, pair):
             raise WeylError("sign is only meaningful for r = 0 with n_k != 1")
     elif comp.split_even_sign is not None:
         raise WeylError("sign is a split even orthogonal notion")
+    return pair.split_even_orthogonal and comp.r == 0
+
+
+def _check_comp(comp: Composition, w: SignedInvolution, pair):
+    """Refuse a composition that does not fit the pair, or an involution
+    that does not fit the composition or that `admissible_class` rules out."""
+    even_only = admissible_class(comp, pair)
     if not w.compatible(comp):
         raise WeylError("involution incompatible with the composition")
+    if even_only and w.o(comp) % 2:
+        raise WeylError("o(c) must be even for split even orthogonal data with r = 0")
 
 
 def _signed_perm(comp, w, pair):
@@ -375,9 +373,9 @@ def trivial_z_invariant(pair):
 
 
 def z_component_for(comp, w, pair) -> Component:
-    """Which component of the inner space the z block must come from."""
-    o_odd = w.o(comp) % 2 == 1
-    if pair.case is Case.ORTHOGONAL and o_odd and (pair.n0 > 0 or comp.r > 1):
+    """The inner component of the z block: X-circ's complement for an odd
+    o(c) in the orthogonal case (`admissible_class` then has n0 > 0 or r > 1)."""
+    if pair.case is Case.ORTHOGONAL and w.o(comp) % 2:
         return Component.COMPLEMENT
     return Component.IDENTITY
 

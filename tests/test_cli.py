@@ -171,6 +171,51 @@ def test_distinguish_files(tmp_path, capsys):
     assert payload["witness"]["w"]["rho"] == [2, 1]
 
 
+SPLIT_SO6 = {"case": "orthogonal", "n0": 0, "j": [], "n": 3, "p": 3, "a": -1, "b": None}
+SO6_TARGET = {"case": "orthogonal", "component": "SX", "partial": {"p": 3, "val": 0, "unit": 2}, "hasse": 1}
+
+
+def error_text(args, capsys):
+    """The text of the one JSON error line with which the CLI exits 1."""
+    with pytest.raises(SystemExit) as exit_:
+        main(args)
+    lines = capsys.readouterr().out.splitlines()
+    assert exit_.value.code == 1 and len(lines) == 1, lines
+    env = json.loads(lines[0])
+    assert set(env) == {"error"}
+    return env["error"]
+
+
+@pytest.mark.parametrize("comp", [
+    {"parts": [1, 2], "r": 0},
+    {"parts": [1, 1], "r": 1},
+    {"parts": [1, 1], "r": 0},
+    {"parts": [1, 1, 1], "r": 0, "sign": 1},
+], ids=["no-sign", "r1", "rank", "stray-sign"])
+def test_distinguish_refuses_what_build_tw_refuses(comp, tmp_path, capsys):
+    k = len(comp["parts"])
+    w = {"rho": list(range(1, k + 1)), "c": []}
+    expected = error_text(
+        ["build-tw", "--pair", json.dumps(SPLIT_SO6), "--comp", json.dumps(comp), "--w", json.dumps(w)], capsys
+    )
+    args = ["distinguish"]
+    for name, obj in [("pair", SPLIT_SO6), ("comp", comp), ("data", {"labels": [str(i) for i in range(k)]}),
+                      ("target", SO6_TARGET)]:
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(obj))
+        args += [f"--{name}", str(f)]
+    assert error_text(args, capsys) == expected
+
+
+def test_build_tw_refuses_odd_o_at_r0(capsys):
+    # t_w of rho = id, c = {1} at r = 0 would have det -1, outside SO(6)
+    args = ["build-tw", "--pair", json.dumps(SPLIT_SO6), "--comp", '{"parts":[1,1,1],"r":0}',
+            "--w", '{"rho":[1,2,3],"c":[1]}']
+    assert "o(c) must be even" in error_text(args, capsys)
+    code, _ = run_cli(args[:-1] + ['{"rho":[1,2,3],"c":[1,2]}'], capsys)
+    assert code == 0
+
+
 def test_prasad_char(capsys):
     code, env = run_cli(
         ["prasad-char", "--group", '{"family":"SO","m":5}', "--ext", '{"p":3,"d":-1}',

@@ -35,6 +35,8 @@ from localsym.symspace import (
 from localsym.weyl import (
     Composition,
     SignedInvolution,
+    WeylError,
+    build_tw,
     build_xw,
     enumerate_involutions,
     inner_z_choices,
@@ -115,6 +117,45 @@ def test_decide_validates():
     with pytest.raises(DistinctionError):
         decide(pair, Composition((1, 2), 0), CuspidalDatum.build(["x", "y"], conj_dual=[(0, 1)]),
                SymplecticOrbit())
+
+
+def compositions(m):
+    """Every ordered tuple of positive parts summing to m."""
+    if m == 0:
+        return [()]
+    return [(first, *rest) for first in range(1, m + 1) for rest in compositions(m - first)]
+
+
+def refusal(fn, *args):
+    try:
+        fn(*args)
+    except (WeylError, DistinctionError) as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_decide_refuses_exactly_what_build_tw_refuses(n):
+    """On split even orthogonal pairs, decide admits a composition exactly
+    when build_tw does, and refuses it with the same error: r = 1, a
+    missing or misplaced sign and a size that is not the pair's rank."""
+    pair = make_pair(Case.ORTHOGONAL, 0, (), n)
+    target = realizable_targets(pair)[0]
+    outcomes = []
+    for r in (0, 1, 2):
+        for m in range(n + 1):
+            for parts in compositions(m):
+                for sign in (None, 1, -1):
+                    comp = Composition(parts, r, sign)
+                    data = CuspidalDatum.build([str(i) for i in range(comp.k)])
+                    expected = refusal(build_tw, comp, SignedInvolution.identity(comp.k), pair)
+                    assert refusal(decide, pair, comp, data, target) == expected, comp
+                    outcomes.append(expected)
+    assert None in outcomes
+    messages = {e[1] for e in outcomes if e}
+    assert {"composition does not sum to the pair rank", "this parabolic class needs the +-1 sign",
+            "r = 1 is a repeated parabolic class here; fold it into the parts",
+            "sign is only meaningful for r = 0 with n_k != 1"} == messages
 
 
 def test_decide_unitary_bit_arithmetic():

@@ -109,12 +109,14 @@ def test_oracle_trivial_cases():
     assert hilbert_oracle(2, 5, P5) == hilbert_rational(2, 5, P5)
 
 
-@pytest.mark.parametrize("p", [P2, P3, P5])
+@pytest.mark.parametrize("p", [P2, P3, P5, P7])
 def test_formula_vs_oracle_quick(p):
     vals = [1, -1, 2, -2, 3, -3, 5, -5]
-    for a in vals:
-        for b in vals:
-            assert hilbert_rational(a, b, p) == hilbert_oracle(a, b, p), (a, b, p.p)
+    # a0 p^(2k), k <= 3, a0 of even and odd valuation: the oracle reads these
+    # without their p-squares, at a modulus of at most 2^5 or p^3
+    high = [v * p.p ** (2 * k) for v in sorted({*vals, p.p, -p.p}) for k in range(4)]
+    for a, b in itertools.chain(itertools.product(vals, vals), itertools.product(high, high)):
+        assert hilbert_rational(a, b, p) == hilbert_oracle(a, b, p), (a, b, p.p)
 
 
 def test_eta():

@@ -6,6 +6,7 @@ import pytest
 
 from localsym.forms import Case
 from localsym.numfield import (
+    BiquadField,
     Mat,
     conj_transpose,
     in_isometry_group,
@@ -13,6 +14,7 @@ from localsym.numfield import (
     recover_hilbert90_matrix,
 )
 from localsym.symspace import (
+    ClassicalPair,
     Component,
     classify_x,
     jn_mat,
@@ -37,7 +39,7 @@ from localsym.weyl import (
     y_representative,
 )
 
-from conftest import make_pair
+from conftest import P2, P5, QUAD_M5, make_pair
 
 
 def brute_force_involutions(comp, circ=False):
@@ -335,6 +337,45 @@ def test_build_xw_invariant_matches_exact_classification(bundled_pairs):
                         x, inv = build_xw(comp, w, y_bits, z_inv, pair)
                         z = recover_hilbert90_matrix(x)
                         assert classify_x(x, z, pair) == inv, (pair.case, comp, w, bits, z_inv)
+
+
+SPLIT_EVEN = [
+    make_pair(Case.ORTHOGONAL, 0, (), 2),
+    make_pair(Case.ORTHOGONAL, 0, (), 3),
+    make_pair(Case.ORTHOGONAL, 0, (), 4),
+    ClassicalPair(Case.ORTHOGONAL, 0, (), 2, P5, QUAD_M5),
+    ClassicalPair(Case.ORTHOGONAL, 0, (), 2, P2, BiquadField(-1)),
+]
+
+
+@pytest.mark.parametrize("pair", SPLIT_EVEN, ids=lambda pair: f"n{pair.n}p{pair.prime.p}")
+def test_split_even_r0_admits_exactly_even_o(pair):
+    """For split even orthogonal data with r = 0 the builders refuse an odd
+    o(c), whose t_w has det -1; every even one gives det t_w = 1 and an x_w
+    that classify_x puts in the predicted orbit."""
+    refused = built = 0
+    n = pair.n
+    for parts in {(1,) * n, (2,) + (1,) * (n - 2), (1,) * (n - 2) + (2,)}:
+        for sign in ((None,) if parts[-1] == 1 else (1, -1)):
+            comp = Composition(parts, 0, sign)
+            for w in enumerate_involutions(comp):
+                choices = inner_z_choices(comp, w, pair)
+                iw = sorted(w.fixed_in_c)
+                if w.o(comp) % 2:
+                    y_bits = dict.fromkeys(iw, 0)
+                    for call in (lambda: build_tw(comp, w, pair), lambda: admissible_orbit_count(comp, w, pair),
+                                 lambda: build_xw(comp, w, y_bits, choices[0][0], pair)):
+                        with pytest.raises(WeylError, match=r"o\(c\) must be even"):
+                            call()
+                    refused += 1
+                    continue
+                assert build_tw(comp, w, pair).det() == pair.field.one
+                for z_inv, _ in choices:
+                    for bits in itertools.product((0, 1), repeat=len(iw)):
+                        x, inv = build_xw(comp, w, dict(zip(iw, bits)), z_inv, pair)
+                        assert classify_x(x, recover_hilbert90_matrix(x), pair) == inv, (comp, w, bits)
+                        built += 1
+    assert refused and built
 
 
 def test_admissible_orbit_count_cases():
