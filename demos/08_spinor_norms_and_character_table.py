@@ -1,19 +1,18 @@
-"""Spinor norms by constructive reflection decomposition, the unitary
-determinant pullback, and the quadratic-character table with its
-opposition involution.
+"""Spinor norms as the class of Wall's determinant on im(1 - g)
+(Zassenhaus), the unitary determinant pullback, and the
+quadratic-character table with its opposition involution.
 """
 
 from fractions import Fraction
 
 from localsym.localfield import Prime, QuadExtension
-from localsym.numfield import BiquadField, Mat
+from localsym.numfield import BiquadField, Mat, int_echelon, int_rows
 from localsym.prasad import (
     Family,
     GroupDescriptor,
     evaluate_character,
     opposition_group,
     prasad_character,
-    reflection_decomposition,
     so_form_gram,
     spinor_norm,
     spinor_norm_rational,
@@ -30,10 +29,11 @@ print()
 
 g = [[Fraction(2), 0, 0, 0], [0, Fraction(3), 0, 0],
      [0, 0, Fraction(1, 3), 0], [0, 0, 0, Fraction(1, 2)]]
-vectors, qvals = reflection_decomposition(g, w_gram(4))
-print(f"a Siegel block decomposes into {len(vectors)} reflections "
-      f"with q-values {qvals}; sn = det of the block = 6 mod squares: "
-      f"{spinor_norm_rational(g, w_gram(4))}")
+num, den = int_rows(g)
+pivots, _ = int_echelon([[den * (i == j) - x for j, x in enumerate(r)] for i, r in enumerate(num)])
+print(f"a Siegel block diag(2, 3, 1/3, 1/2) moves W = im(1 - g) of dimension r = {len(pivots)}; "
+      f"Wall's determinant on W has class {spinor_norm_rational(g, w_gram(4))}, "
+      f"that of the block's det 6")
 print()
 
 K = BiquadField(-1)

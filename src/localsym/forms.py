@@ -73,15 +73,6 @@ class DiagForm:
             return self.symplectic_rank
         return len(self.entries)
 
-    def to_json(self):
-        return {
-            "case": self.case.value,
-            "p": self.prime.p,
-            "entries": [str(e) for e in self.entries],
-            "ext_d": self.ext.d.to_json() if self.ext else None,
-            "rank": self.rank,
-        }
-
 
 @dataclass(frozen=True)
 class FormInvariants:

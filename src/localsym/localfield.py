@@ -362,7 +362,6 @@ def hilbert_real(a, b) -> int:
     return -1 if a < 0 and b < 0 else 1
 
 
-@lru_cache(maxsize=None)
 def hilbert_oracle(a: int, b: int, p) -> int:
     """Brute-force symbol: decide z^2 = a x^2 + b y^2 over Qp by two
     searches, z^2 = a + b s mod p^m_x and z^2 = b + a s mod p^m_y over the
@@ -417,9 +416,6 @@ class QuadExtension:
         p = _as_prime(p)
         return cls(p, reduce(d, p))
 
-    def to_json(self):
-        return {"p": self.base.p, "d": self.d.to_json()}
-
 
 def eta(ext: QuadExtension, a) -> int:
     """Quadratic character of F* with kernel N(E/F), evaluated as (a, d)_F."""
@@ -432,13 +428,6 @@ class ReciprocityReport:
     ok: bool
     product: int
     symbols: tuple  # ((place, symbol), ...) with place an int prime or "inf"
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "product": self.product,
-            "symbols": [[str(pl), s] for pl, s in self.symbols],
-        }
 
 
 TRIAL_LIMIT = 10**6

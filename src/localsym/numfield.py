@@ -332,31 +332,45 @@ def int_mul(a, b):
     return [[sum(map(mul, r, c)) for c in cols] for r in a]
 
 
-def int_det(rows) -> int:
-    """The determinant of a square matrix of integer rows, by Bareiss
-    elimination: every quotient below is exact, since each entry is a minor
-    of the matrix."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise NumFieldError("not a square matrix")
+def int_echelon(rows):
+    """(pivots, minor): the pivot columns of integer rows, whose columns
+    there span the column space, and the signed minor on the pivot rows
+    and columns (1 when there are none), by Bareiss row reduction.  A
+    column with no nonzero entry left below the pivots is skipped; every
+    quotient below is still exact, since each entry is a minor of the
+    matrix (Sylvester's identity)."""
     a = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
+    n = len(a)
+    pivots, sign, prev = [], 1, 1
+    for c in range(len(a[0]) if a else 0):
+        k = len(pivots)
+        piv = next((i for i in range(k, n) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         rk = a[k]
-        pk = rk[k]
-        for i in range(k + 1, n):
-            ri = a[i]
-            f = ri[k]
-            for j in range(k + 1, n):
+        pk = rk[c]
+        for ri in a[k + 1:]:
+            f = ri[c]
+            for j in range(c + 1, len(rk)):
                 ri[j] = (pk * ri[j] - f * rk[j]) // prev
         prev = pk
-    return sign * a[n - 1][n - 1] if n else 1
+        pivots.append(c)
+        if k + 1 == n:
+            break
+    return pivots, sign * prev
+
+
+def int_det(rows) -> int:
+    """The determinant of a square matrix of integer rows: the minor of
+    `int_echelon` when every column is a pivot, else 0."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NumFieldError("not a square matrix")
+    pivots, minor = int_echelon(rows)
+    return minor if len(pivots) == n else 0
 
 
 class Mat:

@@ -1,10 +1,11 @@
 """Quadratic-character bookkeeping for quasi-split classical groups: the
-character table rows, spinor norms by constructive reflection
-decomposition, the determinant pullback for unitary groups, and the
-opposition-group involution on descriptors.
+character table rows, spinor norms by Zassenhaus's formula (the
+discriminant of Wall's form on the image of 1 - g), the determinant
+pullback for unitary groups, and the opposition-group involution on
+descriptors.
 
 Spinor norms are computed over Q and only then reduced at a prime, so one
-decomposition serves every completion.
+determinant serves every completion.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from operator import mul
 
 from . import localfield
-from .forms import congruent_diagonal, is_anisotropic, split_gram
+from .forms import FormsError, is_anisotropic, split_gram
 from .localfield import QuadExtension, SquareClass, hilbert_rational, rational, reduce
-from .numfield import Bq, Mat, NumFieldError, conj_transpose, int_det, int_mul, int_rows, recover_hilbert90
+from .numfield import Bq, Mat, NumFieldError, conj_transpose, int_det, int_echelon, int_mul, int_rows, recover_hilbert90
 
 
 class PrasadError(ValueError):
@@ -127,8 +126,6 @@ def prasad_character(Y: GroupDescriptor, E: QuadExtension) -> CharacterFormula:
         return CharacterFormula("sn", n0, "E/F") if n0 else CharacterFormula("trivial")
     # unitary
     if Y.k_gen is None or reduce(Y.k_gen, E.base) == E.d:
-        return CharacterFormula("trivial")
-    if (reduce(Y.k_gen, E.base) * E.d).is_trivial:
         return CharacterFormula("trivial")  # K = E locally
     return CharacterFormula("wsn", Y.m - 1, "EK/K")
 
@@ -153,7 +150,7 @@ def opposition_group(Y: GroupDescriptor, e_gen) -> GroupDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# spinor norm by constructive reflection decomposition
+# spinor norm from Wall's determinant
 
 
 def w_gram(m: int):
@@ -170,126 +167,45 @@ def _int_matrix(rows):
 
 
 def _isometry_data(g, gram):
-    """g as (integer rows, den) and its gram (w_gram by default) as the
-    hashable (tuple of row tuples, den), checked once: g square and
-    non-empty, the gram of the same size."""
+    """g as (integer rows, den) and the integer rows of its gram (w_gram
+    by default), checked once: g square and non-empty, the gram of the
+    same size."""
     g, den = _int_matrix(g)
     gram = None if gram is None else _int_matrix(gram)
     m = len(g)
     if m == 0 or len(g[0]) != m:
         raise PrasadError("the matrix must be square and non-empty")
-    rows, h = int_rows(w_gram(m)) if gram is None else gram
+    rows, _ = int_rows(w_gram(m)) if gram is None else gram
     if len(rows) != m or len(rows[0]) != m:
         raise PrasadError("the gram must be square of the matrix's size")
-    return (g, den), (tuple(map(tuple, rows)), h)
-
-
-def _lowest(rows, den):
-    """Integer rows over a nonzero int den, brought to lowest terms with
-    den > 0."""
-    if den < 0:
-        rows = [[-x for x in r] for r in rows]
-        den = -den
-    c = gcd(den, *(x for r in rows for x in r))
-    if c != 1:
-        rows = [[x // c for x in r] for r in rows]
-        den //= c
-    return rows, den
-
-
-@lru_cache(maxsize=64)
-def _frame(gram):
-    """The diagonal frame of the gram H / h, fixed by its entries:
-    congruent_diagonal on the integer numerators gives tP H P = E, so the
-    frame's diagonal is E / h, returned as integer numerators over one
-    denominator, with P and P^-1 = E^-1 tP H as (integer rows, den)."""
-    hrows, h = gram
-    entries, pmat = congruent_diagonal(hrows)
-    (d,), dd = int_rows([[e / h for e in entries]])
-    etp, etp_den = int_rows([[x / e for x in col] for col, e in zip(zip(*pmat), entries)])
-    return d, dd, int_rows(pmat), _lowest(int_mul(etp, hrows), etp_den)
-
-
-def _reflections(g, gram):
-    """Reflections taking g to the identity, found in the diagonal frame of
-    the gram, where every basis vector is anisotropic: a column that moves
-    is fixed by one reflection when the difference vector is anisotropic
-    and by two otherwise.
-
-    The frame's work matrix is kept as integer rows W over one denominator
-    den, and a reflection vector as integer numerators V (any scale gives
-    the same reflection): s_V maps W / den to (Q W - 2 V S) / (Q den) with
-    Q = sum_i d_i V_i^2 and S_c = sum_i d_i V_i W_ic, where d / dd is the
-    frame's diagonal.  Returns the frame and [(V, den, Q)], one entry per
-    reflection in application order, so that g = s_1 ... s_t: the vector
-    is V / den, with q-value Q / (dd den^2).
-
-    g = N / n and the gram H / h come as (integer rows, den) pairs.  N
-    preserves the gram when tN H N == n^2 H, and the work matrix P^-1 g P
-    is one triple product over the three denominators, brought to lowest
-    terms once.
-    """
-    (n, g_den), (h, _) = g, gram
-    nn = g_den * g_den
-    if int_mul(list(zip(*n)), int_mul(h, n)) != [[nn * x for x in r] for r in h]:
-        raise PrasadError("matrix does not preserve the form")
-    frame = d, dd, (prows, pden), (pinv, pinv_den) = _frame(gram)
-    w, den = _lowest(int_mul(int_mul(pinv, n), prows), pinv_den * g_den * pden)
-    m = len(w)
-    factors = []
-
-    def reflect(v, v_den):
-        nonlocal w, den
-        dv = list(map(mul, d, v))
-        q = sum(map(mul, dv, v))
-        s = [sum(map(mul, dv, col)) for col in zip(*w)]
-        w, den = _lowest([[q * x - 2 * vi * sc for x, sc in zip(row, s)] for row, vi in zip(w, v)], den * q)
-        factors.append((v, v_den, q))
-
-    for i in range(m):
-        col = [row[i] for row in w]
-        if all(x == (den if r == i else 0) for r, x in enumerate(col)):
-            continue
-        diff = list(col)
-        diff[i] -= den
-        if sum(map(mul, d, (x * x for x in diff))):
-            reflect(diff, den)
-        else:
-            col[i] += den
-            reflect(col, den)
-            reflect([int(r == i) for r in range(m)], 1)
-    if den != 1 or any(x != int(r == c) for r, row in enumerate(w) for c, x in enumerate(row)):
-        raise PrasadError("reflection decomposition failed to terminate")
-    return frame, factors
-
-
-def reflection_decomposition(g, gram=None):
-    """Write an isometry of a rational symmetric form as a product of
-    reflections; returns the reflection vectors (in the original frame)
-    and their q-values, ordered so that g = s_{v_1} ... s_{v_t}.
-    """
-    g, gram = _isometry_data(g, gram)
-    (_, dd, (prows, pden), _), factors = _reflections(g, gram)
-    vectors = []
-    for v, v_den, _ in factors:
-        # P (v / v_den) in the original frame
-        scale = pden * v_den
-        vectors.append([Fraction(sum(map(mul, row, v)), scale) for row in prows])
-    return vectors, [Fraction(q, dd * v_den * v_den) for _, v_den, q in factors]
+    return (g, den), rows
 
 
 def spinor_norm_rational(g, gram=None) -> Fraction:
-    """Product of the reflection q-values: a representative of the spinor
-    norm in Q*/Q*^2, returned with squarefree normalization.  A product of
-    t reflections has det (-1)^t, so an odd t is refused as outside SO."""
-    g, gram = _isometry_data(g, gram)
-    (_, dd, _, _), factors = _reflections(g, gram)
-    if len(factors) % 2:
+    """The spinor norm of g in Q*/Q*^2, returned with squarefree
+    normalization, by Zassenhaus's formula: the discriminant of Wall's
+    form [x, y] = B(x, v), y = (1 - g) v, on W = im(1 - g).
+
+    For g = N / n and the gram H / h, the columns y_a = A e_a of
+    A = n I - N at the pivot columns i_1 ... i_r of A are a basis of W,
+    with v_a = n e_a, so Wall's matrix is (n / h) (tA H)[i_a][i_b]; its
+    determinant is that of the integer block up to the square (n / h)^r.
+    det g = (-1)^r, so an odd r is refused as outside SO.  N preserves
+    the gram when tN H N == n^2 H, tested first; then the gram must be
+    symmetric and nonsingular."""
+    (n, den), h = _isometry_data(g, gram)
+    if int_mul(list(zip(*n)), int_mul(h, n)) != [[den * den * x for x in r] for r in h]:
+        raise PrasadError("matrix does not preserve the form")
+    if h != [list(c) for c in zip(*h)]:
+        raise FormsError("matrix is not symmetric")
+    if not int_det(h):
+        raise FormsError("singular matrix")
+    a = [[den * (i == j) - x for j, x in enumerate(r)] for i, r in enumerate(n)]
+    pivots, _ = int_echelon(a)
+    if len(pivots) % 2:
         raise PrasadError("spinor norm computed on the special orthogonal group")
-    prod = Fraction(1)
-    for _, v_den, q in factors:
-        prod *= Fraction(q, dd * v_den * v_den)
-    return Fraction(squarefree_part(prod.numerator * prod.denominator))
+    ta_h = int_mul(list(zip(*a)), h)
+    return Fraction(squarefree_part(int_det([[ta_h[i][j] for j in pivots] for i in pivots])))
 
 
 def spinor_norm(g, p, gram=None) -> SquareClass:
@@ -317,9 +233,6 @@ class KClassElement:
 
     def norm_to_base(self) -> Fraction:
         return self.value.norm_to_Fp().rational
-
-    def to_json(self):
-        return self.value.to_json()
 
 
 @lru_cache(maxsize=64)

@@ -514,9 +514,6 @@ class InnerFactor:
 class StabilizerShape:
     factors: tuple
 
-    def to_json(self):
-        return {"factors": [f.to_json() for f in self.factors]}
-
 
 def stabilizer_shape(comp, w, y_bits, z_inv) -> StabilizerShape:
     """One factor per rho-orbit plus the inner block: paired indices give a

@@ -15,7 +15,6 @@ from localsym.prasad import (
     evaluate_character,
     opposition_group,
     prasad_character,
-    reflection_decomposition,
     so_form_gram,
     spinor_norm,
     spinor_norm_rational,
@@ -123,21 +122,6 @@ def test_spinor_norm_multiplicative():
         s2 = spinor_norm_rational(g2, gram)
         prod = s1 * s2
         assert s12 == squarefree_part(prod.numerator * prod.denominator)
-
-
-def test_reflection_count_even_and_exact():
-    rng = random.Random(53)
-    for gram in [w_gram(2), w_gram(3), [[1, 0, 0], [0, 2, 0], [0, 0, -3]]]:
-        gram = rat_mat(gram)
-        for _ in range(30):
-            g = rand_so(rng, gram)
-            vectors, qvals = reflection_decomposition(g, gram)
-            assert len(vectors) % 2 == 0
-            # the product of the returned reflections reproduces g
-            acc = [[Fraction(1 if i == j else 0) for j in range(len(gram))] for i in range(len(gram))]
-            for v in vectors:
-                acc = mat_mul(acc, reflection_matrix(gram, v))
-            assert acc == g
 
 
 def test_spinor_norm_rejects():

@@ -1,15 +1,17 @@
 """The rational-matrix kernel on integer rows over one denominator
-(`int_rows`, `int_mul`, `int_det`), integer square classes, the
-fraction-free congruence diagonalization, the integer reflection loop with
-its isometry test, and the chained Hasse product, each against a reference:
+(`int_rows`, `int_mul`, `int_echelon`, `int_det`), integer square classes,
+the fraction-free congruence diagonalization, the spinor norm from Wall's
+determinant with its isometry test, and the chained Hasse product, each
+against a reference:
 the definitions for the kernel (the Fraction product and the Leibniz
 determinant of conftest) and the Hasse sign, and copies of the former
 Fraction-by-Fraction code for the rest."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,8 +29,8 @@ from localsym.localfield import (
     reduce,
     valuation,
 )
-from localsym.numfield import NumFieldError, int_det, int_mul, int_rows
-from localsym.prasad import PrasadError, reflection_decomposition, spinor_norm_rational, w_gram
+from localsym.numfield import NumFieldError, int_det, int_echelon, int_mul, int_rows
+from localsym.prasad import PrasadError, spinor_norm_rational, w_gram
 
 from conftest import leibniz_det, mat_mul
 
@@ -192,6 +194,34 @@ def test_kernel_det_and_inverse_by_definition(data):
     assert Fraction(int_det(num), den**n) == leibniz_det(a)
 
 
+def ref_rank(a):
+    a = [list(r) for r in a]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is not None:
+            a[rank], a[piv] = a[piv], a[rank]
+            for r in a[rank + 1:]:
+                f = r[c] / a[rank][c]
+                r[:] = [x - f * y for x, y in zip(r, a[rank])]
+            rank += 1
+    return rank
+
+
+@kernel_settings
+@given(data=st.data())
+def test_kernel_pivots_by_definition(data):
+    # column c is a pivot when it raises the rank of the columns before it,
+    # and the minor is that of some choice of rows on the pivot columns
+    a = data.draw(rat_matrices(zeros=data.draw(st.sampled_from([0.0, 0.5, 0.8]))))
+    num, _ = int_rows(a)
+    pivots, minor = int_echelon(num)
+    cols = list(zip(*a))
+    assert pivots == [c for c in range(len(cols)) if ref_rank(cols[: c + 1]) > ref_rank(cols[:c])]
+    rows = combinations([[r[j] for j in pivots] for r in num], len(pivots))
+    assert minor and any(abs(leibniz_det(sub)) == abs(minor) for sub in rows)
+
+
 def test_kernel_shapes():
     with pytest.raises(NumFieldError):
         int_det([[1, 2], [3]])
@@ -296,7 +326,7 @@ def test_congruent_diagonal_zero_pivots(gram):
 
 
 # ---------------------------------------------------------------------------
-# the reflection loop against the former Fraction code
+# the spinor norm against the former Fraction reflection loop
 
 
 def ref_mul(a, b):
@@ -387,8 +417,7 @@ def diagonal_gram(entries):
 
 
 # SO(3), SO(4) and SO(5) under the default unit gram, non-default diagonal
-# grams, split grams with a kernel, and grams with non-integral entries,
-# whose denominator the frame's diagonal has to carry into the q-values
+# grams, split grams with a kernel, and grams with non-integral entries
 GRAMS = (
     [w_gram(m) for m in (3, 4, 5)]
     + [diagonal_gram((1, 2, -3, 5, 7)[:m]) for m in (3, 4, 5)]
@@ -407,16 +436,65 @@ def reflection(gram, v):
     return [[Fraction(int(i == j)) - 2 * v[i] * gv[j] / q for j in range(m)] for i in range(m)]
 
 
+def eichler(gram, u, w):
+    """The Eichler transformation x -> x + B(x,u) w - B(x,w) u - Q(w) B(x,u) u
+    of the gram, for an isotropic u with B(u,w) = 0 and Q(w) = B(w,w)/2:
+    unipotent, so in SO with trivial spinor norm, and for w off the line
+    of u, 1 - g has the image span(u, w)."""
+    m = len(gram)
+    hu = [sum(gram[i][j] * u[j] for j in range(m)) for i in range(m)]
+    hw = [sum(gram[i][j] * w[j] for j in range(m)) for i in range(m)]
+    q = sum(w[i] * hw[i] for i in range(m)) / 2
+    return [
+        [Fraction(int(i == j)) + hu[j] * w[i] - hw[j] * u[i] - q * hu[j] * u[i] for j in range(m)]
+        for i in range(m)
+    ]
+
+
+def isotropic_vectors(gram):
+    """The nonzero isotropic vectors of the gram with entries in -2..2."""
+    m = len(gram)
+    return [
+        v
+        for v in product(range(-2, 3), repeat=m)
+        if any(v) and not sum(v[i] * gram[i][j] * v[j] for i in range(m) for j in range(m))
+    ]
+
+
+ISOTROPIC = [isotropic_vectors(gram) for gram in GRAMS]
+
+
+def rank_two(u, w):
+    return any(u[i] * w[j] != u[j] * w[i] for i, j in combinations(range(len(u)), 2))
+
+
 @st.composite
 def isometries(draw):
-    """(g, gram, args): a product of reflections for the gram, and the
-    arguments to pass, with the default gram left out half the time."""
-    gram = draw(st.sampled_from(GRAMS))
+    """(g, gram, args): a product of reflections and Eichler transformations
+    for the gram, and the arguments to pass, with the default gram left out
+    half the time.  An Eichler factor can make dim im(1 - g) smaller than
+    the count of reflections that the reference loop takes."""
+    index = draw(st.sampled_from(range(len(GRAMS))))
+    gram, isotropic = GRAMS[index], ISOTROPIC[index]
     m = len(gram)
     g = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
     vectors = st.lists(st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 1, 2])), min_size=m, max_size=m)
     for v in draw(st.lists(vectors, max_size=5)):
-        if sum(v[i] * gram[i][j] * v[j] for i in range(m) for j in range(m)):
+        if isotropic and draw(st.booleans()):
+            u = draw(st.sampled_from(isotropic))
+            hu = [sum(u[i] * gram[i][j] for i in range(m)) for j in range(m)]
+            # an isotropic w orthogonal to u and independent of it makes
+            # span(u, w) totally isotropic: g then takes 4 reflections
+            plane = [w for w in isotropic if not sum(map(mul, hu, w)) and rank_two(u, w)]
+            if plane and draw(st.booleans()):
+                w = draw(st.sampled_from(plane))
+            else:
+                # w = B(u, e_k) v - B(u, v) e_k, for the first k with B(u, e_k) != 0
+                k = next(j for j, x in enumerate(hu) if x)
+                w = [hu[k] * x for x in v]
+                w[k] -= sum(map(mul, hu, v))
+            g = ref_mul(g, eichler(gram, u, w))
+        elif sum(v[i] * gram[i][j] * v[j] for i in range(m) for j in range(m)):
             g = ref_mul(g, reflection(gram, v))
     default = gram == w_gram(m) and draw(st.booleans())
     return g, gram, (g,) if default else (g, gram)
@@ -424,15 +502,26 @@ def isometries(draw):
 
 HALF_GRAM = diagonal_gram((Fraction(1, 2), 1, 3))
 HALF_G = ref_mul(reflection(HALF_GRAM, [1, 1, 0]), reflection(HALF_GRAM, [0, 1, 1]))
+# Eichler transformations on the totally isotropic plane span(e1, e2):
+# alone on the split SO(4), dim im(1 - g) is 2 and the reference loop takes
+# 4 reflections; times s_e3 s_(e1+e5) on the split SO(5) (spinor norm 2),
+# dim im(1 - g) is 4 and the loop takes 6
+SPLIT4, SPLIT5 = w_gram(4), w_gram(5)
+PLANE_G = eichler(SPLIT4, [1, 0, 0, 0], [0, 1, 0, 0])
+EICHLER_G = ref_mul(
+    eichler(SPLIT5, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0]),
+    ref_mul(reflection(SPLIT5, [0, 0, 1, 0, 0]), reflection(SPLIT5, [1, 0, 0, 0, 1])),
+)
 
 
 @settings(kernel_settings, max_examples=300)
 @given(case=isometries())
-# q-values [2/3, 1]; a frame diagonal that drops the gram's denominator 2 reads [4/3, 2]
+# a gram with denominator 2: the reference loop's q-values are [2/3, 1], spinor norm 6
 @example(case=(HALF_G, HALF_GRAM, (HALF_G, HALF_GRAM)))
+@example(case=(PLANE_G, SPLIT4, (PLANE_G,)))
+@example(case=(EICHLER_G, SPLIT5, (EICHLER_G, SPLIT5)))
 def test_reflection_loop_matches_fraction_reference(case):
     g, gram, args = case
-    assert reflection_decomposition(*args) == ref_reflection_decomposition(g, gram)
     assert outcome(spinor_norm_rational, *args) == outcome(ref_spinor_norm, g, gram)
 
 
@@ -450,6 +539,18 @@ def test_reflection_loop_keeps_its_refusals():
         PrasadError,
         "the matrix must be square and non-empty",
     )
+    # the gram is checked after the isometry test and before the parity
+    # test: symmetric, then nonsingular
+    ident, flip, minus = [[1, 0], [0, 1]], [[-1, 0], [0, 1]], [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    for g, bad_gram, want in [
+        (ident, [[0, 0], [0, 0]], (FormsError, "singular matrix")),
+        (flip, [[0, 0], [0, 0]], (FormsError, "singular matrix")),
+        (flip, [[0, 0], [0, 1]], (FormsError, "singular matrix")),
+        (ident, [[1, 2], [3, 4]], (FormsError, "matrix is not symmetric")),
+        (flip, [[1, 2], [3, 0]], (PrasadError, "matrix does not preserve the form")),
+        (minus, [[1, 2, 0], [0, 1, 0], [0, 0, 0]], (FormsError, "matrix is not symmetric")),
+    ]:
+        assert outcome(spinor_norm_rational, g, bad_gram) == want
 
 
 # ---------------------------------------------------------------------------

@@ -354,3 +354,13 @@ def test_classify_constant_under_weyl_factors():
             gx = t * x * t.sigma().inv()
             gz = t * z
             assert classify_x(gx, gz, pair) == inv
+
+
+def test_pair_json_round_trip(bundled_pairs):
+    # the verdicts benchmark writes its pairs with to_json, and the CLI reads them back
+    import json
+
+    from localsym.symspace import ClassicalPair
+
+    for pair in [*bundled_pairs, make_pair(Case.ORTHOGONAL, 1, (Fraction(2, 3),), 1)]:
+        assert ClassicalPair.from_json(json.loads(json.dumps(pair.to_json()))) == pair

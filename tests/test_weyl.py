@@ -490,3 +490,9 @@ def test_symplectic_tw_literal_matrix():
     )
     assert t == expected
     assert t * t == Mat.identity(f, 4) * (-1)
+
+
+@pytest.mark.parametrize("comp", [Composition((1, 2), 0, 1), Composition((2, 2), 0, -1), Composition((1, 1), 2)])
+def test_composition_json_round_trip(comp):
+    assert Composition.from_json(comp.to_json()) == comp
+    assert ("sign" in comp.to_json()) == (comp.split_even_sign is not None)
