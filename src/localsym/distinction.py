@@ -25,6 +25,10 @@ from .weyl import (
     admissible_class,
     enumerate_involutions,
     inner_orbit_invariants,
+    orbit_bit,
+    orbit_mask,
+    orbit_masks,
+    orbit_of_bit,
     predicted_orbit_invariant,
 )
 
@@ -174,6 +178,45 @@ ROW_PROSE = {
     "rows.linear_dist": "label {} is not flagged linearly distinguished",
 }
 
+# the reasons of a candidate that passes the rows: an inner orbit not
+# flagged for pi0 (its JSON), or hermitian bits and an inner orbit whose
+# predicted orbit is not the target (the bits tuple, the orbit's JSON)
+SEARCH_PROSE = {
+    "inner.pi0_unflagged": "inner orbit {} not flagged for pi0",
+    "arith.other_orbit": "bits {} with inner orbit {} lands in another orbit",
+}
+
+
+def allowed_orbits(k, sigma_tau, hermitian, conj_dual, linear) -> int:
+    """The `weyl.orbit_bit`s of the rank-k orbits that pass their row: a
+    fixed index in c with a hermitian flag, one outside c with a linear
+    flag, a pair in c with a sigma-tau relation and a pair outside c with
+    a conjugate-dual relation.  Relations that are not two indices in
+    [0, k) allow nothing."""
+    allowed = 0
+    for flags, in_c in ((linear, 0), (hermitian, 1)):
+        for i in range(k):
+            if i in flags:
+                allowed |= 1 << orbit_bit(k, i, i, in_c)
+    indices = frozenset(range(k))
+    for relations, in_c in ((conj_dual, 0), (sigma_tau, 1)):
+        for rel in relations:
+            if len(rel) == 2 and indices.issuperset(rel):
+                i, j = sorted(rel)
+                allowed |= 1 << orbit_bit(k, int(i), int(j), in_c)
+    return allowed
+
+
+def first_failing_row(k, forbidden):
+    """None, or (reason code, 1-based indices) of the lowest bit of a mask
+    of forbidden rank-k orbits: the row of the least index."""
+    if not forbidden:
+        return None
+    i, j, in_c = orbit_of_bit(k, (forbidden & -forbidden).bit_length() - 1)
+    if i == j:
+        return ("rows.hermitian_flag" if in_c else "rows.linear_dist"), (i + 1,)
+    return ("rows.sigma_tau" if in_c else "rows.conj_dual"), (i + 1, j + 1)
+
 
 def check_rows(w, sigma_tau, hermitian, conj_dual, linear):
     """The four condition rows of w against relation pairs and flagged
@@ -182,19 +225,8 @@ def check_rows(w, sigma_tau, hermitian, conj_dual, linear):
     unsigned fixed point a linear flag.  Takes 0-based indices; returns
     None, or (reason code, 1-based indices) for the first failing row,
     which ROW_PROSE renders."""
-    for i, j in enumerate(w.rho):
-        if i in w.c and j != i:
-            if frozenset({i, j}) not in sigma_tau:
-                return "rows.sigma_tau", (i + 1, j + 1)
-        elif i in w.c:
-            if i not in hermitian:
-                return "rows.hermitian_flag", (i + 1,)
-        elif j != i:
-            if frozenset({i, j}) not in conj_dual:
-                return "rows.conj_dual", (i + 1, j + 1)
-        elif i not in linear:
-            return "rows.linear_dist", (i + 1,)
-    return None
+    allowed = allowed_orbits(w.k, sigma_tau, hermitian, conj_dual, linear)
+    return first_failing_row(w.k, orbit_mask(w) & ~allowed)
 
 
 @lru_cache(maxsize=None)
@@ -207,10 +239,17 @@ def _tags(parts: tuple, circ: bool) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _row_reason(fail):
-    """The log text of a `check_rows` failure (reason code, indices)."""
-    code, idx = fail
-    return "rows: " + ROW_PROSE[code].format(*idx)
+def _row_reasons(k: int) -> dict:
+    """The log text 'rows: <ROW_PROSE>' of each rank-k orbit's row, keyed by
+    the orbit's single-bit mask."""
+    out = {}
+    for i in range(k):
+        for j in range(i, k):
+            for in_c in (0, 1):
+                bit = 1 << orbit_bit(k, i, j, in_c)
+                code, idx = first_failing_row(k, bit)
+                out[bit] = "rows: " + ROW_PROSE[code].format(*idx)
+    return out
 
 
 def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
@@ -222,25 +261,30 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
 
     Each failure-log line is 'w=<tag>: <reason>', the tag being the Python
     repr (not JSON) of w.to_json(), 1-based.  The reason is 'rows: ' plus
-    the ROW_PROSE of the failing row, 'inner orbit <orbit> not flagged for
-    pi0', or 'bits <bits> with inner orbit <orbit> lands in another orbit'.
-    Each involution's tag is formatted once per process, when a search
-    first reaches it, and each row reason once per (reason code, indices)."""
+    the ROW_PROSE of the failing row, or the SEARCH_PROSE of
+    'inner.pi0_unflagged' or 'arith.other_orbit'.  The rows are one test per
+    involution: its orbit mask against the datum's `allowed_orbits`, the
+    lowest forbidden bit naming the failing row.  Each involution's tag is
+    formatted once per process, when a search first reaches it, and each
+    row reason once per orbit."""
     data.validate(comp)
     circ = admissible_class(comp, pair)
     if target not in realizable_targets(pair):
         raise DistinctionError(f"target {target} is not realizable for this pair")
     sub = pair.sub_pair(comp.r)
     hermitian = {i for i, _ in data.unitary_dist}
+    forbidden = ~allowed_orbits(comp.k, data.sigma_tau, hermitian, data.conj_dual, data.linear_dist)
+    reasons = _row_reasons(comp.k)
+    masks = orbit_masks(comp, circ)
     tags = _tags(comp.parts, circ)
     log = []
     for pos, w in enumerate(enumerate_involutions(comp, circ)):
         tag = tags.get(pos)
         if tag is None:
             tag = tags[pos] = f"w={w.to_json()}: "
-        fail = check_rows(w, data.sigma_tau, hermitian, data.conj_dual, data.linear_dist)
-        if fail:
-            log.append(tag + _row_reason(fail))
+        bad = masks[pos] & forbidden
+        if bad:
+            log.append(tag + reasons[bad & -bad])
             continue
         iw = sorted(w.fixed_in_c)
         bit_ranges = [data.unitary_bits(i) for i in iw]
@@ -249,15 +293,13 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
             y_bits = dict(zip(iw, bits))
             for z_inv in inner:
                 if sub is not None and z_inv not in data.pi0_dist:
-                    log.append(f"{tag}inner orbit {z_inv.to_json()} not flagged for pi0")
+                    log.append(tag + SEARCH_PROSE["inner.pi0_unflagged"].format(z_inv.to_json()))
                     continue
                 predicted = predicted_orbit_invariant(comp, w, y_bits, z_inv, pair)
                 if predicted == target:
                     witness = Witness(w, tuple(sorted(y_bits.items())), z_inv)
                     return Verdict(True, witness, tuple(log))
-                log.append(
-                    f"{tag}bits {bits} with inner orbit {z_inv.to_json()} lands in another orbit"
-                )
+                log.append(tag + SEARCH_PROSE["arith.other_orbit"].format(bits, z_inv.to_json()))
     return Verdict(False, None, tuple(log))
 
 

@@ -172,34 +172,63 @@ def enumerate_involutions(comp: Composition, circ: bool = False):
     """Involutions rho . c with rho(c) = c and matching block sizes; `circ`
     additionally keeps only those with an even number of odd-size sign
     blocks (the restriction that `admissible_class` names)."""
-    return _involutions_for(comp.parts, bool(circ))
+    return _involutions_for(comp.parts, bool(circ))[0]
+
+
+def orbit_masks(comp: Composition, circ: bool = False):
+    """The orbit mask of each involution of `enumerate_involutions(comp,
+    circ)`, in the same order."""
+    return _involutions_for(comp.parts, bool(circ))[1]
+
+
+def orbit_bit(k: int, i: int, j: int, in_c) -> int:
+    """The bit of the orbit {i, j} of a rank-k signed involution (i <= j,
+    and i = j for a fixed index), in c or not.  Bits are ordered by the
+    orbit's least index i."""
+    return 2 * k * i + 2 * j + in_c
+
+
+def orbit_of_bit(k: int, bit: int):
+    """(i, j, in c) of an `orbit_bit`."""
+    i, j = divmod(bit >> 1, k)
+    return i, j, bit & 1
+
+
+def orbit_mask(w: SignedInvolution) -> int:
+    """One `orbit_bit` per orbit of w."""
+    return sum(1 << orbit_bit(w.k, i, j, i in w.c) for i, j in enumerate(w.rho) if i <= j)
 
 
 @lru_cache(maxsize=None)
 def _involutions_for(parts: tuple, circ: bool):
-    """The sorted tuple for block sizes `parts`; r and the sign play no part.
-    Each index in turn is fixed or swapped with a later free index of the
-    same block size, and the orbit so formed is put in c or left out."""
+    """The sorted tuple for block sizes `parts`, and the tuple of their
+    orbit masks; r and the sign play no part.  Each index in turn is fixed
+    or swapped with a later free index of the same block size, and the
+    orbit so formed is put in c or left out."""
     k = len(parts)
     rho = [None] * k
-    found = []
+    found, masks = [], []
+    pair_bits = [[1 << orbit_bit(k, i, j, 0) for j in range(k)] for i in range(k)]
 
-    def rec(i, c):
+    def rec(i, c, mask):
         while i < k and rho[i] is not None:
             i += 1
         if i == k:
             if not (circ and sum(parts[j] % 2 for j in c) % 2):
                 found.append(SignedInvolution(tuple(rho), c))
+                masks.append(mask)
             return
         for j in range(i, k):
             if rho[j] is None and parts[j] == parts[i]:
                 rho[i], rho[j] = j, i
-                rec(i + 1, c)
-                rec(i + 1, c | {i, j})
+                bit = pair_bits[i][j]
+                rec(i + 1, c, mask | bit)
+                rec(i + 1, c | {i, j}, mask | bit << 1)
                 rho[i] = rho[j] = None
 
-    rec(0, frozenset())
-    return tuple(sorted(found, key=lambda w: w.sort_key))
+    rec(0, frozenset(), 0)
+    order = sorted(range(len(found)), key=lambda n: found[n].sort_key)
+    return tuple(found[n] for n in order), tuple(masks[n] for n in order)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localsym.distinction import (
     ROW_PROSE,
@@ -15,8 +17,10 @@ from localsym.distinction import (
     GlBlocks,
     Verdict,
     Witness,
+    allowed_orbits,
     check_rows,
     decide,
+    first_failing_row,
     gl_product_check,
     inner_orbit_invariants,
     necessary_condition,
@@ -40,6 +44,8 @@ from localsym.weyl import (
     build_xw,
     enumerate_involutions,
     inner_z_choices,
+    orbit_mask,
+    orbit_masks,
     predicted_orbit_invariant,
 )
 
@@ -355,15 +361,61 @@ def test_check_rows_reason_codes(rho, c, drop, code, idx, prose):
     assert ROW_PROSE[code].format(*idx) == prose
 
 
+def reference_rows(w, sigma_tau, hermitian, conj_dual, linear):
+    """The four condition rows read index by index, with a relation looked
+    up as the frozenset {i, j}: None, or (reason code, 1-based indices) of
+    the first failing row."""
+    for i, j in enumerate(w.rho):
+        if i in w.c and j != i:
+            if frozenset({i, j}) not in sigma_tau:
+                return "rows.sigma_tau", (i + 1, j + 1)
+        elif i in w.c:
+            if i not in hermitian:
+                return "rows.hermitian_flag", (i + 1,)
+        elif j != i:
+            if frozenset({i, j}) not in conj_dual:
+                return "rows.conj_dual", (i + 1, j + 1)
+        elif i not in linear:
+            return "rows.linear_dist", (i + 1,)
+    return None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(parts=st.lists(st.sampled_from((1, 2)), min_size=1, max_size=6), circ=st.booleans(),
+       density=st.sampled_from((0.3, 0.7, 0.95)), rng=st.randoms(use_true_random=False))
+def test_orbit_masks_match_reference_rows(parts, circ, density, rng):
+    """Every involution's orbit mask against the datum's allowed orbits
+    names the row that `reference_rows` fails first, and has one bit per
+    orbit: the bits of `orbit_mask(w)`, from which `check_rows` reads its
+    row the same way.  Relations include self-relations {i} and the
+    out-of-range index k; neither allows an orbit."""
+    k = len(parts)
+
+    def some(xs):
+        return [x for x in xs if rng.random() < density]
+
+    relations = [frozenset(p) for p in itertools.combinations_with_replacement(range(k + 1), 2)]
+    sigma_tau, conj_dual = frozenset(some(relations)), frozenset(some(relations))
+    hermitian, linear = set(some(range(k + 1))), set(some(range(k + 1)))
+    comp = Composition(tuple(parts), 0)
+    allowed = allowed_orbits(k, sigma_tau, hermitian, conj_dual, linear)
+    for w, mask in zip(enumerate_involutions(comp, circ), orbit_masks(comp, circ), strict=True):
+        expected = reference_rows(w, sigma_tau, hermitian, conj_dual, linear)
+        assert first_failing_row(k, mask & ~allowed) == expected, (w, mask)
+        assert mask == orbit_mask(w)
+        assert mask.bit_count() == sum(1 for i, j in enumerate(w.rho) if i <= j)
+
+
 def reference_verdict(pair, comp, data, target):
     """decide's search with every failure-log line formatted afresh from the
-    involution's to_json and ROW_PROSE: the CLI's log format."""
+    involution's to_json and ROW_PROSE, and the rows read by
+    `reference_rows`, not by the orbit masks: the CLI's log format."""
     circ = pair.split_even_orthogonal and comp.r == 0
     sub = pair.sub_pair(comp.r)
     hermitian = {i for i, _ in data.unitary_dist}
     log = []
     for w in enumerate_involutions(comp, circ):
-        fail = check_rows(w, data.sigma_tau, hermitian, data.conj_dual, data.linear_dist)
+        fail = reference_rows(w, data.sigma_tau, hermitian, data.conj_dual, data.linear_dist)
         if fail:
             code, idx = fail
             log.append(f"w={w.to_json()}: rows: {ROW_PROSE[code].format(*idx)}")
