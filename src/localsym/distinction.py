@@ -374,6 +374,9 @@ def gl_product_check(blocks: GlBlocks, chi: str = "trivial"):
     blocks into distinguished units: flagged singles by the closed-orbit
     argument, dual pairs by the open-orbit one.
 
+    As in `decide`, the rows are one allowed mask per call and one orbit
+    mask per involution.
+
     Returns (ok, decomposition, pairing) where decomposition lists the
     units by block positions."""
     if chi not in ("trivial", "eta"):
@@ -383,8 +386,10 @@ def gl_product_check(blocks: GlBlocks, chi: str = "trivial"):
         return False, None, None
     last = 2 * k - 1 + (1 if blocks.center_size else 0)  # dual(pi_i) sits at last - i
     flags = blocks.chi_flags(chi)
-    for w in enumerate_involutions(Composition(blocks.sizes, 0)):
-        if check_rows(w, blocks.sigma_tau, blocks.unitary_dist, blocks.conj_dual, flags):
+    forbidden = ~allowed_orbits(k, blocks.sigma_tau, blocks.unitary_dist, blocks.conj_dual, flags)
+    comp = Composition(blocks.sizes, 0)
+    for w, mask in zip(enumerate_involutions(comp), orbit_masks(comp)):
+        if mask & forbidden:
             continue
         rho, c = w.rho, w.c
         units = []

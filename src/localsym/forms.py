@@ -141,11 +141,15 @@ def congruent_diagonal(gram):
     nonzero off-diagonal entry (its doubled value is a valid pivot in
     characteristic zero).
 
-    The elimination is fraction-free (Bareiss 1968) on the integer
-    numerators h = D G: clearing row k scales every later column of P by
-    the pivot a_k over the previous pivot a_{k-1}, each quotient being
-    exact, so column k of P is its integer column over a_{k-1} and the
-    k-th entry is a_k / (D a_{k-1}).
+    The elimination is fraction-free (Bareiss 1968) on the augmented
+    integer rows [h | tQ], h = D G: a row operation on them is the column
+    operation on Q that mirrors it, a repair is one row operation followed
+    by the same operation on the first n columns, and each step is
+    `numfield.bareiss_step`.  Clearing column k scales every later row of
+    tQ by the pivot a_k over the previous pivot a_{k-1}, so column k of P
+    is its integer column over a_{k-1} and the k-th entry is
+    a_k / (D a_{k-1}).  A repaired pivot is never zero: a swap brings a
+    nonzero diagonal entry, and an added row j doubles h[k][j].
     """
     h, den = numfield.int_rows(gram)
     n = len(h)
@@ -155,54 +159,27 @@ def congruent_diagonal(gram):
         for j in range(n):
             if h[i][j] != h[j][i]:
                 raise FormsError("matrix is not symmetric")
-    q = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def add_col(dst, src):
-        # column operation plus the mirroring row operation on h
-        for i in range(n):
-            h[i][dst] += h[i][src]
-        for j in range(n):
-            h[dst][j] += h[src][j]
-        for i in range(n):
-            q[i][dst] += q[i][src]
-
-    def swap_cols(i, j):
-        for r in range(n):
-            h[r][i], h[r][j] = h[r][j], h[r][i]
-        h[i], h[j] = h[j], h[i]
-        for r in range(n):
-            q[r][i], q[r][j] = q[r][j], q[r][i]
-
+    a = [r + [int(i == j) for j in range(n)] for i, r in enumerate(h)]
     entries, scales = [], []
     prev = 1
     for k in range(n):
-        if h[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if h[i][i] != 0), None)
-            if swap is not None:
-                swap_cols(k, swap)
+        if a[k][k] == 0:
+            s = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if s is not None:
+                a[k], a[s] = a[s], a[k]
+                for r in a:
+                    r[k], r[s] = r[s], r[k]
             else:
-                j = next((j for j in range(k + 1, n) if h[k][j] != 0), None)
-                if j is None:
+                s = next((j for j in range(k + 1, n) if a[k][j]), None)
+                if s is None:
                     raise FormsError("singular matrix")
-                add_col(k, j)
-        hk = h[k]
-        piv = hk[k]
-        entries.append(Fraction(piv, den * prev))
+                a[k] = [x + y for x, y in zip(a[k], a[s])]
+                for r in a:
+                    r[k] += r[s]
+        entries.append(Fraction(a[k][k], den * prev))
         scales.append(prev)
-        for i in range(k + 1, n):
-            hi = h[i]
-            f = hi[k]
-            for j in range(k + 1, n):
-                hi[j] = (piv * hi[j] - f * hk[j]) // prev
-        for r in q:
-            qk = r[k]
-            for j in range(k + 1, n):
-                r[j] = (piv * r[j] - hk[j] * qk) // prev
-        prev = piv
-    entries = tuple(entries)
-    if any(e == 0 for e in entries):
-        raise FormsError("singular matrix")
-    return entries, [[Fraction(x, s) for x, s in zip(r, scales)] for r in q]
+        prev = numfield.bareiss_step(a, k, k, prev)
+    return tuple(entries), [[Fraction(x, d) for x, d in zip(c, scales)] for c in list(zip(*a))[n:]]
 
 
 def diagonalize(gram, p, case: Case = Case.ORTHOGONAL, ext=None):

@@ -332,13 +332,28 @@ def int_mul(a, b):
     return [[sum(map(mul, r, c)) for c in cols] for r in a]
 
 
+def bareiss_step(a, k, c, prev):
+    """Eliminate column c below row k of the integer rows a in place, by
+    one fraction-free (Bareiss) step, and return the pivot a[k][c]: in the
+    columns after c each later row becomes (pivot * row - row[c] * row k)
+    / prev, prev being the pivot of the step before (1 at the first), and
+    each quotient is exact (Sylvester's identity).  Column c is left as it
+    was and is not read again."""
+    rk = a[k]
+    pk = rk[c]
+    for ri in a[k + 1:]:
+        f = ri[c]
+        for j in range(c + 1, len(rk)):
+            ri[j] = (pk * ri[j] - f * rk[j]) // prev
+    return pk
+
+
 def int_echelon(rows):
     """(pivots, minor): the pivot columns of integer rows, whose columns
     there span the column space, and the signed minor on the pivot rows
-    and columns (1 when there are none), by Bareiss row reduction.  A
-    column with no nonzero entry left below the pivots is skipped; every
-    quotient below is still exact, since each entry is a minor of the
-    matrix (Sylvester's identity)."""
+    and columns (1 when there are none), by Bareiss row reduction
+    (`bareiss_step`).  A column with no nonzero entry left below the
+    pivots is skipped."""
     a = [list(r) for r in rows]
     n = len(a)
     pivots, sign, prev = [], 1, 1
@@ -350,13 +365,7 @@ def int_echelon(rows):
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        rk = a[k]
-        pk = rk[c]
-        for ri in a[k + 1:]:
-            f = ri[c]
-            for j in range(c + 1, len(rk)):
-                ri[j] = (pk * ri[j] - f * rk[j]) // prev
-        prev = pk
+        prev = bareiss_step(a, k, c, prev)
         pivots.append(c)
         if k + 1 == n:
             break

@@ -181,10 +181,10 @@ def _isometry_data(g, gram):
     return (g, den), rows
 
 
-def spinor_norm_rational(g, gram=None) -> Fraction:
-    """The spinor norm of g in Q*/Q*^2, returned with squarefree
-    normalization, by Zassenhaus's formula: the discriminant of Wall's
-    form [x, y] = B(x, v), y = (1 - g) v, on W = im(1 - g).
+def _wall_det(g, gram):
+    """An integer in the spinor norm's class of g in Q*/Q*^2, by
+    Zassenhaus's formula: the discriminant of Wall's form [x, y] = B(x, v),
+    y = (1 - g) v, on W = im(1 - g).
 
     For g = N / n and the gram H / h, the columns y_a = A e_a of
     A = n I - N at the pivot columns i_1 ... i_r of A are a basis of W,
@@ -205,11 +205,20 @@ def spinor_norm_rational(g, gram=None) -> Fraction:
     if len(pivots) % 2:
         raise PrasadError("spinor norm computed on the special orthogonal group")
     ta_h = int_mul(list(zip(*a)), h)
-    return Fraction(squarefree_part(int_det([[ta_h[i][j] for j in pivots] for i in pivots])))
+    return int_det([[ta_h[i][j] for j in pivots] for i in pivots])
+
+
+def spinor_norm_rational(g, gram=None) -> Fraction:
+    """The spinor norm of g in Q*/Q*^2 (`_wall_det`), returned with
+    squarefree normalization; a Wall determinant that trial division cannot
+    finish is refused as too large to certify."""
+    return Fraction(squarefree_part(_wall_det(g, gram)))
 
 
 def spinor_norm(g, p, gram=None) -> SquareClass:
-    return reduce(spinor_norm_rational(g, gram), p)
+    """The spinor norm's class in Qp*/Qp*^2, read from the Wall
+    determinant itself, with no factoring."""
+    return reduce(_wall_det(g, gram), p)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +286,7 @@ def evaluate_character(formula: CharacterFormula, element, E: QuadExtension, gra
         d = Fraction(int_det(num), den ** len(num))
         return hilbert_rational(d, E.d.rep, E.base) ** e
     if formula.kind == "sn":
-        s = spinor_norm_rational(element, gram)
-        return hilbert_rational(s, E.d.rep, E.base) ** e
+        return hilbert_rational(_wall_det(element, gram), E.d.rep, E.base) ** e
     if formula.kind == "wsn":
         return eta_on_k_class(wsn(element, gram), E.d.rep, E.base) ** e
     raise PrasadError(f"unknown formula kind {formula.kind!r}")

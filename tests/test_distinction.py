@@ -569,6 +569,64 @@ def test_gl_product_check_without_blocks(center_size, expected_units):
         assert gl_product_check(blocks, "eta") == (False, None, None)
 
 
+def ref_gl_product_check(blocks, chi):
+    """gl_product_check with the rows read by `check_rows` per involution,
+    which rebuilds the allowed mask each time: the loop before the mask
+    was built once per call."""
+    k = blocks.k
+    if blocks.center_size and chi not in blocks.center_chi_dist:
+        return False, None, None
+    last = 2 * k - 1 + (1 if blocks.center_size else 0)
+    flags = blocks.chi_flags(chi)
+    for w in enumerate_involutions(Composition(blocks.sizes, 0)):
+        if check_rows(w, blocks.sigma_tau, blocks.unitary_dist, blocks.conj_dual, flags):
+            continue
+        rho, c = w.rho, w.c
+        units = []
+        for i in range(k):
+            j = rho[i]
+            if j == i and i not in c:
+                units.append({"type": "closed", "blocks": [i]})
+                units.append({"type": "closed", "blocks": [last - i]})
+            elif j == i:
+                units.append({"type": "open", "blocks": [i, last - i]})
+            elif i < j and i not in c:
+                units.append({"type": "open", "blocks": [i, j]})
+                units.append({"type": "open", "blocks": [last - i, last - j]})
+            elif i < j:
+                units.append({"type": "open", "blocks": [i, last - j]})
+                units.append({"type": "open", "blocks": [j, last - i]})
+        if blocks.center_size:
+            units.append({"type": "closed", "blocks": [k]})
+        return True, units, (rho, c)
+    return False, None, None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(sizes=st.lists(st.sampled_from((1, 2)), min_size=1, max_size=6), center_size=st.sampled_from((0, 2)),
+       density=st.sampled_from((0.3, 0.7, 0.95)), rng=st.randoms(use_true_random=False))
+def test_gl_product_check_matches_reference_loop(sizes, center_size, density, rng):
+    """Both characters, with relations (self-relations and the out-of-range
+    index k among them) and flags drawn at random: the one allowed mask per
+    call gives what `check_rows` per involution gave."""
+    k = len(sizes)
+
+    def some(xs):
+        return [x for x in xs if rng.random() < density]
+
+    relations = list(itertools.combinations_with_replacement(range(k + 1), 2))
+    blocks = GlBlocks.build(
+        k, sizes, center_size,
+        conj_dual=some(relations),
+        sigma_tau=some(relations),
+        chi_dist=[(tag, some(range(k + 1))) for tag in ("trivial", "eta")],
+        unitary_dist=some(range(k + 1)),
+        center_chi_dist=some(("trivial", "eta")),
+    )
+    for chi in ("trivial", "eta"):
+        assert gl_product_check(blocks, chi) == ref_gl_product_check(blocks, chi), chi
+
+
 def test_datum_json_roundtrip():
     pair = make_pair(Case.UNITARY, 1, (1,), 1)
     data = CuspidalDatum.build(

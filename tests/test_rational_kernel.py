@@ -21,6 +21,7 @@ from localsym.forms import FormsError, congruent_diagonal, hasse_invariant, spli
 from localsym.localfield import (
     LocalFieldError,
     Prime,
+    QuadExtension,
     SquareClass,
     hilbert,
     hilbert_oracle,
@@ -30,7 +31,14 @@ from localsym.localfield import (
     valuation,
 )
 from localsym.numfield import NumFieldError, int_det, int_echelon, int_mul, int_rows
-from localsym.prasad import PrasadError, spinor_norm_rational, w_gram
+from localsym.prasad import (
+    CharacterFormula,
+    PrasadError,
+    evaluate_character,
+    spinor_norm,
+    spinor_norm_rational,
+    w_gram,
+)
 
 from conftest import leibniz_det, mat_mul
 
@@ -319,6 +327,15 @@ def test_congruent_diagonal_matches_fraction_reference(gram):
         [[0, 2, 1], [2, 0, 0], [1, 0, 5]],
         [[1, 1], [1, 1]],
         [[1, 2], [3, 4]],
+        # a swap repair at k = 2: rows and columns 2 and 3 (0-based) swapped
+        [[1, 1, 0, 0, 0], [1, 2, 0, 1, 0], [0, 0, 0, 1, 1], [0, 1, 1, 0, 0], [0, 0, 1, 0, 3]],
+        # an added-row repair at k = 4: row and column 5 added to 4, after the
+        # Bareiss pivots 2, 1, -2, -1
+        [[2, 1, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0], [0, 1, 0, 1, 0, 2], [0, 0, 1, 0, 0, 0],
+         [0, 0, 0, 0, 0, 3], [0, 0, 2, 0, 3, 0]],
+        # swaps at k = 0 and 1, an added row at k = 2, a swap at k = 3, then
+        # singular at k = 4
+        [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 2]],
     ],
 )
 def test_congruent_diagonal_zero_pivots(gram):
@@ -551,6 +568,39 @@ def test_reflection_loop_keeps_its_refusals():
         (minus, [[1, 2, 0], [0, 1, 0], [0, 0, 0]], (FormsError, "matrix is not symmetric")),
     ]:
         assert outcome(spinor_norm_rational, g, bad_gram) == want
+
+
+def test_spinor_class_needs_no_factoring():
+    """spinor_norm(g, p) and the sn row read the class of the integer Wall
+    determinant, with no trial division: for g = s_v1 s_v2 on w_gram(3)
+    with v of numerators up to 999 and denominators up to 1009, both give
+    the class of Q(v1) Q(v2), also where spinor_norm_rational refuses the
+    determinant as too large to certify; where it answers, it agrees."""
+    rng = random.Random(1009)
+    gram = w_gram(3)
+    sn = CharacterFormula("sn", 1, "E/F")
+    answered = refused = 0
+    while refused < 2 or answered < 2:
+        vs = [[Fraction(rng.randint(-999, 999), rng.randint(1, 1009)) for _ in range(3)] for _ in range(2)]
+        q1, q2 = (sum(v[i] * gram[i][j] * v[j] for i in range(3) for j in range(3)) for v in vs)
+        if not q1 or not q2:
+            continue
+        g = ref_mul(reflection(gram, vs[0]), reflection(gram, vs[1]))
+        try:
+            rational = spinor_norm_rational(g, gram)
+            answered += 1
+        except LocalFieldError as e:
+            assert "too large to certify" in str(e)
+            rational = None
+            refused += 1
+        for p in (2, 3, 5, 7, 1000003):
+            want = reduce(q1 * q2, p)
+            assert spinor_norm(g, p, gram) == want
+            if rational is not None:
+                assert reduce(rational, p) == want
+            for d in (d for d in (-1, 2, 3, 5) if not reduce(d, p).is_trivial):
+                ext = QuadExtension.of(d, p)
+                assert evaluate_character(sn, g, ext, gram) == hilbert_rational(q1 * q2, ext.d.rep, p)
 
 
 # ---------------------------------------------------------------------------
