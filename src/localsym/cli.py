@@ -190,10 +190,17 @@ def cmd_spinor_norm(args):
     data = _json_file(args.matrix, "--matrix")
     g = data["matrix"] if isinstance(data, dict) else data
     gram = data.get("gram") if isinstance(data, dict) else None
-    s = prasad.spinor_norm_rational(g, gram)
-    payload = {"rational": str(s)}
+    try:
+        rational = str(prasad.spinor_norm_rational(g, gram))
+    except localfield.LocalFieldError:
+        # a Wall determinant too large to factor: the class needs no
+        # factoring, and spinor_norm raises any other refusal again
+        if not args.p:
+            raise
+        rational = None
+    payload = {"rational": rational}
     if args.p:
-        payload["class"] = localfield.reduce(s, localfield.Prime(args.p)).to_json()
+        payload["class"] = prasad.spinor_norm(g, args.p, gram).to_json()
     _emit("spinor-norm", payload)
 
 

@@ -132,26 +132,8 @@ def split_gram(n: int, kernel=(), eps: int = 1):
     return rows
 
 
-def congruent_diagonal(gram):
-    """Symmetric congruence diagonalization over Q.
-
-    Returns (entries, P) with t(P) G P = diag(entries), P invertible
-    rational.  A vanishing pivot is repaired by a basis swap when some
-    later diagonal entry is nonzero, else by adding the column of a
-    nonzero off-diagonal entry (its doubled value is a valid pivot in
-    characteristic zero).
-
-    The elimination is fraction-free (Bareiss 1968) on the augmented
-    integer rows [h | tQ], h = D G: a row operation on them is the column
-    operation on Q that mirrors it, a repair is one row operation followed
-    by the same operation on the first n columns, and each step is
-    `numfield.bareiss_step`.  Clearing column k scales every later row of
-    tQ by the pivot a_k over the previous pivot a_{k-1}, so column k of P
-    is its integer column over a_{k-1} and the k-th entry is
-    a_k / (D a_{k-1}).  A repaired pivot is never zero: a swap brings a
-    nonzero diagonal entry, and an added row j doubles h[k][j].
-    """
-    h, den = numfield.int_rows(gram)
+def _check_symmetric(h):
+    """Refuse integer rows that are not a square symmetric matrix."""
     n = len(h)
     for i in range(n):
         if len(h[i]) != n:
@@ -159,7 +141,23 @@ def congruent_diagonal(gram):
         for j in range(n):
             if h[i][j] != h[j][i]:
                 raise FormsError("matrix is not symmetric")
-    a = [r + [int(i == j) for j in range(n)] for i, r in enumerate(h)]
+
+
+def _eliminate(a, den):
+    """The congruence diagonalization of H / den, in place on the integer
+    rows a whose first n = len(a) columns are the symmetric H; returns the
+    n diagonal entries and the previous pivot of each step.
+
+    A vanishing pivot is repaired by a basis swap when some later diagonal
+    entry is nonzero, else by adding the column of a nonzero off-diagonal
+    entry (its doubled value is a valid pivot in characteristic zero).  A
+    repair is one row operation followed by the same operation on the
+    first n columns, and each step is `numfield.bareiss_step` (Bareiss
+    1968), which carries every later column of a along.  The k-th entry is
+    a_k / (den a_{k-1}) for the pivots a_k.  A repaired pivot is never
+    zero: a swap brings a nonzero diagonal entry, and an added row j
+    doubles H[k][j]."""
+    n = len(a)
     entries, scales = [], []
     prev = 1
     for k in range(n):
@@ -179,7 +177,33 @@ def congruent_diagonal(gram):
         entries.append(Fraction(a[k][k], den * prev))
         scales.append(prev)
         prev = numfield.bareiss_step(a, k, k, prev)
-    return tuple(entries), [[Fraction(x, d) for x, d in zip(c, scales)] for c in list(zip(*a))[n:]]
+    return tuple(entries), scales
+
+
+def congruent_diagonal(gram):
+    """Symmetric congruence diagonalization over Q.
+
+    Returns (entries, P) with t(P) G P = diag(entries), P invertible
+    rational.  `_eliminate` runs on the augmented integer rows [h | tQ],
+    h = D G: a row operation on them is the column operation on Q that
+    mirrors it.  Clearing column k scales every later row of tQ by the
+    pivot a_k over the previous pivot a_{k-1}, so column k of P is its
+    integer column over a_{k-1}.
+    """
+    h, den = numfield.int_rows(gram)
+    _check_symmetric(h)
+    n = len(h)
+    a = [r + [int(i == j) for j in range(n)] for i, r in enumerate(h)]
+    entries, scales = _eliminate(a, den)
+    return entries, [[Fraction(x, d) for x, d in zip(c, scales)] for c in list(zip(*a))[n:]]
+
+
+def diagonal_entries(h, den):
+    """The entries of `congruent_diagonal` for the gram h / den given as
+    integer rows over a positive denominator, without the change of
+    basis: `_eliminate` on h alone."""
+    _check_symmetric(h)
+    return _eliminate([list(r) for r in h], den)[0]
 
 
 def diagonalize(gram, p, case: Case = Case.ORTHOGONAL, ext=None):

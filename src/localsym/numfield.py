@@ -506,6 +506,16 @@ class Mat:
     def is_rational(self):
         return all(e.is_rational for r in self.rows for e in r)
 
+    def int_rows(self):
+        """(numerators, den) of a rational matrix, as `int_rows` gives them
+        for its entries: each entry's numerator and denominator are read
+        from its Bq, which keeps them in lowest terms."""
+        if not self.is_rational:
+            raise NumFieldError("matrix is not rational")
+        rows = self.rows
+        den = lcm(*(e._den for r in rows for e in r))
+        return [[e._num[0] * (den // e._den) for e in r] for r in rows], den
+
     def det(self) -> Bq:
         if self.n != self.m:
             raise NumFieldError("determinant of non-square matrix")
@@ -609,10 +619,11 @@ def recover_hilbert90_matrix(x: Mat) -> Mat:
     none does, x sigma(x) != I.
     """
     field = x.field
+    zero = field.zero
     for t in range(x.n + 1):
         c, cs = field.element(1, t), field.element(1, -t)
-        z = Mat(field, [[cs * e + c if i == j else cs * e for j, e in enumerate(r)]
-                        for i, r in enumerate(x.rows)])
+        z = Mat(field, [[cs * e + c if i == j else zero if e.is_zero else cs * e
+                         for j, e in enumerate(r)] for i, r in enumerate(x.rows)])
         if splits(z, x):
             return z
     raise NumFieldError("no z_t with t <= n splits x")

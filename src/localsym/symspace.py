@@ -19,6 +19,7 @@ from math import prod
 from .forms import (
     Case,
     congruent_diagonal,
+    diagonal_entries,
     disc_class,
     hasse_invariant,
     is_anisotropic,
@@ -240,7 +241,8 @@ def classify_x(x: Mat, z: Mat, pair):
     z sigma(z)^-1 sigma(z) z^-1 = I, and since J is rational,
     t(x)^tau J x = t(sigma(z))^-tau y sigma(z)^-1
     = t(sigma(z))^-tau sigma(y) sigma(z)^-1 = J.  The classification data
-    of y is the orbit invariant."""
+    of y is the orbit invariant; an orthogonal y is read as integer rows
+    over one denominator and diagonalized without a change of basis."""
     y = conj_transpose(z, "tau") * jn_mat(pair) * z  # first, so a z of the wrong size raises NumFieldError
     if not splits(z, x):
         raise SymspaceError("z does not split x")
@@ -256,8 +258,7 @@ def classify_x(x: Mat, z: Mat, pair):
         return UnitaryOrbit(0 if sign == 1 else 1)
     if not y.is_rational:
         raise SymspaceError("orthogonal form should be rational")
-    gram = [[e.rational for e in row] for row in y.rows]
-    entries, _ = congruent_diagonal(gram)
+    entries = diagonal_entries(*y.int_rows())
     disc = disc_class(entries, pair.prime)
     hasse = hasse_invariant(entries, pair.prime)
     base_disc = reduce(det_jn(pair), pair.prime)

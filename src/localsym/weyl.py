@@ -487,24 +487,34 @@ def predicted_orbit_invariant(comp, w, y_bits, z_inv, pair):
         minus_one, contrib = unitary_parity_bits(pair)
         bit = o_c * minus_one + sum(contrib * y_bits[i] for i in iw) + z_inv.gamma_bit
         return UnitaryOrbit(bit % 2)
-    # orthogonal: Hasse transfer formula
-    p = pair.prime
-    a = pair.field.a
+    # orthogonal: the Hasse transfer formula, whose argument counts only up
+    # to squares
     nw = w.n_weight(comp)
-    det_y = Fraction(1)
-    for i in iw:
-        if y_bits[i]:
-            det_y *= u_star_rational(pair)
-    two_detj = Fraction(2) * prod(pair.j_entries)
-    arg = Fraction((-1) ** (comp.r * o_c + nw * (nw - 1) // 2)) * two_detj ** o_c * det_y
-    transfer = hilbert_rational(arg, a, p)
-    sub = pair.sub_pair(comp.r)
-    if sub is None:
-        ratio = 1
-    else:
-        ratio = z_inv.hasse * jn_invariants(sub)[1]
+    sign = (comp.r * o_c + nw * (nw - 1) // 2) % 2
+    odd_y = sum(y_bits[i] for i in iw) % 2
+    disc, hasse = _orth_base(pair, comp.r, sign, o_c, odd_y)
+    if pair.sub_pair(comp.r) is not None:
+        hasse *= z_inv.hasse
+    return OrthogonalOrbit(0, disc, hasse)
+
+
+@lru_cache(maxsize=None)
+def _orth_base(pair, r, sign, o_c, odd_y):
+    """(disc, Hasse sign) of an orthogonal x_w before the inner orbit's own
+    sign: J's invariants, the transfer (t, a)_p with
+    t = (-1)^sign (2 det j)^o_c u*^odd_y, and the Hasse sign of the inner
+    r-block's J when there is one.  The transfer argument of a w is
+    (-1)^(r o(c) + n_w (n_w - 1) / 2) (2 det j)^o(c) u*^(set y-bits), so
+    r and these three parities fix every prediction."""
+    t = (-1) ** sign * Fraction(2 * prod(pair.j_entries)) ** o_c
+    if odd_y:
+        t *= u_star_rational(pair)
+    hasse = hilbert_rational(t, pair.field.a, pair.prime)
+    sub = pair.sub_pair(r)
+    if sub is not None:
+        hasse *= jn_invariants(sub)[1]
     base_disc, base_hasse = jn_invariants(pair)
-    return OrthogonalOrbit(0, base_disc, base_hasse * transfer * ratio)
+    return base_disc, base_hasse * hasse
 
 
 def admissible_orbit_count(comp: Composition, w: SignedInvolution, pair) -> int:

@@ -5,12 +5,17 @@ import subprocess
 import sys
 import time
 from datetime import timedelta
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from localsym.cli import main
+from localsym.localfield import reduce
+from localsym.prasad import w_gram
+
+from conftest import mat_mul
 
 
 def run_cli(args, capsys):
@@ -262,6 +267,39 @@ def test_spinor_norm_file(tmp_path, capsys):
     assert code == 0
     assert env["payload"]["rational"] == "3"
     assert env["payload"]["class"] == {"p": 3, "val": 1, "unit": 1}
+
+
+def _unfactored_isometry():
+    """(g, Q(v1) Q(v2)) for g = s_v1 s_v2 over w_gram(3), the default gram
+    of a 3 x 3 matrix; its Wall determinant leaves the composite cofactor
+    30931433989981341693223, which trial division cannot split."""
+    gram = w_gram(3)
+    vs = [[Fraction(-362, 443), Fraction(20, 33), Fraction(247, 161)],
+          [Fraction(-239, 48), Fraction(417, 656), Fraction(-63, 886)]]
+    g, qs = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)], []
+    for v in vs:
+        gv = [sum(gram[i][j] * v[j] for j in range(3)) for i in range(3)]
+        q = sum(x * y for x, y in zip(v, gv))
+        g = mat_mul(g, [[int(i == j) - 2 * v[i] * gv[j] / q for j in range(3)] for i in range(3)])
+        qs.append(q)
+    return g, qs[0] * qs[1]
+
+
+def test_spinor_norm_class_needs_no_factoring(tmp_path, capsys):
+    """With --p the class comes from the Wall determinant itself, and a
+    rational spinor norm that would need the factoring reads null; without
+    --p the refusal stands."""
+    g, q = _unfactored_isometry()
+    f = tmp_path / "mat.json"
+    f.write_text(json.dumps({"matrix": [[str(x) for x in r] for r in g]}))
+    code, env = run_cli(["spinor-norm", "--matrix", str(f), "--p", "3"], capsys)
+    assert code == 0
+    assert env["payload"] == {"rational": None, "class": reduce(q, 3).to_json()}
+    assert env["payload"]["class"] == {"p": 3, "val": 1, "unit": 1}
+    code, env = run_cli(["spinor-norm", "--matrix", str(f)], capsys)
+    assert code == 1
+    assert env == {"error": "cofactor 30931433989981341693223 has no prime factor below 1000000 "
+                            "and is too large to certify"}
 
 
 @pytest.mark.parametrize(

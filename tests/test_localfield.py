@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from localsym.localfield import (
     QuadExtension,
     SquareClass,
     _factorize,
+    _rational_sqrt,
     eta,
     hilbert,
     hilbert_oracle,
@@ -223,12 +225,55 @@ def _check_non_norm_value(m, d, p):
     assert t != 0 and hilbert_rational(t, d, p) == -1, (m, d, p)
 
 
+def odd_prime_grid(p):
+    """The (m, d) grid at an odd prime: m over units, odd and even
+    valuations and squares, d over the three nontrivial classes of
+    units and odd valuation."""
+    u = Prime(p).nonresidue
+    for m in (1, -1, u, -u, p, -p, p * u, -p * u, -p * p * u, Fraction(-u, p * p), Fraction(3, 4 * p), 2 * p ** 3):
+        for d in (u, p, p * u):
+            yield m, d
+
+
 def test_non_norm_value_at_odd_primes():
     for p in (3, 5, 7, 11, 13, 211, 397):
-        u = Prime(p).nonresidue
-        for m in (1, -1, u, -u, p, -p, p * u, -p * u, -p * p * u, Fraction(-u, p * p), Fraction(3, 4 * p), 2 * p ** 3):
-            for d in (u, p, p * u):
-                _check_non_norm_value(m, d, p)
+        for m, d in odd_prime_grid(p):
+            _check_non_norm_value(m, d, p)
+
+
+def ref_non_norm_value(m, d, p):
+    """The former search: every x = 0, 1, ..., 2p - 1 in turn."""
+    m = Fraction(m)
+    if reduce(d, p).is_trivial or reduce(-m, p) == reduce(d, p):
+        return None
+    r = _rational_sqrt(-m)
+    if r is not None:
+        u = least_non_norm(d, p)
+        return Fraction(u + 1, 2), Fraction(u - 1, 2) / r
+    big, y = m.numerator * m.denominator, Fraction(m.denominator)
+    while big % (p * p) == 0:
+        big //= p * p
+        y /= p
+    return next((Fraction(x), y) for x in range(2 * p)
+                if x * x + big and hilbert_rational(x * x + big, d, p) == -1)
+
+
+def test_non_norm_value_matches_the_scan():
+    """The Tonelli-Shanks root gives the x that the scan finds first, so
+    the frozen values that depend on it do not move."""
+    for p in range(3, 400):
+        if is_prime(p):
+            for m, d in odd_prime_grid(p):
+                assert non_norm_value(m, d, p) == ref_non_norm_value(m, d, p), (m, d, p)
+
+
+@pytest.mark.parametrize("p", [1000003, 2**31 - 1])
+def test_non_norm_value_at_large_primes(p):
+    """A large p costs a square root mod p, not a scan of x up to 2p."""
+    start = time.perf_counter()
+    for m, d in [(3, 3), *odd_prime_grid(p)]:
+        _check_non_norm_value(m, d, p)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_non_norm_value_at_2():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localsym.forms import FormsError, congruent_diagonal, hasse_invariant, split_gram
+from localsym.forms import FormsError, congruent_diagonal, diagonal_entries, hasse_invariant, split_gram
 from localsym.localfield import (
     LocalFieldError,
     Prime,
@@ -30,7 +30,7 @@ from localsym.localfield import (
     reduce,
     valuation,
 )
-from localsym.numfield import NumFieldError, int_det, int_echelon, int_mul, int_rows
+from localsym.numfield import BiquadField, Mat, NumFieldError, int_det, int_echelon, int_mul, int_rows
 from localsym.prasad import (
     CharacterFormula,
     PrasadError,
@@ -294,8 +294,8 @@ def ref_congruent_diagonal(gram):
 
 
 @st.composite
-def symmetric_matrices(draw):
-    n = draw(st.integers(1, 6))
+def symmetric_matrices(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
     zeros = draw(st.sampled_from([0.0, 0.5, 0.8]))
     g = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -340,6 +340,39 @@ def test_congruent_diagonal_matches_fraction_reference(gram):
 )
 def test_congruent_diagonal_zero_pivots(gram):
     assert outcome(congruent_diagonal, gram) == outcome(ref_congruent_diagonal, gram)
+    assert outcome(diagonal_entries, *int_rows(gram)) == outcome(entries_only, gram)
+
+
+def entries_only(gram):
+    return congruent_diagonal(gram)[0]
+
+
+@kernel_settings
+@given(gram=symmetric_matrices(max_n=7))
+def test_diagonal_entries_match_congruent_diagonal(gram):
+    """The elimination on H alone gives the entries of the one on [H | tQ],
+    and refuses what it refuses."""
+    assert outcome(diagonal_entries, *int_rows(gram)) == outcome(entries_only, gram)
+
+
+@kernel_settings
+@given(
+    a=st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=4),
+    b=st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=3, max_size=3),
+)
+def test_mat_int_rows_matches_int_rows(a, b):
+    """Mat.int_rows reads each Bq's numerator and denominator; on a rational
+    Mat, and on a product of two, it equals int_rows of the Fractions."""
+    field = BiquadField(-1)
+    prod = Mat.from_rational(field, a) * Mat.from_rational(field, b)
+    assert Mat.from_rational(field, a).int_rows() == int_rows(a)
+    assert prod.int_rows() == int_rows([[e.rational for e in r] for r in prod.rows])
+
+
+def test_mat_int_rows_refuses_irrational():
+    field = BiquadField(-1)
+    with pytest.raises(NumFieldError):
+        Mat(field, [[field.one, field.sqrt_a]]).int_rows()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from localsym.forms import Case
+from localsym.localfield import hilbert_rational
 from localsym.numfield import (
     BiquadField,
     Mat,
@@ -16,7 +18,11 @@ from localsym.numfield import (
 from localsym.symspace import (
     ClassicalPair,
     Component,
+    OrthogonalOrbit,
+    SymplecticOrbit,
+    UnitaryOrbit,
     classify_x,
+    jn_invariants,
     jn_mat,
     z_orbit_representatives,
 )
@@ -25,21 +31,27 @@ from localsym.weyl import (
     SignedInvolution,
     SignedPerm,
     WeylError,
+    admissible_class,
     admissible_orbit_count,
     build_tw,
     build_xw,
     enumerate_involutions,
     gl_star,
+    inner_orbit_invariants,
     inner_z_choices,
     iota,
+    predicted_orbit_invariant,
     stabilizer_shape,
     t_w_square_pattern,
     u_star_rational,
     u_star_sideways,
+    unitary_parity_bits,
     y_representative,
 )
 
 from conftest import P2, P5, QUAD_M5, make_pair
+from test_distinction import compositions
+from test_prime_sweep import sweep_pairs
 
 
 def brute_force_involutions(comp, circ=False):
@@ -496,3 +508,65 @@ def test_symplectic_tw_literal_matrix():
 def test_composition_json_round_trip(comp):
     assert Composition.from_json(comp.to_json()) == comp
     assert ("sign" in comp.to_json()) == (comp.split_even_sign is not None)
+
+
+def ref_predicted_orbit_invariant(comp, w, y_bits, z_inv, pair):
+    """The former closed form: the orthogonal transfer argument built as a
+    Fraction, one factor u* per set y-bit, and its Hilbert symbol taken on
+    every call."""
+    iw = sorted(w.fixed_in_c)
+    o_c = w.o(comp) % 2
+    if pair.case is Case.SYMPLECTIC:
+        return SymplecticOrbit()
+    if pair.case is Case.UNITARY:
+        minus_one, contrib = unitary_parity_bits(pair)
+        bit = o_c * minus_one + sum(contrib * y_bits[i] for i in iw) + z_inv.gamma_bit
+        return UnitaryOrbit(bit % 2)
+    nw = w.n_weight(comp)
+    det_y = Fraction(1)
+    for i in iw:
+        if y_bits[i]:
+            det_y *= u_star_rational(pair)
+    two_detj = Fraction(2) * prod(pair.j_entries)
+    arg = Fraction((-1) ** (comp.r * o_c + nw * (nw - 1) // 2)) * two_detj ** o_c * det_y
+    transfer = hilbert_rational(arg, pair.field.a, pair.prime)
+    sub = pair.sub_pair(comp.r)
+    ratio = 1 if sub is None else z_inv.hasse * jn_invariants(sub)[1]
+    base_disc, base_hasse = jn_invariants(pair)
+    return OrthogonalOrbit(0, base_disc, base_hasse * transfer * ratio)
+
+
+def admitted_compositions(pair):
+    """(comp, circ) for every composition the pair admits: parts summing
+    to 1..n with r the rest, under both signs where the class needs one."""
+    for m in range(1, pair.n + 1):
+        for parts in compositions(m):
+            for sign in (None, 1, -1):
+                comp = Composition(parts, pair.n - m, sign)
+                try:
+                    yield comp, admissible_class(comp, pair)
+                except WeylError:
+                    continue
+
+
+def test_predicted_orbit_invariant_matches_fraction_reference(bundled_pairs):
+    """The cached transfer (four parities and r) against the per-call
+    Fraction formula, over every bundled and sweep pair, admitted
+    composition, enumerated involution, y-bit vector and inner orbit."""
+    pairs = list(bundled_pairs) + [q for p in (5, 7, 11, 13, 211) for q in sweep_pairs(p)]
+    hasse_signs, count = set(), 0
+    for pair in pairs:
+        for comp, circ in admitted_compositions(pair):
+            for w in enumerate_involutions(comp, circ):
+                iw = sorted(w.fixed_in_c)
+                inner = inner_orbit_invariants(comp, w, pair)
+                for bits in itertools.product((0, 1), repeat=len(iw)):
+                    y_bits = dict(zip(iw, bits))
+                    for z_inv in inner:
+                        want = ref_predicted_orbit_invariant(comp, w, y_bits, z_inv, pair)
+                        assert predicted_orbit_invariant(comp, w, y_bits, z_inv, pair) == want, (
+                            pair, comp, w, bits, z_inv)
+                        count += 1
+                        if pair.case is Case.ORTHOGONAL:
+                            hasse_signs.add(want.hasse)
+    assert hasse_signs == {1, -1} and count > 1000
