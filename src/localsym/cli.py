@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -258,6 +259,11 @@ def cmd_selftest(args):
 
 
 def make_parser():
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The top-level parser and its subcommand parsers by name."""
     p = argparse.ArgumentParser(prog="localsym", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -329,7 +335,7 @@ def make_parser():
 
     q = sub.add_parser("selftest", help="run the bundled oracle suites")
     q.set_defaults(fn=cmd_selftest)
-    return p
+    return p, sub.choices
 
 
 DOMAIN_ERRORS = (
@@ -345,15 +351,36 @@ DOMAIN_ERRORS = (
 
 
 @lru_cache(maxsize=None)
+def _parsers():
+    """The process's parsers, built on first use; each parse still returns
+    a fresh Namespace, so nothing carries over between calls."""
+    return _build_parsers()
+
+
 def _parser():
-    """The process's parser, built on first use; parse_args still returns a
-    fresh Namespace per call, so nothing carries over between calls."""
-    return make_parser()
+    return _parsers()[0]
+
+
+def _parse(argv):
+    """One parse per command: argv whose first word names a subcommand is
+    parsed by that subcommand's parser alone, where the full parser would
+    parse it twice, and leftover words are refused by the top-level parser
+    as it refuses them.  Anything else takes the full parser."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         raise SystemExit(2 if e.code not in (0, None) else 0)
     try:

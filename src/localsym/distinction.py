@@ -23,11 +23,11 @@ from .weyl import (
     Composition,
     SignedInvolution,
     admissible_class,
-    enumerate_involutions,
     inner_orbit_invariants,
+    involution_at,
+    involution_rows,
     orbit_bit,
     orbit_mask,
-    orbit_masks,
     orbit_of_bit,
     predicted_orbit_invariant,
 )
@@ -231,11 +231,15 @@ def check_rows(w, sigma_tau, hermitian, conj_dual, linear):
 
 @lru_cache(maxsize=None)
 def _tags(parts: tuple, circ: bool) -> dict:
-    """The failure-log tags 'w=<w.to_json()>: ' of enumerate_involutions
-    for block sizes `parts`, by position in that list (which depends on
-    nothing else); decide adds each tag when a search first reaches its
-    involution."""
+    """The failure-log tags 'w=<w.to_json()>: ' of the involution rows for
+    block sizes `parts`, by position (which depends on nothing else);
+    decide adds each tag when a search first reaches its row."""
     return {}
+
+
+def _tag(rho, c) -> str:
+    """The tag of a row (rho, c), byte-equal to f"w={w.to_json()}: "."""
+    return f"w={{'rho': {[i + 1 for i in rho]}, 'c': {[i + 1 for i in c]}}}: "
 
 
 @lru_cache(maxsize=None)
@@ -264,9 +268,10 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
     the ROW_PROSE of the failing row, or the SEARCH_PROSE of
     'inner.pi0_unflagged' or 'arith.other_orbit'.  The rows are one test per
     involution: its orbit mask against the datum's `allowed_orbits`, the
-    lowest forbidden bit naming the failing row.  Each involution's tag is
-    formatted once per process, when a search first reaches it, and each
-    row reason once per orbit."""
+    lowest forbidden bit naming the failing row.  The search reads the
+    involution rows (rho, c, mask); each row's tag is formatted once per
+    process, when a search first reaches it, each row reason once per
+    orbit, and a `SignedInvolution` is built only for a row that passes."""
     data.validate(comp)
     circ = admissible_class(comp, pair)
     if target not in realizable_targets(pair):
@@ -275,17 +280,17 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
     hermitian = {i for i, _ in data.unitary_dist}
     forbidden = ~allowed_orbits(comp.k, data.sigma_tau, hermitian, data.conj_dual, data.linear_dist)
     reasons = _row_reasons(comp.k)
-    masks = orbit_masks(comp, circ)
     tags = _tags(comp.parts, circ)
     log = []
-    for pos, w in enumerate(enumerate_involutions(comp, circ)):
+    for pos, (rho, c, mask) in enumerate(involution_rows(comp, circ)):
         tag = tags.get(pos)
         if tag is None:
-            tag = tags[pos] = f"w={w.to_json()}: "
-        bad = masks[pos] & forbidden
+            tag = tags[pos] = _tag(rho, c)
+        bad = mask & forbidden
         if bad:
             log.append(tag + reasons[bad & -bad])
             continue
+        w = involution_at(comp, circ, pos)
         iw = sorted(w.fixed_in_c)
         bit_ranges = [data.unitary_bits(i) for i in iw]
         inner = inner_orbit_invariants(comp, w, pair)
@@ -375,7 +380,7 @@ def gl_product_check(blocks: GlBlocks, chi: str = "trivial"):
     argument, dual pairs by the open-orbit one.
 
     As in `decide`, the rows are one allowed mask per call and one orbit
-    mask per involution.
+    mask per involution row.
 
     Returns (ok, decomposition, pairing) where decomposition lists the
     units by block positions."""
@@ -387,11 +392,9 @@ def gl_product_check(blocks: GlBlocks, chi: str = "trivial"):
     last = 2 * k - 1 + (1 if blocks.center_size else 0)  # dual(pi_i) sits at last - i
     flags = blocks.chi_flags(chi)
     forbidden = ~allowed_orbits(k, blocks.sigma_tau, blocks.unitary_dist, blocks.conj_dual, flags)
-    comp = Composition(blocks.sizes, 0)
-    for w, mask in zip(enumerate_involutions(comp), orbit_masks(comp)):
+    for rho, c, mask in involution_rows(Composition(blocks.sizes, 0)):
         if mask & forbidden:
             continue
-        rho, c = w.rho, w.c
         units = []
         for i in range(k):
             j = rho[i]
@@ -408,5 +411,5 @@ def gl_product_check(blocks: GlBlocks, chi: str = "trivial"):
                 units.append({"type": "open", "blocks": [j, last - i]})
         if blocks.center_size:
             units.append({"type": "closed", "blocks": [k]})
-        return True, units, (rho, c)
+        return True, units, (rho, frozenset(c))
     return False, None, None

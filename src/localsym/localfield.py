@@ -21,11 +21,14 @@ class LocalFieldError(ValueError):
     """Invalid local-field data: bad prime, zero input, mismatched primes."""
 
 
+# psi_12 of Sorenson and Webster (Math. Comp. 86, 2017): the least strong
+# pseudoprime to the twelve prime bases 2 to 37
+PSI_12 = 318665857834031151167461
+
+
 def is_prime(n):
     """Deterministic Miller-Rabin on the twelve prime bases 2 to 37, proven
-    exact for n < 318665857834031151167461 (psi_12 of Sorenson and
-    Webster, Math. Comp. 86, 2017); above that it is a strong probable
-    prime test."""
+    exact for n < PSI_12; above that it is a strong probable prime test."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -359,7 +362,10 @@ def non_norm_value(m, d, p):
       are tried in increasing order: the same x as the scan, in time
       bounded in log p;
     - odd p, v_p(d) odd, M a unit: a non-residue t works, and x^2 + M is one
-      for (p - (-M|p))/2 >= 1 residues x;
+      for (p - (-M|p))/2 >= 1 residues x.  The scan stops at the first;
+      measured, not a bound: over the (m, d) grid of the tests at every
+      odd prime below 400 and at 1000003, 2^31 - 1, 10^12 + 39 and
+      2^61 - 1, the largest x is 10 (m = 1, d = p = 10^12 + 39);
     - p = 2: t mod 2^(v(t)+3) fixes the class of t, and a check of every M
       mod 64 against every class d (repeated in the tests) finds a working
       x < 4 with v_2(t) <= 3."""
@@ -494,28 +500,40 @@ def _too_large(n):
     )
 
 
+def _proven_prime(n):
+    return n < PSI_12 and is_prime(n)
+
+
 def _factorize(n) -> list:
     """Prime factorization of a nonzero integer by trial division up to
     TRIAL_LIMIT, as [(prime, exponent), ...] in increasing order; the sign
-    is dropped.  A cofactor of TRIAL_LIMIT^2 or more is refused."""
-    out, n = _trial_division(n)
-    if n >= TRIAL_LIMIT**2:
-        raise _too_large(n)
-    if n > 1:
-        out.append((n, 1))
-    return out
+    is dropped.  A cofactor of TRIAL_LIMIT^2 or more is kept when
+    `is_prime` proves it prime or the square of a prime, and refused
+    otherwise."""
+    out, c = _trial_division(n)
+    if c < TRIAL_LIMIT**2 or _proven_prime(c):
+        if c > 1:
+            out.append((c, 1))
+        return out
+    s = isqrt(c)
+    if s * s != c or not _proven_prime(s):
+        raise _too_large(c)
+    return out + [(s, 2)]
 
 
 def squarefree_part(n: int) -> int:
     """The squarefree integer in the class of the nonzero integer n modulo
-    squares; the sign is kept.  A cofactor of TRIAL_LIMIT^2 or more left by
-    the trial division counts 1 when it is a perfect square and is refused
-    otherwise."""
+    squares; the sign is kept.  The cofactor c that trial division leaves
+    has no prime factor up to TRIAL_LIMIT, so below TRIAL_LIMIT^3 it is a
+    prime, a product of two primes or a prime squared: it counts 1 when it
+    is a perfect square and is kept otherwise.  A cofactor of TRIAL_LIMIT^3
+    or more counts 1 when it is a perfect square, is kept when `is_prime`
+    proves it prime, and is refused otherwise."""
     factors, c = _trial_division(n)
-    if c >= TRIAL_LIMIT**2:
-        if isqrt(c) ** 2 != c:
-            raise _too_large(c)
+    if isqrt(c) ** 2 == c:
         c = 1
+    elif c >= TRIAL_LIMIT**3 and not _proven_prime(c):
+        raise _too_large(c)
     out = c if n > 0 else -c
     for q, e in factors:
         if e % 2:

@@ -172,13 +172,19 @@ def enumerate_involutions(comp: Composition, circ: bool = False):
     """Involutions rho . c with rho(c) = c and matching block sizes; `circ`
     additionally keeps only those with an even number of odd-size sign
     blocks (the restriction that `admissible_class` names)."""
-    return _involutions_for(comp.parts, bool(circ))[0]
+    return _enumerated(comp.parts, bool(circ))
 
 
-def orbit_masks(comp: Composition, circ: bool = False):
-    """The orbit mask of each involution of `enumerate_involutions(comp,
-    circ)`, in the same order."""
-    return _involutions_for(comp.parts, bool(circ))[1]
+def involution_rows(comp: Composition, circ: bool = False):
+    """The rows (rho, c, mask) of `enumerate_involutions(comp, circ)`, in
+    the same order: rho, c as a sorted tuple, and the orbit mask."""
+    return _involutions_for(comp.parts, bool(circ))
+
+
+def involution_at(comp: Composition, circ: bool, pos: int) -> SignedInvolution:
+    """The involution of row `pos` of `involution_rows(comp, circ)`, built
+    once per process and position."""
+    return _involution(comp.parts, bool(circ), pos)
 
 
 def orbit_bit(k: int, i: int, j: int, in_c) -> int:
@@ -201,13 +207,13 @@ def orbit_mask(w: SignedInvolution) -> int:
 
 @lru_cache(maxsize=None)
 def _involutions_for(parts: tuple, circ: bool):
-    """The sorted tuple for block sizes `parts`, and the tuple of their
-    orbit masks; r and the sign play no part.  Each index in turn is fixed
+    """The rows for block sizes `parts`, sorted as `sort_key` sorts their
+    involutions; r and the sign play no part.  Each index in turn is fixed
     or swapped with a later free index of the same block size, and the
     orbit so formed is put in c or left out."""
     k = len(parts)
     rho = [None] * k
-    found, masks = [], []
+    found = []
     pair_bits = [[1 << orbit_bit(k, i, j, 0) for j in range(k)] for i in range(k)]
 
     def rec(i, c, mask):
@@ -215,8 +221,7 @@ def _involutions_for(parts: tuple, circ: bool):
             i += 1
         if i == k:
             if not (circ and sum(parts[j] % 2 for j in c) % 2):
-                found.append(SignedInvolution(tuple(rho), c))
-                masks.append(mask)
+                found.append((len(c), tuple(rho), tuple(sorted(c)), mask))
             return
         for j in range(i, k):
             if rho[j] is None and parts[j] == parts[i]:
@@ -227,8 +232,25 @@ def _involutions_for(parts: tuple, circ: bool):
                 rho[i] = rho[j] = None
 
     rec(0, frozenset(), 0)
-    order = sorted(range(len(found)), key=lambda n: found[n].sort_key)
-    return tuple(found[n] for n in order), tuple(masks[n] for n in order)
+    found.sort()
+    return tuple(row[1:] for row in found)
+
+
+@lru_cache(maxsize=None)
+def _involution(parts: tuple, circ: bool, pos: int):
+    """Row `pos` as a `SignedInvolution`, built once per process and
+    position without the checks of `__post_init__`: the recursion forms
+    only valid involutions."""
+    rho, c, _ = _involutions_for(parts, circ)[pos]
+    w = object.__new__(SignedInvolution)
+    object.__setattr__(w, "rho", rho)
+    object.__setattr__(w, "c", frozenset(c))
+    return w
+
+
+@lru_cache(maxsize=None)
+def _enumerated(parts: tuple, circ: bool):
+    return tuple(_involution(parts, circ, pos) for pos in range(len(_involutions_for(parts, circ))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from localsym import cli
 from localsym.cli import main
 from localsym.localfield import reduce
 from localsym.prasad import w_gram
@@ -490,8 +492,6 @@ def test_demo_scripts_run(script):
 
 
 def test_cli_golden_fixtures(capsys):
-    import pathlib
-
     golden = json.loads(
         (pathlib.Path(__file__).parent / "golden" / "cli_fixtures.json").read_text()
     )
@@ -500,6 +500,61 @@ def test_cli_golden_fixtures(capsys):
         code, env = run_cli(case["argv"], capsys)
         assert code == 0, case["name"]
         assert env["payload"] == case["payload"], case["name"]
+
+
+def _outcome(argv, parse, monkeypatch):
+    """(exit code, stdout, stderr) of main(argv) with `parse` as its parse."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with monkeypatch.context() as m, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        m.setattr(cli, "_parse", parse)
+        try:
+            main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parse_matches_the_full_parser(tmp_path, monkeypatch):
+    """main parses a subcommand's words with that subcommand's parser
+    alone; its stdout, stderr and exit code equal those of the full
+    parser's parse on every golden fixture and on malformed argv: none,
+    -h, an unknown command, a missing required option, unknown trailing
+    words, --opt=value, an abbreviated option and a -- separator."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "cli_fixtures.json").read_text())
+    pair = '{"case":"symplectic","n0":0,"j":[],"n":2,"p":3,"a":-1}'
+    comp = '{"parts":[1,1],"r":0}'
+    w = '{"rho":[2,1],"c":[1,2]}'
+    files = {}
+    for name, text in (("pair", pair), ("comp", comp), ("data", '{"labels":["1","2"]}'),
+                       ("target", '{"case":"symplectic"}')):
+        files[name] = str(tmp_path / f"{name}.json")
+        pathlib.Path(files[name]).write_text(text)
+    distinguish = ["distinguish", "--pair", files["pair"], "--comp", files["comp"],
+                   "--data", files["data"], "--target", files["target"]]
+    malformed = [
+        [],
+        ["-h"],
+        ["--help"],
+        ["bogus"],
+        ["bogus", "--pair", pair],
+        ["distinguish", "-h"],
+        ["distinguish", "--pair", files["pair"]],
+        distinguish,
+        distinguish + ["--bogus"],
+        distinguish + ["extra", "words"],
+        ["hilbert", "-a", "3", "-b", "2", "-p", "3", "--", "5"],
+        ["form-invariants", "--p=3", "--entries=[1,2]"],
+        ["build-tw", "--pa", pair, "--comp", comp, "--w", w],
+        ["build-tw", "--pa=" + pair, "--co", comp, "--w", w, "--bogus=1"],
+        ["involutions", "--parts", "[1,1]", "--circ", "--r", "x"],
+    ]
+    dispatch = cli._parse
+    for argv in [case["argv"] for case in golden["cases"]] + malformed:
+        full = _outcome(argv, lambda a: cli._parser().parse_args(a), monkeypatch)
+        assert _outcome(argv, dispatch, monkeypatch) == full, argv
+    code, _, err = _outcome(distinguish + ["--bogus"], dispatch, monkeypatch)
+    assert code == 2 and err.startswith("usage: localsym [-h]")
 
 
 def _fresh_cli(args):

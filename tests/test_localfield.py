@@ -25,8 +25,10 @@ from localsym.localfield import (
     reduce,
     square_class_reps,
     square_classes,
+    squarefree_part,
     valuation,
 )
+from localsym.numfield import BiquadField
 
 P2, P3, P5, P7 = Prime(2), Prime(3), Prime(5), Prime(7)
 
@@ -181,6 +183,31 @@ def test_factorize_bounded_trial_division():
         reciprocity_check(3, 10**30 + 57)
 
 
+def test_large_cofactors_are_certified():
+    """A cofactor of 10^12 or more that trial division leaves has no prime
+    factor below 10^6: below 10^18 it is a prime, p q or p^2, and a prime
+    is proven by `is_prime` below PSI_12.  Only a cofactor that neither
+    settles is refused."""
+    big, mersenne = 10**12 + 39, 2**61 - 1
+    assert BiquadField(big).a == big and BiquadField(mersenne).a == mersenne
+    assert _factorize(big) == [(big, 1)] and _factorize(-2 * mersenne) == [(2, 1), (mersenne, 1)]
+    report = reciprocity_check(big, mersenne)
+    assert report.ok and [place for place, _ in report.symbols] == [2, big, mersenne, "inf"]
+    p, q = 1000003, 1000033
+    assert squarefree_part(p * q) == p * q and squarefree_part(-7 * p * q) == -7 * p * q
+    for composite in (p * q, (p * q) ** 2):
+        with pytest.raises(LocalFieldError, match="too large to certify"):
+            _factorize(composite)
+    assert squarefree_part(5 * (p * q) ** 2) == 5
+    assert squarefree_part(-3 * q * q) == -3 and _factorize(12 * q * q) == [(2, 2), (3, 1), (q, 2)]
+    assert squarefree_part(5 * mersenne**2) == 5 and _factorize(mersenne**2) == [(mersenne, 2)]
+    composite = p * q * 1000037
+    assert composite >= 10**18
+    for f in (squarefree_part, _factorize):
+        with pytest.raises(LocalFieldError, match="too large to certify"):
+            f(composite)
+
+
 def test_hilbert_real():
     assert hilbert_real(-2, -3) == -1
     assert hilbert_real(-2, 3) == 1
@@ -267,7 +294,7 @@ def test_non_norm_value_matches_the_scan():
                 assert non_norm_value(m, d, p) == ref_non_norm_value(m, d, p), (m, d, p)
 
 
-@pytest.mark.parametrize("p", [1000003, 2**31 - 1])
+@pytest.mark.parametrize("p", [1000003, 2**31 - 1, 10**12 + 39, 2**61 - 1])
 def test_non_norm_value_at_large_primes(p):
     """A large p costs a square root mod p, not a scan of x up to 2p."""
     start = time.perf_counter()

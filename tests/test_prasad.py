@@ -290,11 +290,14 @@ def test_squarefree_part():
 
 
 def test_squarefree_part_square_cofactor_above_trial_limit():
-    # 1000003 and 1000033 are primes above the trial-division limit
+    # 1000003, 1000033 and 1000037 are primes above the trial-division limit;
+    # below 10^18 a non-square cofactor such as their product p q is
+    # squarefree, and at 10^18 or more one that is not proven prime is refused
     assert squarefree_part(3 * 1000003**2) == 3
     assert squarefree_part(-2 * (1000003 * 1000033) ** 2) == -2
-    with pytest.raises(LocalFieldError, match="cofactor 1000036000099 .* too large to certify"):
-        squarefree_part(1000003 * 1000033)
+    assert squarefree_part(1000003 * 1000033) == 1000036000099
+    with pytest.raises(LocalFieldError, match="cofactor 1000073001431003663 .* too large to certify"):
+        squarefree_part(1000003 * 1000033 * 1000037)
 
 
 @pytest.mark.parametrize("t", [Fraction(3 * 1000003**2), Fraction(3, 1000003**2)])

@@ -6,8 +6,8 @@ Each pair runs decide -> build_xw -> recover_hilbert90_matrix -> classify_x
 over the small grid, with every relation present and every inner orbit
 flagged, for every realizable target.  Tier-1 sweeps the primes below 60,
 211 (the first prime whose least non-norm in the unramified model is p
-itself and lies beyond 200) and the p = 2 models; with LOCALSYM_FULL_SWEEP=1
-set it sweeps every prime 3 <= p < 400.
+itself and lies beyond 200), the p = 2 models and four large primes; with
+LOCALSYM_FULL_SWEEP=1 set it sweeps every prime 3 <= p < 400.
 
 Global-model invariance: a local pair is modelled by global squarefree a
 and b, so every answer must depend on their square classes at p alone.
@@ -31,6 +31,7 @@ from test_distinction import all_pi0, small_grid
 FULL = os.environ.get("LOCALSYM_FULL_SWEEP") == "1"
 ODD_PRIMES = [p for p in range(3, 400 if FULL else 60) if is_prime(p)] + ([] if FULL else [211])
 P2_MODELS = (-1, 2, -2, 3, 5, 6, -6, 7, 10, -3)
+LARGE_PRIMES = (1000003, 2**31 - 1, 10**12 + 39, 2**61 - 1)
 
 
 def split_pairs(prime, a):
@@ -94,6 +95,16 @@ def test_every_witness_certifies_at_odd_p(p):
 @pytest.mark.parametrize("a", P2_MODELS)
 def test_every_witness_certifies_at_2(a):
     assert sum(certify_all(pair) for pair in split_pairs(Prime(2), a)) > 0
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_every_witness_certifies_at_large_p(p):
+    """Every model of the sweep, ramified (a = p, or b = p or p u) and
+    unramified, at primes whose squarefree check and non-norm values have
+    no factor or scan of size p to lean on; each model certifies a witness."""
+    pairs = sweep_pairs(p)
+    assert any(pair.field.a == p for pair in pairs)
+    assert all(certify_all(pair) > 0 for pair in pairs)
 
 
 # ---------------------------------------------------------------------------

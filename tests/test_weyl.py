@@ -39,7 +39,10 @@ from localsym.weyl import (
     gl_star,
     inner_orbit_invariants,
     inner_z_choices,
+    involution_at,
+    involution_rows,
     iota,
+    orbit_mask,
     predicted_orbit_invariant,
     stabilizer_shape,
     t_w_square_pattern,
@@ -144,7 +147,7 @@ def test_enumeration_matches_brute_force(parts):
 def test_enumeration_cache_matches_reference():
     """The cached per-block-size tuple against the brute-force reference in
     sort_key order, for every parts in {1, 2}^k, k <= 5."""
-    from localsym.weyl import _involutions_for
+    from localsym.weyl import _enumerated, _involution, _involutions_for
 
     all_ones = {}
     for k in range(1, 6):
@@ -153,7 +156,8 @@ def test_enumeration_cache_matches_reference():
             full = sorted(brute_force_involutions(comp), key=lambda w: w.sort_key)
             even = tuple(w for w in full if w.o(comp) % 2 == 0)
             for circ_first in (False, True):
-                _involutions_for.cache_clear()
+                for cache in (_involutions_for, _involution, _enumerated):
+                    cache.cache_clear()
                 first = enumerate_involutions(comp, circ_first)
                 second = enumerate_involutions(comp, not circ_first)
                 plain, circ = (second, first) if circ_first else (first, second)
@@ -165,6 +169,52 @@ def test_enumeration_cache_matches_reference():
             if set(parts) == {1}:
                 all_ones[k] = len(enumerate_involutions(comp))
     assert all_ones == {1: 2, 2: 6, 3: 20, 4: 76, 5: 312}
+
+
+def ref_involutions_for(parts, circ):
+    """The former enumeration: the same recursion building every
+    involution through its validating constructor, sorted by sort_key."""
+    k = len(parts)
+    rho = [None] * k
+    found = []
+
+    def rec(i, c):
+        while i < k and rho[i] is not None:
+            i += 1
+        if i == k:
+            if not (circ and sum(parts[j] % 2 for j in c) % 2):
+                found.append(SignedInvolution(tuple(rho), c))
+            return
+        for j in range(i, k):
+            if rho[j] is None and parts[j] == parts[i]:
+                rho[i], rho[j] = j, i
+                rec(i + 1, c)
+                rec(i + 1, c | {i, j})
+                rho[i] = rho[j] = None
+
+    rec(0, frozenset())
+    return tuple(sorted(found, key=lambda w: w.sort_key))
+
+
+def test_rows_match_validated_involutions():
+    """For every parts in {1, 2}^k, k <= 6, and both circ: the rows
+    (rho, c, mask) are the former sorted tuple's (w.rho, sorted w.c,
+    orbit_mask(w)); each row's failure-log tag is byte-equal to
+    f"w={w.to_json()}: "; and the involutions built from the rows without
+    the checks equal the validated ones."""
+    from localsym.distinction import _tag
+
+    for k in range(7):
+        for parts in itertools.product((1, 2), repeat=k):
+            comp = Composition(parts, 0)
+            for circ in (False, True):
+                ref = ref_involutions_for(parts, circ)
+                rows = involution_rows(comp, circ)
+                assert rows == tuple((w.rho, tuple(sorted(w.c)), orbit_mask(w)) for w in ref)
+                for pos, (w, (rho, c, _)) in enumerate(zip(ref, rows)):
+                    assert _tag(rho, c) == f"w={w.to_json()}: " == f"w={w.to_json()!r}: "
+                    assert involution_at(comp, circ, pos) == w
+                assert enumerate_involutions(comp, circ) == ref
 
 
 def test_involution_stats():
