@@ -124,8 +124,9 @@ def cmd_involutions(args):
     parts = _json_list(args.parts, "--parts")
     _bound(len(parts), MAX_BLOCKS, "the block count of --parts")
     comp = weyl.Composition(tuple(parts), args.r)
-    ws = weyl.enumerate_involutions(comp, circ=args.circ)
-    _emit("involutions", {"count": len(ws), "involutions": [w.to_json() for w in ws]})
+    rows = weyl.involution_rows(comp, circ=args.circ)
+    _emit("involutions", {"count": len(rows),
+                          "involutions": [weyl.involution_json(rho, c) for rho, c, _ in rows]})
 
 
 def cmd_build_tw(args):
@@ -258,12 +259,11 @@ def cmd_selftest(args):
         raise SystemExit(1)
 
 
-def make_parser():
-    return _build_parsers()[0]
-
-
-def _build_parsers():
-    """The top-level parser and its subcommand parsers by name."""
+@lru_cache(maxsize=None)
+def _parsers():
+    """The top-level parser and its subcommand parsers by name, built once
+    per process; each parse still returns a fresh Namespace, so nothing
+    carries over between calls."""
     p = argparse.ArgumentParser(prog="localsym", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -348,17 +348,6 @@ DOMAIN_ERRORS = (
     distinction.DistinctionError,
     prasad.PrasadError,
 )
-
-
-@lru_cache(maxsize=None)
-def _parsers():
-    """The process's parsers, built on first use; each parse still returns
-    a fresh Namespace, so nothing carries over between calls."""
-    return _build_parsers()
-
-
-def _parser():
-    return _parsers()[0]
 
 
 def _parse(argv):

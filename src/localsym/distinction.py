@@ -24,7 +24,7 @@ from .weyl import (
     SignedInvolution,
     admissible_class,
     inner_orbit_invariants,
-    involution_at,
+    involution_json,
     involution_rows,
     orbit_bit,
     orbit_mask,
@@ -231,15 +231,14 @@ def check_rows(w, sigma_tau, hermitian, conj_dual, linear):
 
 @lru_cache(maxsize=None)
 def _tags(parts: tuple, circ: bool) -> dict:
-    """The failure-log tags 'w=<w.to_json()>: ' of the involution rows for
-    block sizes `parts`, by position (which depends on nothing else);
+    """The failure-log tags of the rows for block sizes `parts` by position;
     decide adds each tag when a search first reaches its row."""
     return {}
 
 
 def _tag(rho, c) -> str:
-    """The tag of a row (rho, c), byte-equal to f"w={w.to_json()}: "."""
-    return f"w={{'rho': {[i + 1 for i in rho]}, 'c': {[i + 1 for i in c]}}}: "
+    """The failure-log tag 'w=<repr of the involution's JSON>: ' of a row."""
+    return f"w={involution_json(rho, c)!r}: "
 
 
 @lru_cache(maxsize=None)
@@ -290,7 +289,7 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
         if bad:
             log.append(tag + reasons[bad & -bad])
             continue
-        w = involution_at(comp, circ, pos)
+        w = SignedInvolution._of_row(rho, c)
         iw = sorted(w.fixed_in_c)
         bit_ranges = [data.unitary_bits(i) for i in iw]
         inner = inner_orbit_invariants(comp, w, pair)

@@ -473,16 +473,24 @@ class ReciprocityReport:
 TRIAL_LIMIT = 10**6
 
 
+def _proven_prime(n):
+    return n < PSI_12 and is_prime(n)
+
+
 def _trial_division(n):
     """(factors, cofactor) for a nonzero integer n: its prime factors up to
     TRIAL_LIMIT as [(prime, exponent), ...] in increasing order, and the
     cofactor left, which has none; the sign is dropped.  A cofactor below
-    TRIAL_LIMIT^2 is 1 or prime."""
+    TRIAL_LIMIT^2 is 1 or prime.  A cofactor above TRIAL_LIMIT that
+    `is_prime` proves prime, tested at the start and after each prime
+    divided out, ends the division, which would leave it whole anyway."""
     if n == 0:
         raise LocalFieldError("0 has no factorization")
     n = abs(n)
     out = []
     d = 2
+    if n > TRIAL_LIMIT and _proven_prime(n):
+        return out, n
     while d <= TRIAL_LIMIT and d * d <= n:
         if n % d == 0:
             e = 0
@@ -490,6 +498,8 @@ def _trial_division(n):
                 n //= d
                 e += 1
             out.append((d, e))
+            if n > TRIAL_LIMIT and _proven_prime(n):
+                break
         d += 1 if d == 2 else 2
     return out, n
 
@@ -498,10 +508,6 @@ def _too_large(n):
     return LocalFieldError(
         f"cofactor {n} has no prime factor below {TRIAL_LIMIT} and is too large to certify"
     )
-
-
-def _proven_prime(n):
-    return n < PSI_12 and is_prime(n)
 
 
 def _factorize(n) -> list:

@@ -161,11 +161,25 @@ class SignedInvolution(SignedPerm):
         return SignedInvolution(w.rho, w.c)
 
     def to_json(self):
-        return {"rho": [i + 1 for i in self.rho], "c": sorted(i + 1 for i in self.c)}
+        return involution_json(self.rho, sorted(self.c))
 
     @classmethod
     def from_json(cls, d):
         return cls(tuple(i - 1 for i in d["rho"]), frozenset(i - 1 for i in d.get("c", [])))
+
+    @classmethod
+    def _of_row(cls, rho, c) -> "SignedInvolution":
+        """The involution of a row (rho, c) of `involution_rows`, without
+        the checks, as the recursion forms only valid involutions."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "rho", rho)
+        object.__setattr__(w, "c", frozenset(c))
+        return w
+
+
+def involution_json(rho, c):
+    """The 1-based JSON form of the involution rho . c, c given sorted."""
+    return {"rho": [i + 1 for i in rho], "c": [i + 1 for i in c]}
 
 
 def enumerate_involutions(comp: Composition, circ: bool = False):
@@ -179,12 +193,6 @@ def involution_rows(comp: Composition, circ: bool = False):
     """The rows (rho, c, mask) of `enumerate_involutions(comp, circ)`, in
     the same order: rho, c as a sorted tuple, and the orbit mask."""
     return _involutions_for(comp.parts, bool(circ))
-
-
-def involution_at(comp: Composition, circ: bool, pos: int) -> SignedInvolution:
-    """The involution of row `pos` of `involution_rows(comp, circ)`, built
-    once per process and position."""
-    return _involution(comp.parts, bool(circ), pos)
 
 
 def orbit_bit(k: int, i: int, j: int, in_c) -> int:
@@ -210,47 +218,37 @@ def _involutions_for(parts: tuple, circ: bool):
     """The rows for block sizes `parts`, sorted as `sort_key` sorts their
     involutions; r and the sign play no part.  Each index in turn is fixed
     or swapped with a later free index of the same block size, and the
-    orbit so formed is put in c or left out."""
+    orbit so formed is put in c or left out.  c is a bit set read from a
+    table of the 2^k sorted subsets, no more than twice the rows in number."""
     k = len(parts)
     rho = [None] * k
-    found = []
+    by_size = [[] for _ in range(k + 1)]
     pair_bits = [[1 << orbit_bit(k, i, j, 0) for j in range(k)] for i in range(k)]
+    subsets = [tuple(j for j in range(k) if b >> j & 1) for b in range(1 << k)]
 
-    def rec(i, c, mask):
+    def rec(i, cbits, mask):
         while i < k and rho[i] is not None:
             i += 1
         if i == k:
+            c = subsets[cbits]
             if not (circ and sum(parts[j] % 2 for j in c) % 2):
-                found.append((len(c), tuple(rho), tuple(sorted(c)), mask))
+                by_size[len(c)].append((tuple(rho), c, mask))
             return
         for j in range(i, k):
             if rho[j] is None and parts[j] == parts[i]:
                 rho[i], rho[j] = j, i
                 bit = pair_bits[i][j]
-                rec(i + 1, c, mask | bit)
-                rec(i + 1, c | {i, j}, mask | bit << 1)
+                rec(i + 1, cbits, mask | bit)
+                rec(i + 1, cbits | 1 << i | 1 << j, mask | bit << 1)
                 rho[i] = rho[j] = None
 
-    rec(0, frozenset(), 0)
-    found.sort()
-    return tuple(row[1:] for row in found)
-
-
-@lru_cache(maxsize=None)
-def _involution(parts: tuple, circ: bool, pos: int):
-    """Row `pos` as a `SignedInvolution`, built once per process and
-    position without the checks of `__post_init__`: the recursion forms
-    only valid involutions."""
-    rho, c, _ = _involutions_for(parts, circ)[pos]
-    w = object.__new__(SignedInvolution)
-    object.__setattr__(w, "rho", rho)
-    object.__setattr__(w, "c", frozenset(c))
-    return w
+    rec(0, 0, 0)
+    return tuple(row for rows in by_size for row in sorted(rows))
 
 
 @lru_cache(maxsize=None)
 def _enumerated(parts: tuple, circ: bool):
-    return tuple(_involution(parts, circ, pos) for pos in range(len(_involutions_for(parts, circ))))
+    return tuple(SignedInvolution._of_row(rho, c) for rho, c, _ in _involutions_for(parts, circ))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 import subprocess
@@ -112,6 +113,26 @@ def test_involutions(capsys):
     assert code == 0 and env["payload"]["count"] == 6
     code, env = run_cli(["involutions", "--parts", "[1,1]", "--circ"], capsys)
     assert env["payload"]["count"] == 4
+
+
+def test_involutions_print_the_former_object_path(capsys):
+    """`involutions` prints its rows' JSON byte for byte as the former
+    path did, which built every involution and printed its to_json: every
+    parts in {1, 2}^k for k <= 6 with r in {0, 1}, and 8 one-blocks (r
+    plays no part in the rows), with and without --circ."""
+    from localsym.weyl import Composition, enumerate_involutions
+
+    cases = [(parts, r) for k in range(7) for parts in itertools.product((1, 2), repeat=k)
+             for r in (0, 1)]
+    for parts, r in cases + [((1,) * 8, 0)]:
+        for circ in (False, True):
+            ws = enumerate_involutions(Composition(parts, r), circ)
+            payload = {"count": len(ws), "involutions": [w.to_json() for w in ws]}
+            want = json.dumps({"command": "involutions", "version": 1, "payload": payload},
+                              sort_keys=True, separators=(",", ":"))
+            main(["involutions", "--parts", json.dumps(list(parts)), "--r", str(r)]
+                 + ["--circ"] * circ)
+            assert capsys.readouterr().out == want + "\n", (parts, r, circ)
 
 
 def test_build_tw(capsys):
@@ -551,7 +572,7 @@ def test_one_parse_matches_the_full_parser(tmp_path, monkeypatch):
     ]
     dispatch = cli._parse
     for argv in [case["argv"] for case in golden["cases"]] + malformed:
-        full = _outcome(argv, lambda a: cli._parser().parse_args(a), monkeypatch)
+        full = _outcome(argv, lambda a: cli._parsers()[0].parse_args(a), monkeypatch)
         assert _outcome(argv, dispatch, monkeypatch) == full, argv
     code, _, err = _outcome(distinguish + ["--bogus"], dispatch, monkeypatch)
     assert code == 2 and err.startswith("usage: localsym [-h]")

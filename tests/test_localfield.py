@@ -10,8 +10,10 @@ from localsym.localfield import (
     Prime,
     QuadExtension,
     SquareClass,
+    TRIAL_LIMIT,
     _factorize,
     _rational_sqrt,
+    _trial_division,
     eta,
     hilbert,
     hilbert_oracle,
@@ -181,6 +183,39 @@ def test_factorize_bounded_trial_division():
         _factorize(10**30 + 57)
     with pytest.raises(LocalFieldError):
         reciprocity_check(3, 10**30 + 57)
+
+
+def ref_trial_division(n):
+    """The former trial division, which ran to TRIAL_LIMIT or sqrt(n)
+    whatever the cofactor."""
+    n = abs(n)
+    out = []
+    d = 2
+    while d <= TRIAL_LIMIT and d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    return out, n
+
+
+def test_trial_division_stops_at_a_proven_prime():
+    """Stopping at a proven-prime cofactor keeps the factors and the
+    cofactor of the full division: on primes above 10^6 (where it stops at
+    once), a prime times small factors, a prime power, and p q^2 with both
+    primes just below 10^6 (where it must divide to q)."""
+    big = 10**12 + 39
+    for n in (big, 2**61 - 1, 999999999989, 6 * big, -6 * big, 2**100, 999983 * 999979**2):
+        assert _trial_division(n) == ref_trial_division(n), n
+    # a prime cofactor ends the division at the start and after a prime
+    # divided out, where the full division runs to 10^6 (about 0.07 s)
+    for n, want in ((big, ([], big)), (6 * big, ([(2, 1), (3, 1)], big))):
+        start = time.perf_counter()
+        assert _trial_division(n) == want
+        assert time.perf_counter() - start < 0.02, n
 
 
 def test_large_cofactors_are_certified():

@@ -39,7 +39,7 @@ from localsym.weyl import (
     gl_star,
     inner_orbit_invariants,
     inner_z_choices,
-    involution_at,
+    involution_json,
     involution_rows,
     iota,
     orbit_mask,
@@ -147,7 +147,7 @@ def test_enumeration_matches_brute_force(parts):
 def test_enumeration_cache_matches_reference():
     """The cached per-block-size tuple against the brute-force reference in
     sort_key order, for every parts in {1, 2}^k, k <= 5."""
-    from localsym.weyl import _enumerated, _involution, _involutions_for
+    from localsym.weyl import _enumerated, _involutions_for
 
     all_ones = {}
     for k in range(1, 6):
@@ -156,7 +156,7 @@ def test_enumeration_cache_matches_reference():
             full = sorted(brute_force_involutions(comp), key=lambda w: w.sort_key)
             even = tuple(w for w in full if w.o(comp) % 2 == 0)
             for circ_first in (False, True):
-                for cache in (_involutions_for, _involution, _enumerated):
+                for cache in (_involutions_for, _enumerated):
                     cache.cache_clear()
                 first = enumerate_involutions(comp, circ_first)
                 second = enumerate_involutions(comp, not circ_first)
@@ -196,12 +196,23 @@ def ref_involutions_for(parts, circ):
     return tuple(sorted(found, key=lambda w: w.sort_key))
 
 
+def ref_to_json(w):
+    """The former hand-written 1-based layout of `SignedInvolution.to_json`."""
+    return {"rho": [i + 1 for i in w.rho], "c": sorted(i + 1 for i in w.c)}
+
+
+def ref_tag(rho, c):
+    """The former hand-written failure-log tag of a row (rho, c)."""
+    return f"w={{'rho': {[i + 1 for i in rho]}, 'c': {[i + 1 for i in c]}}}: "
+
+
 def test_rows_match_validated_involutions():
     """For every parts in {1, 2}^k, k <= 6, and both circ: the rows
     (rho, c, mask) are the former sorted tuple's (w.rho, sorted w.c,
-    orbit_mask(w)); each row's failure-log tag is byte-equal to
-    f"w={w.to_json()}: "; and the involutions built from the rows without
-    the checks equal the validated ones."""
+    orbit_mask(w)); each row's failure-log tag, its `involution_json` and
+    `to_json` equal the former hand-written formatters on the validated
+    involution; and the involutions built from the rows by `_of_row`,
+    without the checks, equal the validated ones."""
     from localsym.distinction import _tag
 
     for k in range(7):
@@ -211,9 +222,12 @@ def test_rows_match_validated_involutions():
                 ref = ref_involutions_for(parts, circ)
                 rows = involution_rows(comp, circ)
                 assert rows == tuple((w.rho, tuple(sorted(w.c)), orbit_mask(w)) for w in ref)
-                for pos, (w, (rho, c, _)) in enumerate(zip(ref, rows)):
-                    assert _tag(rho, c) == f"w={w.to_json()}: " == f"w={w.to_json()!r}: "
-                    assert involution_at(comp, circ, pos) == w
+                for w, (rho, c, _) in zip(ref, rows):
+                    assert _tag(rho, c) == ref_tag(w.rho, sorted(w.c)) == f"w={ref_to_json(w)!r}: "
+                    assert involution_json(rho, c) == w.to_json() == ref_to_json(w)
+                    built = SignedInvolution._of_row(rho, c)
+                    assert type(built) is SignedInvolution and built == w
+                    assert hash(built) == hash(w) and isinstance(built.c, frozenset)
                 assert enumerate_involutions(comp, circ) == ref
 
 
