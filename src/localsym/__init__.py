@@ -3,6 +3,7 @@ symmetric-space orbits and distinction criteria for classical pairs."""
 
 from .localfield import (
     LocalFieldError,
+    LocalsymError,
     Prime,
     QuadExtension,
     SquareClass,

@@ -2,8 +2,8 @@
 one JSON envelope {"command", "version", "payload"} on stdout and is
 deterministic for identical inputs.
 
-Exit codes: 0 on success, 1 on domain errors (with an error payload),
-2 on malformed input.
+Exit codes: 0 on success, 1 on domain errors (a `localfield.LocalsymError`,
+with an error payload), 2 on malformed input.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ def _json_list(s, what):
 
 
 # Bounds on what a command builds, so that it runs in bounded time: 8
-# one-blocks have 32400 signed involutions, and t_w of a pair is N x N.
+# one-blocks have 32400 signed involutions, t_w of a pair is N x N, and a
+# form, a gram or a spinor-norm matrix has at most MAX_MATRIX_SIZE rows.
 MAX_BLOCKS = 8
 MAX_MATRIX_SIZE = 64
 
@@ -79,9 +80,17 @@ def _bound(size, limit, what):
         raise CliError(f"{what} is {size}; at most {limit} is supported")
 
 
+def _rows_bound(rows, what):
+    """Refuse a JSON list of more than MAX_MATRIX_SIZE rows; any other value
+    is left to the command to refuse."""
+    if isinstance(rows, list):
+        _bound(len(rows), MAX_MATRIX_SIZE, f"the row count of {what}")
+
+
 def _gram_arg(s):
-    """--gram as a square list of rows, its shape checked here once."""
+    """--gram as a square list of rows, its size and shape checked here once."""
     gram = _json_list(s, "--gram")
+    _rows_bound(gram, "--gram")
     if any(not isinstance(row, list) or len(row) != len(gram) for row in gram):
         raise CliError("--gram must be a square JSON list of rows")
     return gram
@@ -100,7 +109,9 @@ def cmd_form_invariants(args):
     if args.gram:
         form, _ = forms.diagonalize(_gram_arg(args.gram), p, case, ext)
     else:
-        form = forms.DiagForm(case, p, _json_list(args.entries, "--entries"), ext=ext)
+        entries = _json_list(args.entries, "--entries")
+        _bound(len(entries), MAX_MATRIX_SIZE, "the length of --entries")
+        form = forms.DiagForm(case, p, entries, ext=ext)
     _emit("form-invariants", forms.invariants(form).to_json())
 
 
@@ -172,7 +183,7 @@ def cmd_distinguish(args):
     comp = weyl.Composition.from_json(_json_file(args.comp, "--comp"))
     _bound(comp.k, MAX_BLOCKS, "the block count of --comp")
     data = distinction.CuspidalDatum.from_json(_json_file(args.data, "--data"))
-    target = distinction.orbit_from_json(_json_file(args.target, "--target"))
+    target = symspace.orbit_from_json(_json_file(args.target, "--target"))
     verdict = distinction.decide(pair, comp, data, target)
     _emit("distinguish", verdict.to_json())
 
@@ -192,6 +203,8 @@ def cmd_spinor_norm(args):
     data = _json_file(args.matrix, "--matrix")
     g = data["matrix"] if isinstance(data, dict) else data
     gram = data.get("gram") if isinstance(data, dict) else None
+    _rows_bound(g, "--matrix")
+    _rows_bound(gram, "the gram of --matrix")
     try:
         rational = str(prasad.spinor_norm_rational(g, gram))
     except localfield.LocalFieldError:
@@ -338,18 +351,6 @@ def _parsers():
     return p, sub.choices
 
 
-DOMAIN_ERRORS = (
-    localfield.LocalFieldError,
-    numfield.NumFieldError,
-    forms.FormsError,
-    symspace.SymspaceError,
-    weyl.WeylError,
-    invgraph.InvGraphError,
-    distinction.DistinctionError,
-    prasad.PrasadError,
-)
-
-
 def _parse(argv):
     """One parse per command: argv whose first word names a subcommand is
     parsed by that subcommand's parser alone, where the full parser would
@@ -377,7 +378,7 @@ def main(argv=None):
     except CliError as e:
         print(json.dumps({"error": str(e)}, sort_keys=True))
         raise SystemExit(2)
-    except DOMAIN_ERRORS as e:
+    except localfield.LocalsymError as e:
         # before the ValueError clause: every domain error is a ValueError
         print(json.dumps({"error": str(e)}, sort_keys=True))
         raise SystemExit(1)

@@ -13,12 +13,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .symspace import (
-    OrthogonalOrbit,
-    SymplecticOrbit,
-    UnitaryOrbit,
-    realizable_targets,
-)
+from .localfield import LocalsymError
+from .symspace import orbit_from_json, realizable_targets
 from .weyl import (
     Composition,
     SignedInvolution,
@@ -33,7 +29,7 @@ from .weyl import (
 )
 
 
-class DistinctionError(ValueError):
+class DistinctionError(LocalsymError):
     pass
 
 
@@ -122,21 +118,6 @@ class CuspidalDatum:
             [(i - 1, b) for i, b in d.get("unitary_dist", [])],
             [orbit_from_json(o) for o in d.get("pi0_dist", [])],
         )
-
-
-def orbit_from_json(d):
-    case = d["case"]
-    if case == "symplectic":
-        return SymplecticOrbit()
-    if case == "unitary":
-        return UnitaryOrbit(d["gamma_bit"])
-    from .localfield import SquareClass
-
-    return OrthogonalOrbit(
-        0 if d["component"] == "SX" else 1,
-        SquareClass.from_json(d["partial"]),
-        d["hasse"],
-    )
 
 
 @dataclass(frozen=True)
@@ -275,7 +256,10 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
     circ = admissible_class(comp, pair)
     if target not in realizable_targets(pair):
         raise DistinctionError(f"target {target} is not realizable for this pair")
-    sub = pair.sub_pair(comp.r)
+    # the inner orbits flagged for pi0 as one set, so that a candidate's test
+    # costs the same at any length of pi0_dist; with no inner block every
+    # inner orbit passes
+    pi0 = None if pair.sub_pair(comp.r) is None else frozenset(data.pi0_dist)
     hermitian = {i for i, _ in data.unitary_dist}
     forbidden = ~allowed_orbits(comp.k, data.sigma_tau, hermitian, data.conj_dual, data.linear_dist)
     reasons = _row_reasons(comp.k)
@@ -296,7 +280,7 @@ def decide(pair, comp: Composition, data: CuspidalDatum, target) -> Verdict:
         for bits in itertools.product(*bit_ranges):
             y_bits = dict(zip(iw, bits))
             for z_inv in inner:
-                if sub is not None and z_inv not in data.pi0_dist:
+                if pi0 is not None and z_inv not in pi0:
                     log.append(tag + SEARCH_PROSE["inner.pi0_unflagged"].format(z_inv.to_json()))
                     continue
                 predicted = predicted_orbit_invariant(comp, w, y_bits, z_inv, pair)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .localfield import (
+    LocalsymError,
     Prime,
     QuadExtension,
     SquareClass,
@@ -26,7 +27,7 @@ from .localfield import (
 from . import numfield
 
 
-class FormsError(ValueError):
+class FormsError(LocalsymError):
     pass
 
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .localfield import rational
+from .localfield import LocalsymError, rational
 from .weyl import Composition, SignedInvolution, SignedPerm
 
 
-class InvGraphError(ValueError):
+class InvGraphError(LocalsymError):
     pass
 
 

@@ -17,7 +17,12 @@ from math import isqrt, prod
 _ORACLE_MODULUS_CAP = 50_000_000
 
 
-class LocalFieldError(ValueError):
+class LocalsymError(ValueError):
+    """A domain error: well-formed input that the mathematics refuses.  Every
+    module's error class derives from it, and the CLI answers it with exit 1."""
+
+
+class LocalFieldError(LocalsymError):
     """Invalid local-field data: bad prime, zero input, mismatched primes."""
 
 

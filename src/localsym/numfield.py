@@ -19,10 +19,10 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .localfield import rational, squarefree_part
+from .localfield import LocalsymError, rational, squarefree_part
 
 
-class NumFieldError(ValueError):
+class NumFieldError(LocalsymError):
     pass
 
 

@@ -13,15 +13,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import localfield
-from .forms import FormsError, is_anisotropic, split_gram
-from .localfield import QuadExtension, SquareClass, hilbert_rational, rational, reduce
+from .forms import FormsError, _check_symmetric, is_anisotropic, split_gram
+from .localfield import LocalsymError, QuadExtension, SquareClass, hilbert_rational, rational, reduce
 from .numfield import Bq, Mat, NumFieldError, conj_transpose, int_det, int_echelon, int_mul, int_rows, recover_hilbert90
 
 
-class PrasadError(ValueError):
+class PrasadError(LocalsymError):
     pass
 
 
@@ -196,8 +195,7 @@ def _wall_det(g, gram):
     (n, den), h = _isometry_data(g, gram)
     if int_mul(list(zip(*n)), int_mul(h, n)) != [[den * den * x for x in r] for r in h]:
         raise PrasadError("matrix does not preserve the form")
-    if h != [list(c) for c in zip(*h)]:
-        raise FormsError("matrix is not symmetric")
+    _check_symmetric(h)
     if not int_det(h):
         raise FormsError("singular matrix")
     a = [[den * (i == j) - x for j, x in enumerate(r)] for i, r in enumerate(n)]
@@ -244,19 +242,13 @@ class KClassElement:
         return self.value.norm_to_Fp().rational
 
 
-@lru_cache(maxsize=64)
-def _unit_gram_mat(field, m):
-    """w_gram(m) as a Mat over the field, built once per field and size."""
-    return Mat.from_rational(field, w_gram(m))
-
-
 def wsn(g: Mat, gram=None) -> KClassElement:
     """Determinant of a unitary matrix pulled back through the norm-one
     parametrization z F* -> z / conj(z); the result lives in K*/F*."""
     field = g.field
     if not field.is_quadratic:
         raise PrasadError("wsn works over a quadratic model")
-    gram_m = Mat.from_rational(field, gram) if gram is not None else _unit_gram_mat(field, g.n)
+    gram_m = Mat.from_rational(field, gram) if gram is not None else Mat.antidiag_ones(field, g.n)
     if conj_transpose(g, "sigma") * gram_m * g != gram_m:
         raise PrasadError("matrix is not unitary for the form")
     det = g.det()

@@ -28,6 +28,7 @@ from .forms import (
     split_gram,
 )
 from .localfield import (
+    LocalsymError,
     Prime,
     QuadExtension,
     SquareClass,
@@ -46,7 +47,7 @@ from .numfield import (
 )
 
 
-class SymspaceError(ValueError):
+class SymspaceError(LocalsymError):
     pass
 
 
@@ -83,6 +84,16 @@ class OrthogonalOrbit:
             "partial": self.partial.to_json(),
             "hasse": self.hasse,
         }
+
+
+def orbit_from_json(d):
+    """The orbit written by one of the three `to_json` methods above."""
+    case = d["case"]
+    if case == "symplectic":
+        return SymplecticOrbit()
+    if case == "unitary":
+        return UnitaryOrbit(d["gamma_bit"])
+    return OrthogonalOrbit(0 if d["component"] == "SX" else 1, SquareClass.from_json(d["partial"]), d["hasse"])
 
 
 @dataclass(frozen=True)

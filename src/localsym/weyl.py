@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import prod
 
 from .forms import Case
-from .localfield import hilbert_rational, least_non_norm, non_norm_value, reduce
+from .localfield import LocalsymError, hilbert_rational, least_non_norm, non_norm_value, reduce
 from .numfield import Mat, conj_transpose
 from .symspace import (
     Component,
@@ -28,7 +28,7 @@ from .symspace import (
 )
 
 
-class WeylError(ValueError):
+class WeylError(LocalsymError):
     pass
 
 

@@ -1,8 +1,10 @@
 import contextlib
+import importlib
 import io
 import itertools
 import json
 import pathlib
+import pkgutil
 import subprocess
 import sys
 import time
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import localsym
 from localsym import cli
 from localsym.cli import main
 from localsym.localfield import reduce
@@ -372,6 +375,20 @@ def test_error_codes(capsys):
     assert code == 2 and "error" in env
 
 
+def test_every_domain_error_derives_from_localsym_error():
+    """main answers a LocalsymError with exit 1; an error class outside it
+    would fall through to exit 2, malformed input, which CliError alone means."""
+    found = {}
+    for info in pkgutil.iter_modules(localsym.__path__):
+        module = importlib.import_module(f"localsym.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = issubclass(obj, localsym.LocalsymError)
+    assert found.pop("cli.CliError") is False
+    assert {"localfield.LocalFieldError", "prasad.PrasadError", "distinction.DistinctionError"} <= set(found)
+    assert all(found.values()), found
+
+
 def test_console_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "localsym.cli", "hilbert", "-a", "2", "-b", "3", "-p", "5"],
@@ -444,6 +461,15 @@ _W_NINE = json.dumps({"rho": list(range(1, 10))})
 _PAIR_66 = {"case": "symplectic", "n0": 0, "j": [], "n": 33, "p": 3, "a": -1, "b": None}
 
 
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _dense_gram(n):
+    """A dense symmetric integer n x n gram, nonsingular by its dominant diagonal."""
+    return [[(i * j + i + j) % 7 - 3 + 200 * (i == j) for j in range(n)] for i in range(n)]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -455,13 +481,21 @@ _PAIR_66 = {"case": "symplectic", "n0": 0, "j": [], "n": 33, "p": 3, "a": -1, "b
          "--data", {"labels": ["pi1"]}, "--target", {"case": "symplectic"}],
         ["distinguish", "--pair", dict(_PAIR_66, n=9), "--comp", {"parts": _NINE, "r": 0},
          "--data", {"labels": [f"pi{i}" for i in range(9)]}, "--target", {"case": "symplectic"}],
+        ["form-invariants", "--p", "2", "--entries", json.dumps([2] * 65)],
+        ["form-invariants", "--p", "3", "--gram", json.dumps(_dense_gram(65))],
+        ["spinor-norm", "--p", "3", "--matrix", json.dumps(_identity(65))],
+        ["spinor-norm", "--p", "3", "--matrix", json.dumps({"matrix": _identity(65), "gram": _identity(65)})],
+        ["spinor-norm", "--p", "3", "--matrix", json.dumps({"matrix": _identity(2), "gram": _identity(65)})],
     ],
     ids=["involutions-9-blocks", "descend-9-blocks", "cone-9-blocks", "build-tw-N66",
-         "distinguish-N66", "distinguish-9-blocks"],
+         "distinguish-N66", "distinguish-9-blocks", "form-invariants-65-entries",
+         "form-invariants-gram-65", "spinor-norm-65", "spinor-norm-65-with-gram", "spinor-norm-gram-65"],
 )
 def test_sizes_beyond_the_cli_bounds_are_refused_at_once(args, tmp_path):
-    # 9 one-blocks took 8 s and printed 7 MB for involutions; build-tw at N = 1000 took 50 s
-    args = [json.dumps(a) if isinstance(a, dict) else a for a in args]
+    # 9 one-blocks took 8 s and printed 7 MB for involutions; build-tw at N = 1000 took 50 s;
+    # form-invariants on 4000 entries took 6.0 s, on a dense 200 x 200 gram 5.3 s, and
+    # spinor-norm on the 480 x 480 identity 23.6 s
+    args = _matrix_to_file([json.dumps(a) if isinstance(a, dict) else a for a in args], tmp_path)
     if args[0] == "distinguish":
         for i in range(2, len(args), 2):
             path = tmp_path / f"{args[i - 1][2:]}.json"
@@ -472,11 +506,20 @@ def test_sizes_beyond_the_cli_bounds_are_refused_at_once(args, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
-def test_matrix_size_64_is_within_the_cli_bound(capsys):
+def test_matrix_size_64_is_within_the_cli_bound(capsys, tmp_path):
     pair = dict(_PAIR_66, n=32)
     code, env = run_cli(["build-tw", "--pair", json.dumps(pair), "--comp", '{"parts":[32],"r":0}',
                          "--w", '{"rho":[1]}'], capsys)
     assert code == 0 and len(env["payload"]["matrix"]) == 64
+    code, env = run_cli(["form-invariants", "--p", "2", "--entries", json.dumps([2] * 64)], capsys)
+    assert code == 0 and env["payload"]["rank"] == 64
+    code, env = run_cli(["form-invariants", "--p", "3", "--gram", json.dumps(_dense_gram(64))], capsys)
+    assert code == 0 and env["payload"]["rank"] == 64
+    for data in (_identity(64), {"matrix": _identity(64), "gram": _identity(64)}):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(data))
+        code, env = run_cli(["spinor-norm", "--p", "3", "--matrix", str(path)], capsys)
+        assert code == 0 and env["payload"] == {"rational": "1", "class": {"p": 3, "val": 0, "unit": 1}}
 
 
 def _matrix_to_file(args, folder):

@@ -185,6 +185,23 @@ def test_wsn_random_unitary():
         assert (got.value / got.value.sigma() - g.det()).is_zero
 
 
+def test_unit_gram_is_the_antidiagonal_ones_matrix():
+    for field in (BiquadField(-1), BiquadField(3)):
+        for m in range(1, 65):
+            assert Mat.from_rational(field, w_gram(m)) == Mat.antidiag_ones(field, m)
+
+
+def test_wsn_default_gram_is_w_gram():
+    rng = random.Random(54)
+    K = BiquadField(-1)
+    z = K.element(1) + K.sqrt_a
+    samples = [Mat.identity(K, 2), Mat.diagonal(K, [z, z.sigma().inverse()]),
+               Mat.diagonal(K, [K.sqrt_a, K.sqrt_a.sigma().inverse()])]
+    samples += [rand_unitary(rng, K, 3) for _ in range(50)]
+    for g in samples:
+        assert wsn(g) == wsn(g, w_gram(g.n))
+
+
 def test_prasad_character_rows():
     assert prasad_character(GroupDescriptor(Family.GL, 3), E3) == CharacterFormula("det", 2, "E/F")
     assert prasad_character(GroupDescriptor(Family.GL, 2), E3) == CharacterFormula("det", 1, "E/F")
