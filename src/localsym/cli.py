@@ -205,17 +205,17 @@ def cmd_spinor_norm(args):
     gram = data.get("gram") if isinstance(data, dict) else None
     _rows_bound(g, "--matrix")
     _rows_bound(gram, "the gram of --matrix")
+    det = prasad._wall_det(g, gram)
     try:
-        rational = str(prasad.spinor_norm_rational(g, gram))
+        rational = str(prasad.squarefree_part(det))
     except localfield.LocalFieldError:
-        # a Wall determinant too large to factor: the class needs no
-        # factoring, and spinor_norm raises any other refusal again
-        if not args.p:
+        # a Wall determinant too large to factor: the class needs no factoring
+        if args.p is None:
             raise
         rational = None
     payload = {"rational": rational}
-    if args.p:
-        payload["class"] = prasad.spinor_norm(g, args.p, gram).to_json()
+    if args.p is not None:
+        payload["class"] = localfield.reduce(det, args.p).to_json()
     _emit("spinor-norm", payload)
 
 

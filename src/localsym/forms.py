@@ -17,7 +17,8 @@ from .localfield import (
     SquareClass,
     _as_prime,
     _class_int,
-    _hilbert_int,
+    _split,
+    _symbol,
     eta,
     hilbert,
     hilbert_rational,
@@ -94,29 +95,25 @@ class FormInvariants:
         return out
 
 
-def disc_class(entries, p) -> SquareClass:
-    """The class of the product of int or Fraction entries, formed from the
-    integers num * den, each in its entry's square class."""
-    d = 1
+def disc_and_hasse(entries, p) -> tuple[SquareClass, int]:
+    """The discriminant class and the Hasse sign prod_{i<j} (a_i, a_j)_p of
+    the diagonal form with nonzero rational entries a_i, in one pass.
+
+    By bilinearity the sign is the product over j of the symbols
+    (a_j, a_1 ... a_{j-1})_p.  The running product is kept as p^beta v,
+    beta its valuation mod 2 and v its unit part mod 8p: the unit's class
+    depends only on v mod p for odd p and on v mod 8 at p = 2, so every
+    symbol and the final `reduce` act on numbers of bounded size."""
+    p = _as_prime(p).p
+    m = 8 * p
+    h, beta, v = 1, 0, 1
     for e in entries:
-        d *= e.numerator * e.denominator
-    return reduce(d, p)
-
-
-def hasse_invariant(entries, p) -> int:
-    """Product of Hilbert symbols (a_i, a_j)_p over pairs i < j of diagonal
-    entries.  By bilinearity it is the product over j >= 2 of the n - 1
-    symbols (a_j, a_1 ... a_{j-1})_p, each taken on integers num * den in
-    the entries' square classes."""
-    h = 1
-    if entries:
-        p = _as_prime(p).p
-        run = _class_int(entries[0])
-        for e in entries[1:]:
-            a = _class_int(e)
-            h *= _hilbert_int(a, run, p)
-            run *= a
-    return h
+        alpha, u = _split(_class_int(e), p)
+        u %= m
+        h *= _symbol(alpha, u, beta, v, p)
+        beta = (beta + alpha) % 2
+        v = v * u % m
+    return reduce(p**beta * v, p), h
 
 
 def split_gram(n: int, kernel=(), eps: int = 1):
@@ -221,18 +218,10 @@ def diagonalize(gram, p, case: Case = Case.ORTHOGONAL, ext=None):
 def invariants(f: DiagForm) -> FormInvariants:
     if f.case is Case.SYMPLECTIC:
         raise FormsError("rank is the only symplectic invariant")
+    disc, hasse = disc_and_hasse(f.entries, f.prime)
     if f.case is Case.ORTHOGONAL:
-        return FormInvariants(
-            f.case,
-            f.rank,
-            disc=disc_class(f.entries, f.prime),
-            hasse=hasse_invariant(f.entries, f.prime),
-        )
-    det = Fraction(1)
-    for e in f.entries:
-        det *= e
-    bit = 0 if eta(f.ext, det) == 1 else 1
-    return FormInvariants(f.case, f.rank, det_norm_bit=bit)
+        return FormInvariants(f.case, f.rank, disc=disc, hasse=hasse)
+    return FormInvariants(f.case, f.rank, det_norm_bit=0 if eta(f.ext, disc) == 1 else 1)
 
 
 def equivalent(f: DiagForm, g: DiagForm) -> bool:
@@ -276,8 +265,7 @@ def is_anisotropic(entries, p) -> bool:
         return True
     if n == 2:
         return not reduce(-entries[0] * entries[1], p).is_trivial
-    d = disc_class(entries, p)
-    h = hasse_invariant(entries, p)
+    d, h = disc_and_hasse(entries, p)
     if n == 3:
         return h != hilbert(reduce(-1, p), reduce(-1, p) * d)
     if n == 4:

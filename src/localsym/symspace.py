@@ -20,8 +20,7 @@ from .forms import (
     Case,
     congruent_diagonal,
     diagonal_entries,
-    disc_class,
-    hasse_invariant,
+    disc_and_hasse,
     is_anisotropic,
     is_anisotropic_hermitian,
     orbit_count,
@@ -221,7 +220,7 @@ def jn_invariants(pair):
     if pair.case is not Case.ORTHOGONAL:
         raise SymspaceError("orthogonal-only invariants")
     entries, _ = jn_frame(pair)
-    return (disc_class(entries, pair.prime), hasse_invariant(entries, pair.prime))
+    return disc_and_hasse(entries, pair.prime)
 
 
 def eta_m_mat(pair, m: int) -> Mat:
@@ -270,8 +269,7 @@ def classify_x(x: Mat, z: Mat, pair):
     if not y.is_rational:
         raise SymspaceError("orthogonal form should be rational")
     entries = diagonal_entries(*y.int_rows())
-    disc = disc_class(entries, pair.prime)
-    hasse = hasse_invariant(entries, pair.prime)
+    disc, hasse = disc_and_hasse(entries, pair.prime)
     base_disc = reduce(det_jn(pair), pair.prime)
     if disc == base_disc:
         component = 0
@@ -394,7 +392,7 @@ def _orth_candidates(pair, entries, component):
             sv, w = (field.one, ra) if s == 1 else (ra, field.one)
             u, v = field.element(xy[0]), field.element(alpha * xy[1]) * w
             rows[i][i], rows[i][j], rows[j][i], rows[j][j] = u, -sv * beta * v, v, sv * alpha * u
-        yield OrthogonalOrbit(comp, disc_class(new, p), hasse_invariant(new, p)), new, Mat(field, rows)
+        yield OrthogonalOrbit(comp, *disc_and_hasse(new, p)), new, Mat(field, rows)
 
 
 def _unitary_candidates(pair, entries):

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import localsym
-from localsym import cli
+from localsym import cli, prasad
 from localsym.cli import main
 from localsym.localfield import reduce
 from localsym.prasad import w_gram
@@ -326,6 +326,27 @@ def test_spinor_norm_class_needs_no_factoring(tmp_path, capsys):
     assert code == 1
     assert env == {"error": "cofactor 30931433989981341693223 has no prime factor below 1000000 "
                             "and is too large to certify"}
+
+
+def test_spinor_norm_runs_one_wall_determinant(tmp_path, capsys, monkeypatch):
+    """With --p the rational norm and the class are both read from one Wall
+    determinant."""
+    calls = []
+    wall_det = prasad._wall_det
+    monkeypatch.setattr(prasad, "_wall_det", lambda *a: calls.append(a) or wall_det(*a))
+    f = tmp_path / "mat.json"
+    f.write_text(json.dumps({"matrix": [["3", 0], [0, "1/3"]]}))
+    code, env = run_cli(["spinor-norm", "--matrix", str(f), "--p", "3"], capsys)
+    assert code == 0 and env["payload"] == {"rational": "3", "class": {"p": 3, "val": 1, "unit": 1}}
+    assert len(calls) == 1
+
+
+def test_spinor_norm_p_zero_is_refused(tmp_path):
+    """--p 0 is refused as not a prime, as --p 4 and hilbert -p 0 are,
+    rather than dropped."""
+    f = tmp_path / "mat.json"
+    f.write_text(json.dumps({"matrix": [["3", 0], [0, "1/3"]]}))
+    assert _assert_one_json_line(["spinor-norm", "--matrix", str(f), "--p", "0"]) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -11,9 +12,7 @@ from localsym.forms import (
     FormsError,
     congruent_diagonal,
     diagonalize,
-    disc_class,
     equivalent,
-    hasse_invariant,
     invariants,
     is_anisotropic,
     is_anisotropic_hermitian,
@@ -206,6 +205,18 @@ def test_unitary_invariants_and_counts():
     reps = square_class_reps(P3)
     bits = {invariants(DiagForm(Case.UNITARY, P3, (r,), ext=ext)).det_norm_bit for r in reps}
     assert len(bits) == orbit_count(Case.UNITARY, 1)
+
+
+def test_invariants_are_bounded_in_the_rank():
+    """The one-pass fold keeps its running product below 8p^2, so the
+    invariants of 2000 random 6-digit entries take milliseconds."""
+    rng = random.Random(2000)
+    entries = [Fraction(rng.choice([-1, 1]) * rng.randint(10**5, 10**6 - 1), rng.randint(10**5, 10**6 - 1))
+               for _ in range(2000)]
+    for f in (DiagForm(Case.ORTHOGONAL, P3, entries), DiagForm(Case.UNITARY, P3, entries, ext=QuadExtension.of(-1, P3))):
+        start = time.perf_counter()
+        invariants(f)
+        assert time.perf_counter() - start < 2.0
 
 
 def test_sum_invariants_rule():

@@ -10,19 +10,29 @@ Fraction-by-Fraction code for the rest."""
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localsym.forms import FormsError, congruent_diagonal, diagonal_entries, hasse_invariant, split_gram
+from localsym.forms import (
+    Case,
+    DiagForm,
+    FormsError,
+    congruent_diagonal,
+    diagonal_entries,
+    disc_and_hasse,
+    invariants,
+    split_gram,
+)
 from localsym.localfield import (
     LocalFieldError,
     Prime,
     QuadExtension,
     SquareClass,
+    eta,
     hilbert,
     hilbert_oracle,
     hilbert_rational,
@@ -637,21 +647,23 @@ def test_spinor_class_needs_no_factoring():
 
 
 # ---------------------------------------------------------------------------
-# the chained Hasse product against the pairwise definition
+# the one-pass discriminant and Hasse sign against the pairwise definition
+# and the Fraction product
 
 
-def ref_hasse_invariant(entries, p):
+def ref_disc_and_hasse(entries, p):
     classes = [reduce(e, p) for e in entries]
     h = 1
     for x, y in combinations(classes, 2):
         h *= hilbert(x, y)
-    return h
+    return reduce(prod(entries, start=Fraction(1)), p), h
 
 
-def test_chained_hasse_matches_pairwise_definition():
+def _hasse_grid():
+    """(entries, p): 0 to 8 small entries at small and large primes, and
+    forms of 50 to 200 entries with numerators up to 10^30."""
     rng = random.Random(1701)
-    for p in (2, 3, 5, 7, 11):
-        prime = Prime(p)
+    for p in (2, 3, 5, 7, 11, 211, 10**12 + 39):
         for n in range(9):
             for _ in range(40):
                 entries = []
@@ -660,9 +672,32 @@ def test_chained_hasse_matches_pairwise_definition():
                     den = rng.choice([1, 1, 2, 3, p, 4 * p])
                     x = Fraction(num, den)
                     entries.append(int(x) if x.denominator == 1 and rng.random() < 0.5 else x)
-                assert hasse_invariant(entries, prime) == ref_hasse_invariant(entries, prime)
-                assert hasse_invariant(entries, p) == ref_hasse_invariant(entries, p)
-                if n:
-                    entries[rng.randrange(n)] = rng.choice([0, Fraction(0)])
-                    with pytest.raises(LocalFieldError, match="0 has no square class"):
-                        hasse_invariant(entries, prime)
+                yield entries, p
+        for n in (50, 120, 200):
+            entries = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**30) * rng.choice([1, p]),
+                                rng.randint(1, 10**6) * rng.choice([1, 1, p]))
+                       for _ in range(n)]
+            yield entries, p
+
+
+def test_chained_hasse_matches_pairwise_definition():
+    rng = random.Random(1702)
+    for entries, p in _hasse_grid():
+        prime = Prime(p)
+        want = ref_disc_and_hasse(entries, prime)
+        assert disc_and_hasse(entries, prime) == want
+        assert disc_and_hasse(entries, p) == want
+        if entries:
+            entries = list(entries)
+            entries[rng.randrange(len(entries))] = rng.choice([0, Fraction(0)])
+            with pytest.raises(LocalFieldError, match="0 has no square class"):
+                disc_and_hasse(entries, prime)
+
+
+def test_unitary_invariants_match_the_fraction_product():
+    for entries, p in _hasse_grid():
+        det = prod(entries, start=Fraction(1))
+        for d in (d for d in (-1, 2, 3, 5, p) if not reduce(d, p).is_trivial):
+            ext = QuadExtension.of(d, p)
+            bit = invariants(DiagForm(Case.UNITARY, Prime(p), entries, ext=ext)).det_norm_bit
+            assert bit == (0 if eta(ext, det) == 1 else 1)

@@ -113,12 +113,12 @@ def test_jn_hasse_formula():
                 detj = Fraction(1)
                 for e in j:
                     detj *= e
-                from localsym.forms import hasse_invariant
+                from localsym.forms import disc_and_hasse
 
                 expected = (
                     hilbert_rational(detj, -1, p) ** n
                     * hilbert_rational(-1, -1, p) ** (n * (n - 1) // 2)
-                    * hasse_invariant(j, p)
+                    * disc_and_hasse(j, p)[1]
                 )
                 assert jn_invariants(pair)[1] == expected, (n0, j, n, p)
 
@@ -165,11 +165,12 @@ def test_classify_orthogonal_matches_forms_invariants():
     x = z * z.sigma().inv()
     inv = classify_x(x, z, pair)
     gram = [[e.rational for e in row] for row in y.rows]
-    from localsym.forms import congruent_diagonal, disc_class, hasse_invariant
+    from localsym.forms import congruent_diagonal, disc_and_hasse
 
     entries, _ = congruent_diagonal(gram)
-    assert inv.partial == disc_class(entries, pair.prime)
-    assert inv.hasse == hasse_invariant(entries, pair.prime)
+    disc, hasse = disc_and_hasse(entries, pair.prime)
+    assert inv.partial == disc
+    assert inv.hasse == hasse
 
 
 def test_classify_rejects_a_split_non_isometry():
