@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .localfield import LocalsymError
+from .localfield import LocalsymError, require_ints
 from .symspace import orbit_from_json, realizable_targets
 from .weyl import (
     Composition,
@@ -110,12 +110,20 @@ class CuspidalDatum:
 
     @classmethod
     def from_json(cls, d):
+        """The datum `to_json` writes.  Every label index and hermitian bit
+        must be an int, checked before the shift to 0-based, which would
+        read a JSON true as label 1."""
+        labels = d["labels"]
+        conj_dual, sigma_tau, flags, linear = (
+            d.get(key, []) for key in ("conj_dual", "sigma_tau", "unitary_dist", "linear_dist")
+        )
+        require_ints(itertools.chain(linear, *conj_dual, *sigma_tau, *flags), "label indices and hermitian bits")
         return cls.build(
-            d["labels"],
-            [tuple(i - 1 for i in rel) for rel in d.get("conj_dual", [])],
-            [tuple(i - 1 for i in rel) for rel in d.get("sigma_tau", [])],
-            [i - 1 for i in d.get("linear_dist", [])],
-            [(i - 1, b) for i, b in d.get("unitary_dist", [])],
+            labels,
+            [[i - 1 for i in rel] for rel in conj_dual],
+            [[i - 1 for i in rel] for rel in sigma_tau],
+            [i - 1 for i in linear],
+            [(i - 1, b) for i, b in flags],
             [orbit_from_json(o) for o in d.get("pi0_dist", [])],
         )
 

@@ -115,6 +115,14 @@ _TOO_LONG = 10**DIGIT_LIMIT
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*$", re.IGNORECASE)
 
 
+def require_ints(values, what):
+    """Refuse with TypeError any of `values` that is not an int: a JSON
+    true or false, which Python reads as 1 or 0, and a JSON decimal such
+    as 1.0 are malformed input, not integers."""
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"{what} must be integers")
+
+
 def rational(x):
     """x as an int or a Fraction: the one reader of rationals given from
     outside, such as the strings "-3/4" and "1e-5".  An int or a Fraction
@@ -226,6 +234,7 @@ class SquareClass:
 
     @classmethod
     def from_json(cls, d):
+        require_ints((d["p"], d["val"], d["unit"]), "p, val and unit")
         return cls(Prime(d["p"]), d["val"], d["unit"])
 
     def __repr__(self):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import localfield
 from .forms import FormsError, _check_symmetric, is_anisotropic, split_gram
-from .localfield import LocalsymError, QuadExtension, SquareClass, hilbert_rational, rational, reduce
+from .localfield import LocalsymError, QuadExtension, SquareClass, hilbert_rational, rational, reduce, require_ints
 from .numfield import Bq, Mat, NumFieldError, conj_transpose, int_det, int_echelon, int_mul, int_rows, recover_hilbert90
 
 
@@ -51,9 +51,7 @@ class GroupDescriptor:
     so_kernel: tuple = ()
 
     def __post_init__(self):
-        k = () if self.k_gen is None else (self.k_gen,)
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.m, *k)):
-            raise TypeError("m and k must be integers")
+        require_ints((self.m,) if self.k_gen is None else (self.m, self.k_gen), "m and k")
         object.__setattr__(self, "so_kernel", tuple(map(rational, self.so_kernel)))
         if self.m < 1:
             raise PrasadError("size must be positive")

@@ -35,6 +35,7 @@ from .localfield import (
     non_norm_value,
     rational,
     reduce,
+    require_ints,
 )
 from .numfield import (
     BiquadField,
@@ -86,13 +87,26 @@ class OrthogonalOrbit:
 
 
 def orbit_from_json(d):
-    """The orbit written by one of the three `to_json` methods above."""
+    """The orbit written by one of the three `to_json` methods above.  Any
+    other case, component, Hasse sign or bit (a JSON bool included) is
+    malformed input, refused with ValueError rather than a domain error."""
     case = d["case"]
     if case == "symplectic":
         return SymplecticOrbit()
     if case == "unitary":
-        return UnitaryOrbit(d["gamma_bit"])
-    return OrthogonalOrbit(0 if d["component"] == "SX" else 1, SquareClass.from_json(d["partial"]), d["hasse"])
+        return UnitaryOrbit(_one_of(d, "gamma_bit", (0, 1)))
+    if case == "orthogonal":
+        component = _one_of(d, "component", ("SX", "X-SX"))
+        return OrthogonalOrbit(int(component == "X-SX"), SquareClass.from_json(d["partial"]),
+                               _one_of(d, "hasse", (1, -1)))
+    raise ValueError(f"unknown orbit case {case!r}")
+
+
+def _one_of(d, key, allowed):
+    value = d[key]
+    if type(value) is not type(allowed[0]) or value not in allowed:
+        raise ValueError(f"{key} must be one of {list(allowed)}, not {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -115,6 +129,7 @@ class ClassicalPair:
     field: BiquadField
 
     def __post_init__(self):
+        require_ints((self.n0, self.n), "n0 and n")
         object.__setattr__(self, "j_entries", tuple(map(rational, self.j_entries)))
         p = self.prime
         if self.n < 0 or self.N == 0:
@@ -395,17 +410,27 @@ def _orth_candidates(pair, entries, component):
         yield OrthogonalOrbit(comp, *disc_and_hasse(new, p)), new, Mat(field, rows)
 
 
+@lru_cache(maxsize=None)
+def u_star_sideways(pair):
+    """A fixed element s + t sqrt(ab) of the sigma-tau-fixed subfield whose
+    norm s^2 - ab t^2 is a local norm from neither Qp(sqrt a) nor Qp(sqrt b),
+    as (s^2 - ab t^2, ab)_p = 1 (unitary case).  The signs are flipped to
+    s, t <= 0, the element tests/golden/gamma_defaults.json records."""
+    field = pair.field
+    x, y = non_norm_value(-field.a * field.b, field.a, pair.prime)
+    return field.element(-x, 0, 0, -y)
+
+
 def _unitary_candidates(pair, entries):
-    """The identity, and diag(c, 1, ..., 1) with c = x + y sqrt(ab):
-    c tau(c) = x^2 - ab y^2 is rational, and it lies outside the norms from
+    """The identity, and diag(c, 1, ..., 1) with c = -`u_star_sideways`:
+    c tau(c) = s^2 - ab t^2 is rational, and it lies outside the norms from
     Qp(sqrt b), which moves the determinant class to the other coset."""
     field = pair.field
     N = len(entries)
     yield UnitaryOrbit(0), entries, Mat.identity(field, N)
-    ab = field.a * field.b
-    x, y = non_norm_value(-ab, field.b, pair.prime)
-    new = ((x * x - ab * y * y) * entries[0],) + entries[1:]
-    yield UnitaryOrbit(1), new, Mat.diagonal(field, [field.element(x, 0, 0, y)] + [field.one] * (N - 1))
+    c = -u_star_sideways(pair)
+    new = ((c * c.tau()).rational * entries[0],) + entries[1:]
+    yield UnitaryOrbit(1), new, Mat.diagonal(field, [c] + [field.one] * (N - 1))
 
 
 @lru_cache(maxsize=None)

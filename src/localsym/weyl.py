@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import prod
 
 from .forms import Case
-from .localfield import LocalsymError, hilbert_rational, least_non_norm, non_norm_value, reduce
+from .localfield import LocalsymError, hilbert_rational, least_non_norm, reduce, require_ints
 from .numfield import Mat, conj_transpose
 from .symspace import (
     Component,
@@ -22,8 +22,8 @@ from .symspace import (
     UnitaryOrbit,
     component_orbits,
     eta_m_mat,
-    gamma_bit,
     jn_invariants,
+    u_star_sideways,
     z_orbit_representatives,
 )
 
@@ -45,8 +45,7 @@ class Composition:
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
         sign = () if self.split_even_sign is None else (self.split_even_sign,)
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (*self.parts, self.r, *sign)):
-            raise TypeError("parts, r and sign must be integers")
+        require_ints((*self.parts, self.r, *sign), "parts, r and sign")
         if any(p < 1 for p in self.parts):
             raise WeylError("parts must be positive")
         if self.r < 0:
@@ -165,7 +164,9 @@ class SignedInvolution(SignedPerm):
 
     @classmethod
     def from_json(cls, d):
-        return cls(tuple(i - 1 for i in d["rho"]), frozenset(i - 1 for i in d.get("c", [])))
+        rho, c = list(d["rho"]), list(d.get("c", []))
+        require_ints(rho + c, "rho and c")  # before the shift to 0-based, which reads true as 0
+        return cls(tuple(i - 1 for i in rho), frozenset(i - 1 for i in c))
 
     @classmethod
     def _of_row(cls, rho, c) -> "SignedInvolution":
@@ -260,17 +261,6 @@ def u_star_rational(pair) -> int:
     """Smallest positive integer that is not a local norm from the upstairs
     quadratic extension."""
     return least_non_norm(pair.field.a, pair.prime)
-
-
-@lru_cache(maxsize=None)
-def u_star_sideways(pair):
-    """A fixed element s + t sqrt(ab) of the sigma-tau-fixed subfield whose
-    norm s^2 - ab t^2 is not a local norm from Qp(sqrt a) (unitary case).
-    The signs are flipped to s, t <= 0, the element that the frozen test
-    data tests/golden/gamma_defaults.json records."""
-    field = pair.field
-    x, y = non_norm_value(-field.a * field.b, field.a, pair.prime)
-    return field.element(-x, 0, 0, -y)
 
 
 def y_representative(pair, size: int, bit: int) -> Mat:
@@ -491,10 +481,7 @@ def unitary_parity_bits(pair):
     [(a, b)_p = -1].  The contribution is 1 on every model: N(u) is a norm
     from Qp(sqrt ab) and not from Qp(sqrt a), so
     (N(u), b)_p = (N(u), a)_p = -1."""
-    minus_one = gamma_bit(pair, pair.field.element(-1))
-    u = u_star_sideways(pair)
-    contrib = gamma_bit(pair, u.sigma() / u)
-    return minus_one, contrib
+    return int(hilbert_rational(pair.field.a, pair.field.b, pair.prime) == -1), 1
 
 
 def predicted_orbit_invariant(comp, w, y_bits, z_inv, pair):
@@ -504,8 +491,8 @@ def predicted_orbit_invariant(comp, w, y_bits, z_inv, pair):
     if pair.case is Case.SYMPLECTIC:
         return SymplecticOrbit()
     if pair.case is Case.UNITARY:
-        minus_one, contrib = unitary_parity_bits(pair)
-        bit = o_c * minus_one + sum(contrib * y_bits[i] for i in iw) + z_inv.gamma_bit
+        minus_one, _ = unitary_parity_bits(pair)
+        bit = o_c * minus_one + sum(y_bits[i] for i in iw) + z_inv.gamma_bit
         return UnitaryOrbit(bit % 2)
     # orthogonal: the Hasse transfer formula, whose argument counts only up
     # to squares

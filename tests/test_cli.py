@@ -864,3 +864,67 @@ def test_cli_nonfinite_and_deep_json_is_malformed(pair):
 def test_cli_zero_denominator_is_malformed(args, tmp_path):
     # each was a ZeroDivisionError traceback with no JSON line
     assert _assert_one_json_line(_matrix_to_file(args, tmp_path)) == 2
+
+
+# the realizable target of the identity component of _FUZZ_PAIR
+_SX_TARGET = {"case": "orthogonal", "component": "SX", "partial": {"p": 3, "val": 0, "unit": 2}, "hasse": 1}
+
+
+def _distinguish_argv(folder, pair, comp, data, target):
+    argv = ["distinguish"]
+    for name, doc in (("pair", pair), ("comp", comp), ("data", data), ("target", target)):
+        path = folder / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{name}", str(path)]
+    return argv
+
+
+@pytest.mark.parametrize("orbit", [
+    dict(_SX_TARGET, case="bogus"),  # was read as orthogonal: exit 0 and a verdict
+    dict(_SX_TARGET, component="sx"),  # was read as X-SX; this and the rest came back
+    dict(_SX_TARGET, hasse=7),  # as "not realizable", exit 1
+    dict(_SX_TARGET, hasse=True),
+    {"case": "unitary", "gamma_bit": 5},
+    {"case": "unitary", "gamma_bit": True},
+    dict(_SX_TARGET, partial={"p": 3, "val": False, "unit": 2}),  # was read as val 0
+], ids=["bogus-case", "component", "hasse-7", "hasse-bool", "gamma-bit-5", "gamma-bit-bool", "partial-bool"])
+@pytest.mark.parametrize("where", ["target", "pi0_dist"])
+def test_unknown_orbit_json_is_malformed(orbit, where, tmp_path):
+    """An orbit that none of the three orbit classes writes is malformed
+    input, as the target and as an entry of pi0_dist."""
+    data = {"labels": ["1"], "linear_dist": [1], "pi0_dist": [_SX_TARGET]}
+    if where == "pi0_dist":
+        data["pi0_dist"].append(orbit)
+    target = orbit if where == "target" else _SX_TARGET
+    argv = _distinguish_argv(tmp_path, _FUZZ_PAIR, {"parts": [1], "r": 0}, data, target)
+    assert _assert_one_json_line(argv) == 2
+
+
+_UNITARY_PAIR = {"case": "unitary", "n0": 0, "j": [], "n": 2, "p": 3, "a": -1, "b": 3}
+_UNITARY_DATUM = {"labels": ["1", "2"], "conj_dual": [[1, 2]], "sigma_tau": [[1, 2]], "linear_dist": [1, 2],
+                  "unitary_dist": [[1, 0], [1, 1], [2, 0], [2, 1]]}
+
+
+@pytest.mark.parametrize("args", [
+    ["orbit-count", "--pair", json.dumps(dict(_UNITARY_PAIR, n=True))],  # was read as n = 1, exit 0
+    ["orbit-count", "--pair", json.dumps(dict(_UNITARY_PAIR, n0=True))],
+    ["orbit-count", "--pair", json.dumps(dict(_UNITARY_PAIR, n=2.0))],
+    ["build-tw", "--pair", json.dumps(dict(_UNITARY_PAIR, n=True)),  # built a 2 x 2 t_w
+     "--comp", '{"parts":[1],"r":0}', "--w", '{"rho":[1],"c":[1]}'],
+    ["cone", "--w", '{"rho":[true],"c":[]}', "--lambda", '["1"]'],  # was read as rho = [1]
+    ["cone", "--w", '{"rho":[1],"c":[true]}', "--lambda", '["1"]'],
+    ["distinguish", {"linear_dist": [True, 2]}],  # was read as flags on labels 1 and 2
+    ["distinguish", {"conj_dual": [[True, 2]]}],
+    ["distinguish", {"sigma_tau": [[1, 2.0]]}],
+    ["distinguish", {"unitary_dist": [[1, True], [2, 0]]}],  # a bool bit passed its (0, 1) check
+    ["distinguish", {"unitary_dist": [[True, 0]]}],
+], ids=["pair-n", "pair-n0", "pair-n-decimal", "build-tw-n", "w-rho", "w-c", "linear-dist",
+        "conj-dual", "sigma-tau-decimal", "hermitian-bit", "hermitian-label"])
+def test_json_bools_are_not_integers(args, tmp_path):
+    """A JSON true or false, or a decimal, where an index, a size or a bit
+    is read is malformed input: exit 2 and one JSON error line.  A
+    distinguish case names its edit of a unitary datum."""
+    if args[0] == "distinguish":
+        args = _distinguish_argv(tmp_path, _UNITARY_PAIR, {"parts": [1, 1], "r": 0},
+                                 dict(_UNITARY_DATUM, **args[1]), {"case": "unitary", "gamma_bit": 0})
+    assert _assert_one_json_line(args) == 2

@@ -5,8 +5,9 @@ from math import prod
 
 import pytest
 
+from localsym import symspace
 from localsym.forms import Case
-from localsym.localfield import hilbert_rational
+from localsym.localfield import Prime, hilbert_rational, is_prime, non_norm_value
 from localsym.numfield import (
     BiquadField,
     Mat,
@@ -22,6 +23,7 @@ from localsym.symspace import (
     SymplecticOrbit,
     UnitaryOrbit,
     classify_x,
+    gamma_bit,
     jn_invariants,
     jn_mat,
     z_orbit_representatives,
@@ -54,6 +56,7 @@ from localsym.weyl import (
 
 from conftest import P2, P5, QUAD_M5, make_pair
 from test_distinction import compositions
+from test_local_models import class_reps
 from test_prime_sweep import sweep_pairs
 
 
@@ -511,19 +514,86 @@ def test_u_star_rational():
     assert hilbert_rational(u, pair.field.a, pair.prime) == -1
 
 
-def test_u_star_sideways_is_a_non_norm_at_every_prime():
-    from localsym.localfield import Prime, hilbert_rational, is_prime
-    from localsym.numfield import BiquadField
-    from localsym.symspace import ClassicalPair
-
+def sideways_models():
+    """Unitary models (a, b, p): (-1, 2) at p = 2, and at every odd prime
+    below 400 the three with a or b ramified."""
     models = [(-1, 2, 2)]
     for p in filter(is_prime, range(3, 400)):
         u = Prime(p).nonresidue
         models += [(u, p, p), (p, u, p), (p, p * u, p)]
-    for a, b, p in models:
+    return models
+
+
+def unitary_model_pairs():
+    """The rank-one unitary pairs of `sideways_models` and of every ordered
+    pair of distinct nontrivial class representatives at p = 2, 3, 5, 7
+    and 13."""
+    models = sideways_models() + [
+        (a, b, p) for p in (2, 3, 5, 7, 13) for a, b in itertools.permutations(class_reps(p)[1:], 2)
+    ]
+    return [ClassicalPair(Case.UNITARY, 0, (), 1, Prime(p), BiquadField(a, b)) for a, b, p in models]
+
+
+def test_u_star_sideways_is_a_non_norm_at_every_prime():
+    """N(u*) is a norm from Qp(sqrt ab) and from neither Qp(sqrt a) nor
+    Qp(sqrt b): the one non-norm that both the hermitian representatives
+    and the unitary inner-orbit twist use."""
+    for a, b, p in sideways_models():
         pair = ClassicalPair(Case.UNITARY, 0, (), 1, Prime(p), BiquadField(a, b))
         s, _, _, t = u_star_sideways(pair).coeffs
-        assert hilbert_rational(s * s - a * b * t * t, a, p) == -1, (a, b, p)
+        norm = s * s - a * b * t * t
+        assert hilbert_rational(norm, a, p) == -1, (a, b, p)
+        assert hilbert_rational(norm, b, p) == -1, (a, b, p)
+
+
+def ref_unitary_parity_bits(pair):
+    """The former bits: two Hilbert-90 splits through `gamma_bit`, of -1
+    and of sigma(u)/u for the sideways non-norm u."""
+    u = u_star_sideways(pair)
+    return gamma_bit(pair, pair.field.element(-1)), gamma_bit(pair, u.sigma() / u)
+
+
+def ref_unitary_candidates(pair, entries):
+    """The former unitary candidates of `z_orbit_representatives`: the
+    twist x + y sqrt(ab) from a search of its own, non_norm_value(-ab, b, p)."""
+    field = pair.field
+    N = len(entries)
+    yield UnitaryOrbit(0), entries, Mat.identity(field, N)
+    ab = field.a * field.b
+    x, y = non_norm_value(-ab, field.b, pair.prime)
+    new = ((x * x - ab * y * y) * entries[0],) + entries[1:]
+    yield UnitaryOrbit(1), new, Mat.diagonal(field, [field.element(x, 0, 0, y)] + [field.one] * (N - 1))
+
+
+def test_unitary_bits_and_representatives_match_the_former_searches(monkeypatch):
+    """The closed-form parity bits equal the two splits they replace, and
+    the twist by -u* gives the same (invariant, x, z) triples as the
+    former search, on every model of `unitary_model_pairs`."""
+    pairs = unitary_model_pairs()
+    z_orbit_representatives.cache_clear()
+    try:
+        live = [z_orbit_representatives(pair) for pair in pairs]
+        z_orbit_representatives.cache_clear()
+        monkeypatch.setattr(symspace, "_unitary_candidates", ref_unitary_candidates)
+        for pair, reps in zip(pairs, live):
+            assert unitary_parity_bits(pair) == ref_unitary_parity_bits(pair), pair.to_json()
+            assert z_orbit_representatives(pair) == reps, pair.to_json()
+    finally:
+        z_orbit_representatives.cache_clear()
+    assert len(pairs) == 298
+
+
+def test_unitary_parity_bits_need_no_hilbert90_split(monkeypatch):
+    def no_split(*args):
+        raise AssertionError("a Hilbert-90 split on the prediction path")
+
+    monkeypatch.setattr(symspace, "recover_hilbert90", no_split)
+    unitary_parity_bits.cache_clear()
+    try:
+        bits = {unitary_parity_bits(pair) for pair in unitary_model_pairs()}
+    finally:
+        unitary_parity_bits.cache_clear()
+    assert bits == {(0, 1), (1, 1)}
 
 
 def test_membership_negative_control(bundled_pairs):
