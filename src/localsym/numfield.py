@@ -383,18 +383,34 @@ def int_det(rows) -> int:
 
 
 class Mat:
-    """An immutable matrix over a biquadratic field."""
+    """An immutable matrix over a biquadratic field.
 
-    __slots__ = ("field", "rows", "n", "m")
+    `_split` is the x whose split this matrix is known to be (see
+    `recover_hilbert90_matrix`), else None; it takes no part in equality."""
+
+    __slots__ = ("field", "rows", "n", "m", "_split")
 
     def __init__(self, field: BiquadField, rows: Sequence[Sequence[Bq]]):
         self.field = field
         self.rows = tuple(tuple(r) for r in rows)
         self.n = len(self.rows)
         self.m = len(self.rows[0]) if self.rows else 0
+        self._split = None
         for r in self.rows:
             if len(r) != self.m:
                 raise NumFieldError("ragged rows")
+
+    @classmethod
+    def _of(cls, field, rows) -> "Mat":
+        """The matrix on rows, a tuple of row tuples of one length, without
+        the copy and the check: for the matrices the kernel builds itself."""
+        g = _new(cls)
+        g.field = field
+        g.rows = rows
+        g.n = len(rows)
+        g.m = len(rows[0]) if rows else 0
+        g._split = None
+        return g
 
     @classmethod
     def identity(cls, field, n):
@@ -444,43 +460,44 @@ class Mat:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Bq)):
             s = other if isinstance(other, Bq) else self.field.element(other)
-            return Mat(self.field, [[e * s for e in r] for r in self.rows])
+            return Mat._of(self.field, tuple(tuple([e * s for e in r]) for r in self.rows))
         if not isinstance(other, Mat):
             return NotImplemented
         if self.m != other.n:
             raise NumFieldError("dimension mismatch")
         # row i is the sum over the nonzero r[k] of r[k] times row k's nonzeros
         zero = self.field.zero
-        terms = [[(j, f) for j, f in enumerate(r) if not f.is_zero] for r in other.rows]
+        terms = [[(j, f) for j, f in enumerate(r) if f._num != (0, 0, 0, 0)] for r in other.rows]
         out = []
         for r in self.rows:
             row = [zero] * other.m
             for e, ts in zip(r, terms):
-                if ts and not e.is_zero:
+                if ts and e._num != (0, 0, 0, 0):
                     for j, f in ts:
                         acc = row[j]
                         row[j] = e * f if acc is zero else acc + e * f
-            out.append(row)
-        return Mat(self.field, out)
+            out.append(tuple(row))
+        return Mat._of(self.field, tuple(out))
 
     __rmul__ = __mul__
 
     def __add__(self, other):
         if not isinstance(other, Mat) or (self.n, self.m) != (other.n, other.m):
             raise NumFieldError("dimension mismatch")
-        return Mat(
+        return Mat._of(
             self.field,
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)],
+            tuple(tuple([x + y for x, y in zip(r, s)]) for r, s in zip(self.rows, other.rows)),
         )
 
     @property
     def T(self):
-        return Mat(self.field, list(zip(*self.rows)) if self.rows else [])
+        return Mat._of(self.field, tuple(zip(*self.rows)))
 
     def _automorphism(self, fn):
         """An automorphism fn on the nonzero entries; zeros stay the field's zero."""
         zero = self.field.zero
-        return Mat(self.field, [[zero if e.is_zero else fn(e) for e in r] for r in self.rows])
+        return Mat._of(self.field, tuple(tuple([zero if e._num == (0, 0, 0, 0) else fn(e) for e in r])
+                                         for r in self.rows))
 
     def sigma(self):
         return self._automorphism(Bq.sigma)
@@ -525,7 +542,7 @@ class Mat:
         rows = [list(r) for r in self.rows]
         det = self.field.one
         for col in range(n):
-            piv = next((i for i in range(col, n) if not rows[i][col].is_zero), None)
+            piv = next((i for i in range(col, n) if rows[i][col]._num != (0, 0, 0, 0)), None)
             if piv is None:
                 return self.field.zero
             if piv != col:
@@ -535,9 +552,9 @@ class Mat:
             det = det * rc[col]
             inv = rc[col].inverse()
             # columns up to col are read no more; a zero of rc leaves its column
-            cols = [j for j in range(col + 1, n) if not rc[j].is_zero]
+            cols = [j for j in range(col + 1, n) if rc[j]._num != (0, 0, 0, 0)]
             for ri in rows[col + 1:]:
-                if ri[col].is_zero:
+                if ri[col]._num == (0, 0, 0, 0):
                     continue
                 f = ri[col] * inv
                 for j in cols:
@@ -563,7 +580,7 @@ class Mat:
                     continue
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        return Mat(field, [r[n:] for r in aug])
+        return Mat._of(field, tuple(tuple(r[n:]) for r in aug))
 
     def to_json(self):
         return [[e.to_json() for e in r] for r in self.rows]
@@ -599,11 +616,17 @@ def in_symmetric_space(x: Mat, j: Mat, eps: int | None = None) -> bool:
 
 def splits(z: Mat, x: Mat) -> bool:
     """Whether z sigma(z)^-1 = x, checked without an inverse: det z != 0
-    and z = x sigma(z), one determinant and one product.  Raises
-    NumFieldError when z is not square or x is not of z's size."""
+    and z = x sigma(z), one determinant and one product.  A z that
+    `recover_hilbert90_matrix` returned for this very x object has passed
+    that test already and is not tested again; Mat and Bq are immutable, so
+    the objects fix the values, and an equal but distinct x is tested in
+    full.  Raises NumFieldError when z is not square or x is not of z's
+    size."""
     if (x.n, x.m) != (z.n, z.m):
         raise NumFieldError("dimension mismatch")
-    return not z.det().is_zero and x * z.sigma() == z
+    if z._split is x:
+        return True
+    return z.det()._num != (0, 0, 0, 0) and x * z.sigma() == z
 
 
 def recover_hilbert90_matrix(x: Mat) -> Mat:
@@ -616,14 +639,16 @@ def recover_hilbert90_matrix(x: Mat) -> Mat:
     t -> s_t is injective on Q and the monic degree-n polynomial
     det(s I + x) has at most n roots, so some t <= n gives an invertible z_t.
     The first z_t that `splits` x is returned, which certifies it; when
-    none does, x sigma(x) != I.
+    none does, x sigma(x) != I.  The z returned is marked as the split of
+    this x object, so `splits(z, x)` does not certify it a second time.
     """
     field = x.field
     zero = field.zero
     for t in range(x.n + 1):
         c, cs = field.element(1, t), field.element(1, -t)
-        z = Mat(field, [[cs * e + c if i == j else zero if e.is_zero else cs * e
-                         for j, e in enumerate(r)] for i, r in enumerate(x.rows)])
+        z = Mat._of(field, tuple(tuple([cs * e + c if i == j else zero if e._num == (0, 0, 0, 0) else cs * e
+                                         for j, e in enumerate(r)]) for i, r in enumerate(x.rows)))
         if splits(z, x):
+            z._split = x
             return z
     raise NumFieldError("no z_t with t <= n splits x")

@@ -194,7 +194,9 @@ class ClassicalPair:
 
     @classmethod
     def from_json(cls, d):
-        field = BiquadField(d["a"], d.get("b"))
+        b = d.get("b")
+        require_ints((d["p"], d["a"]) if b is None else (d["p"], d["a"], b), "p, a and b")
+        field = BiquadField(d["a"], b)
         return cls(
             Case(d["case"]), d["n0"], d["j"],
             d["n"], Prime(d["p"]), field,
@@ -261,8 +263,12 @@ def classify_x(x: Mat, z: Mat, pair):
     """Orbit invariant of x in X, using z with x = z sigma(z)^{-1}.
 
     Two checks certify the input: z splits x (`numfield.splits`), and the
-    form y = t(z)^tau J z descends to the base field, sigma(y) = y.  They
-    put x in X, so x needs no test of its own: x sigma(x) =
+    form y = t(z)^tau J z descends to the base field, sigma(y) = y.  The
+    split is trusted without arithmetic only for the z that
+    `recover_hilbert90_matrix` returned for this same x object, as that
+    call has just proved det z != 0 and z = x sigma(z); every other (z, x),
+    an equal copy of x included, gets the full test.  The checks put x
+    in X, so x needs no test of its own: x sigma(x) =
     z sigma(z)^-1 sigma(z) z^-1 = I, and since J is rational,
     t(x)^tau J x = t(sigma(z))^-tau y sigma(z)^-1
     = t(sigma(z))^-tau sigma(y) sigma(z)^-1 = J.  The classification data

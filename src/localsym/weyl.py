@@ -370,7 +370,7 @@ def _kappa(comp, pair, m: Mat) -> Mat:
         return m
     kap = list(range(pair.N))
     kap[pair.n - 1], kap[pair.n] = pair.n, pair.n - 1
-    return Mat(m.field, [[m.rows[a][b] for b in kap] for a in kap])
+    return Mat._of(m.field, tuple(tuple([m.rows[a][b] for b in kap]) for a in kap))
 
 
 def _t_times(comp, w, pair, m: Mat) -> Mat:
@@ -378,8 +378,8 @@ def _t_times(comp, w, pair, m: Mat) -> Mat:
     dest, sign = _signed_perm(comp, w, pair)
     rows = [None] * m.n
     for x, row in enumerate(m.rows):
-        rows[dest[x]] = row if sign[x] == 1 else [-e for e in row]
-    return _kappa(comp, pair, Mat(m.field, rows))
+        rows[dest[x]] = row if sign[x] == 1 else tuple([-e for e in row])
+    return _kappa(comp, pair, Mat._of(m.field, tuple(rows)))
 
 
 def build_tw(comp: Composition, w: SignedInvolution, pair) -> Mat:

@@ -286,6 +286,21 @@ def test_prasad_group_sizes_must_be_integers(group, capsys):
     assert env == {"error": "malformed input: m and k must be integers"}
 
 
+@pytest.mark.parametrize("fields", [
+    '"p":true,"a":-1,"b":3',  # was "True is not a prime", exit 1
+    '"p":3,"a":-1,"b":true',  # was "b=True must be squarefree ...", exit 1
+    '"p":3.0,"a":-1,"b":3',  # was "Fraction(3, 1) is not a prime", exit 1
+    '"p":3,"a":true,"b":3',
+    '"p":3,"a":-1.0,"b":3',
+    '"p":3,"a":-1,"b":3.0',
+], ids=["p-bool", "b-bool", "p-float", "a-bool", "a-float", "b-float"])
+def test_pair_primes_and_field_must_be_integers(fields, capsys):
+    pair = '{"case":"unitary","n0":1,"j":["1"],"n":1,' + fields + "}"
+    code, env = run_cli(["orbit-count", "--pair", pair], capsys)
+    assert code == 2
+    assert env == {"error": "malformed input: p, a and b must be integers"}
+
+
 def test_spinor_norm_file(tmp_path, capsys):
     f = tmp_path / "mat.json"
     f.write_text(json.dumps({"matrix": [["3", 0], [0, "1/3"]]}))

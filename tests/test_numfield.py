@@ -196,6 +196,11 @@ def test_splits():
         recover_hilbert90_matrix(Mat.diagonal(F, [2, 1]))
 
 
+def test_public_constructor_refuses_ragged_rows():
+    with pytest.raises(NumFieldError, match="ragged rows"):
+        Mat(F, [[F.one, F.element(2)], [F.element(3)]])
+
+
 def _mat(field, rows):
     return Mat(field, [[field.element(*c) for c in r] for r in rows])
 

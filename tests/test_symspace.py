@@ -31,7 +31,7 @@ from localsym.symspace import (
     realizable_targets,
     z_orbit_representatives,
 )
-from localsym.weyl import gl_star
+from localsym.weyl import Composition, SignedInvolution, build_xw, gl_star, inner_z_choices
 
 from conftest import BIQ_3, P2, P3, P5, QUAD_M3, make_pair
 
@@ -192,6 +192,62 @@ def test_classify_shape_mismatch_is_a_numfield_error():
     for x, z in [(Mat.identity(f, 2), Mat.identity(f, 3)), (Mat.identity(f, 2), Mat.identity(f, 2))]:
         with pytest.raises(NumFieldError):
             classify_x(x, z, pair)
+
+
+def _unitary_witnesses():
+    """A unitary pair and its four x_w of size 3 for one c-block, with their
+    invariants; recover_hilbert90_matrix takes t = 1, 0, 1 and 2 on them."""
+    pair = make_pair(Case.UNITARY, 1, (1,), 1)
+    comp = Composition((1,), 0)
+    w = SignedInvolution((0,), frozenset({0}))
+    return pair, [build_xw(comp, w, {0: bit}, z_inv, pair)
+                  for z_inv, _ in inner_z_choices(comp, w, pair) for bit in (0, 1)]
+
+
+def _dets_taken(monkeypatch):
+    """The list of matrices that Mat.det is called on from here on."""
+    seen = []
+    det = Mat.det
+
+    def counted(self):
+        seen.append(self)
+        return det(self)
+
+    monkeypatch.setattr(Mat, "det", counted)
+    return seen
+
+
+def test_classify_does_not_certify_a_recovered_split_again(monkeypatch):
+    pair, witnesses = _unitary_witnesses()
+    field = pair.field
+    seen = _dets_taken(monkeypatch)
+    tried = []
+    for x, inv in witnesses:
+        seen.clear()
+        z = recover_hilbert90_matrix(x)
+        in_recover = len(seen)
+        assert classify_x(x, z, pair) == inv
+        # one determinant per candidate z_t = (1 + t ra) I + (1 - t ra) x, none more on z
+        t = next(t for t in range(x.n + 1)
+                 if z == Mat.identity(field, x.n) * field.element(1, t) + x * field.element(1, -t))
+        assert in_recover + sum(g is z for g in seen[in_recover:]) == t + 1
+        tried.append(t + 1)
+    assert tried == [2, 1, 2, 3]
+
+
+def test_classify_checks_a_recovered_split_against_any_other_x(monkeypatch):
+    pair, witnesses = _unitary_witnesses()
+    (x, inv), (other, _) = witnesses[:2]
+    assert other != x and (other.n, other.m) == (x.n, x.m)
+    z = recover_hilbert90_matrix(x)
+    with pytest.raises(SymspaceError, match="z does not split x"):
+        classify_x(other, z, pair)
+    # an equal but distinct x is checked in full, with one determinant of z, and accepted
+    copy = Mat(x.field, x.rows)
+    assert copy == x and copy is not x
+    seen = _dets_taken(monkeypatch)
+    assert classify_x(copy, z, pair) == inv
+    assert sum(g is z for g in seen) == 1
 
 
 CLASSIFY_PAIRS = [
