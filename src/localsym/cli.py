@@ -191,6 +191,7 @@ def cmd_distinguish(args):
 def cmd_prasad_char(args):
     group = prasad.GroupDescriptor.from_json(_json_arg(args.group, "--group"))
     extd = _json_arg(args.ext, "--ext")
+    localfield.require_ints((extd["p"],), "p")
     ext = localfield.QuadExtension.of(extd["d"], localfield.Prime(extd["p"]))
     formula = prasad.prasad_character(group, ext)
     payload = {"omega": formula.to_json(), "trivial_as_character": formula.is_trivial}

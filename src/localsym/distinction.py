@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .localfield import LocalsymError, require_ints
+from .localfield import LocalsymError, require_ints, require_list
 from .symspace import orbit_from_json, realizable_targets
 from .weyl import (
     Composition,
@@ -34,12 +34,14 @@ class DistinctionError(LocalsymError):
 
 
 def _pairs(items):
+    """The relations as unordered pairs; one of no index or of more than
+    two is refused before the frozenset folds duplicates, so [1, 2, 2] is
+    refused as [1, 2, 3] is."""
     out = set()
     for it in items:
-        pair = frozenset(it)
-        if not pair or len(pair) > 2:
+        if not 1 <= len(it) <= 2:
             raise DistinctionError(f"bad relation pair {it!r}")
-        out.add(pair)
+        out.add(frozenset(it))
     return frozenset(out)
 
 
@@ -113,9 +115,10 @@ class CuspidalDatum:
         """The datum `to_json` writes.  Every label index and hermitian bit
         must be an int, checked before the shift to 0-based, which would
         read a JSON true as label 1."""
-        labels = d["labels"]
-        conj_dual, sigma_tau, flags, linear = (
-            d.get(key, []) for key in ("conj_dual", "sigma_tau", "unitary_dist", "linear_dist")
+        labels = require_list(d["labels"], "labels")
+        conj_dual, sigma_tau, flags, linear, pi0 = (
+            require_list(d.get(key, []), key)
+            for key in ("conj_dual", "sigma_tau", "unitary_dist", "linear_dist", "pi0_dist")
         )
         require_ints(itertools.chain(linear, *conj_dual, *sigma_tau, *flags), "label indices and hermitian bits")
         return cls.build(
@@ -124,7 +127,7 @@ class CuspidalDatum:
             [[i - 1 for i in rel] for rel in sigma_tau],
             [i - 1 for i in linear],
             [(i - 1, b) for i, b in flags],
-            [orbit_from_json(o) for o in d.get("pi0_dist", [])],
+            [orbit_from_json(o) for o in pi0],
         )
 
 

@@ -123,6 +123,15 @@ def require_ints(values, what):
         raise TypeError(f"{what} must be integers")
 
 
+def require_list(value, what):
+    """`value` if it is a list or a tuple; anything else is refused with
+    TypeError.  A JSON string, object or number where a list is read is
+    malformed input: a string would be read one character at a time."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{what} must be a list")
+    return value
+
+
 def rational(x):
     """x as an int or a Fraction: the one reader of rationals given from
     outside, such as the strings "-3/4" and "1e-5".  An int or a Fraction

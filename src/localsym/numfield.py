@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .localfield import LocalsymError, rational, squarefree_part
+from .localfield import LocalsymError, rational, require_list, squarefree_part
 
 
 class NumFieldError(LocalsymError):
@@ -320,8 +320,9 @@ def int_rows(rows):
     """(numerators, den): the entries of a rational matrix (ints, Fractions
     or strings such as "-3/4") as lists of integer numerators over one
     positive common denominator, in lowest terms.  Rows are read one by one,
-    so a ragged input comes back ragged."""
-    rows = [[rational(x) for x in r] for r in rows]
+    so a ragged input comes back ragged; the matrix and each row must be a
+    list or a tuple."""
+    rows = [[rational(x) for x in require_list(r, "a matrix row")] for r in require_list(rows, "a matrix")]
     den = lcm(*(x.denominator for r in rows for x in r))
     return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
 

@@ -82,7 +82,7 @@ class GroupDescriptor:
     @classmethod
     def from_json(cls, d):
         fam = Family(d["family"])
-        kernel = d.get("kernel", ())
+        kernel = localfield.require_list(d.get("kernel", ()), "kernel")
         if fam is Family.SO and "kernel" not in d:
             kernel = (1,) if isinstance(d["m"], int) and d["m"] % 2 else ()
         return cls(fam, d["m"], d.get("k"), kernel)

@@ -36,6 +36,7 @@ from .localfield import (
     rational,
     reduce,
     require_ints,
+    require_list,
 )
 from .numfield import (
     BiquadField,
@@ -198,7 +199,7 @@ class ClassicalPair:
         require_ints((d["p"], d["a"]) if b is None else (d["p"], d["a"], b), "p, a and b")
         field = BiquadField(d["a"], b)
         return cls(
-            Case(d["case"]), d["n0"], d["j"],
+            Case(d["case"]), d["n0"], require_list(d["j"], "j"),
             d["n"], Prime(d["p"]), field,
         )
 

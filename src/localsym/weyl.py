@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import prod
 
 from .forms import Case
-from .localfield import LocalsymError, hilbert_rational, least_non_norm, reduce, require_ints
+from .localfield import LocalsymError, hilbert_rational, least_non_norm, reduce, require_ints, require_list
 from .numfield import Mat, conj_transpose
 from .symspace import (
     Component,
@@ -69,7 +69,7 @@ class Composition:
 
     @classmethod
     def from_json(cls, d):
-        return cls(tuple(d["parts"]), d.get("r", 0), d.get("sign"))
+        return cls(tuple(require_list(d["parts"], "parts")), d.get("r", 0), d.get("sign"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +164,7 @@ class SignedInvolution(SignedPerm):
 
     @classmethod
     def from_json(cls, d):
-        rho, c = list(d["rho"]), list(d.get("c", []))
+        rho, c = list(require_list(d["rho"], "rho")), list(require_list(d.get("c", []), "c"))
         require_ints(rho + c, "rho and c")  # before the shift to 0-based, which reads true as 0
         return cls(tuple(i - 1 for i in rho), frozenset(i - 1 for i in c))
 

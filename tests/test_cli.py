@@ -943,3 +943,64 @@ def test_json_bools_are_not_integers(args, tmp_path):
         args = _distinguish_argv(tmp_path, _UNITARY_PAIR, {"parts": [1, 1], "r": 0},
                                  dict(_UNITARY_DATUM, **args[1]), {"case": "unitary", "gamma_bit": 0})
     assert _assert_one_json_line(args) == 2
+
+
+_SO3_PAIR = {"case": "orthogonal", "n0": 1, "j": ["1"], "n": 1, "p": 3, "a": -1, "b": None}
+_EXT = '{"d":5,"p":3}'
+
+
+@pytest.mark.parametrize("args, code", [
+    # a JSON string, object or number where a list is read was read one character or key
+    # at a time, and a bool or decimal --ext prime was a domain error: each answered 0 or 1
+    (["orbit-count", "--pair", json.dumps(dict(_SO3_PAIR, n0=2, j="13", p=5, a=2))], 2),  # j = [1, 3]
+    (["distinguish", {"labels": "ab"}], 2),  # two labels, distinguished
+    (["distinguish", {"linear_dist": {}}], 2),  # no flag
+    (["distinguish", {"pi0_dist": ""}], 2),
+    (["distinguish", {"conj_dual": [[1, 2, 2]]}], 1),  # {1, 2}, though [1, 2, 3] is refused
+    (["prasad-char", "--group", '{"family":"SO","m":4,"kernel":"13"}', "--ext", _EXT], 2),
+    (["cone", "--w", '{"rho":[1],"c":""}', "--lambda", '["1"]'], 2),  # no sign
+    (["descend", "--comp", '{"parts":"","r":0}', "--w", '{"rho":[],"c":[]}'], 2),  # no block
+    (["spinor-norm", {"matrix": ["10", "01"]}], 2),  # each answered "rational": "1"
+    (["spinor-norm", {"matrix": [[1, 0], [0, 1]], "gram": ["01", "10"]}], 2),
+    (["prasad-char", "--group", '{"family":"GL","m":2}', "--ext", '{"d":5,"p":true}'], 2),
+    (["prasad-char", "--group", '{"family":"GL","m":2}', "--ext", '{"d":5,"p":3.0}'], 2),
+    # refusals that no other test reaches
+    (["orbit-count", "--case", "orthogonal", "--n", "3", "--disc", "2"], 2),  # --disc needs --p
+    (["distinguish", "--pair", "/nonexistent/pair.json", "--comp", "-", "--data", "-", "--target", "-"], 2),
+    (["orbit-count", "--case", "orthogonal", "--n", "3"], 1),  # no discriminant class
+    (["orbit-count", "--case", "symplectic", "--n", "0"], 1),
+    (["form-invariants", "--p", "3", "--entries", "[0, 1]"], 1),
+    (["orbit-count", "--pair", json.dumps(dict(_SO3_PAIR, n0=5, j=["1"] * 5))], 1),
+    (["orbit-count", "--pair", json.dumps(dict(_SO3_PAIR, b=3))], 1),  # a biquadratic model
+    (["prasad-char", "--group", '{"family":"Sp","m":3}', "--ext", _EXT], 1),
+    (["prasad-char", "--group", '{"family":"GL","m":0}', "--ext", _EXT], 1),
+    (["prasad-char", "--group", '{"family":"U","m":2,"k":4}', "--ext", _EXT], 1),
+    (["prasad-char", "--group", '{"family":"GL","m":2,"kernel":["1"]}', "--ext", _EXT], 1),
+    (["involutions", "--parts", "[1, 0]"], 1),
+    (["involutions", "--parts", "[1, 1]", "--r", "-1"], 1),
+    (["descend", "--comp", '{"parts":[1,1],"r":0,"sign":2}', "--w", '{"rho":[1,2],"c":[]}'], 1),
+    (["distinguish", {"conj_dual": [[1, 5]]}], 1),
+    (["distinguish", {"linear_dist": [5]}], 1),
+    (["distinguish", {"unitary_dist": [[1, 2]]}], 1),
+    (["distinguish", {"sigma_tau": [[1, 2, 3]]}], 1),
+    (["distinguish", {}, dict(_SX_TARGET, partial={"p": 3, "val": 2, "unit": 1})], 1),
+], ids=["pair-j", "labels", "linear-dist-object", "pi0-dist-string", "relation-repeated-index",
+        "so-kernel", "w-c", "comp-parts", "spinor-matrix-rows", "spinor-gram-rows", "ext-p-bool", "ext-p-decimal",
+        "disc-without-p", "unreadable-pair", "no-disc", "rank-0", "zero-entry", "pair-n0-5",
+        "orthogonal-biquadratic", "sp-odd", "gl-size-0", "u-k-4", "gl-kernel", "part-0", "r-negative",
+        "sign-2", "relation-index", "flag-index", "hermitian-bit", "relation-of-three", "partial-val-2"])
+def test_cli_refusals(args, code, tmp_path):
+    """Each refusal is one JSON error line, exit 2 for malformed input and
+    1 for a domain error.  A distinguish case names its edit of the
+    unitary datum and, with a third item, its orthogonal target on split
+    SO(3); a spinor-norm case names the contents of its --matrix file."""
+    if args[0] == "distinguish" and isinstance(args[1], dict):
+        pair, target = _UNITARY_PAIR, {"case": "unitary", "gamma_bit": 0}
+        if len(args) == 3:
+            pair, target = _SO3_PAIR, args[2]
+        args = _distinguish_argv(tmp_path, pair, {"parts": [1, 1], "r": 0}, dict(_UNITARY_DATUM, **args[1]), target)
+    elif args[0] == "spinor-norm":
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(args[1]))
+        args = ["spinor-norm", "--matrix", str(path)]
+    assert _assert_one_json_line(args) == code

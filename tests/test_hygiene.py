@@ -1,6 +1,9 @@
 """Source hygiene checks over src/localsym that need only the stdlib."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "localsym"
@@ -26,7 +29,7 @@ def _parsed(f):
 
 
 def test_no_unused_imports():
-    # __init__ imports names to re-export them
+    # __init__ imports LocalsymError to re-export it
     modules = [f for f in sorted(SRC.glob("*.py")) if f.name != "__init__.py"]
     assert modules
     unused = {f.name: found for f in modules if (found := _unused_imports(_parsed(f)))}
@@ -72,3 +75,13 @@ def test_unused_import_is_reported():
         "print(c, x)\n"
     )
     assert _unused_imports(tree) == [(2, "os"), (3, "e")]
+
+
+def test_one_module_loads_alone():
+    # the package root imports only localfield, so a fresh interpreter that
+    # imports one module loads no other
+    code = "import sys, localsym.localfield; print(*(m for m in sys.modules if m.partition('.')[0] == 'localsym'))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env)
+    assert out.returncode == 0, out.stderr
+    assert sorted(out.stdout.split()) == ["localsym", "localsym.localfield"]
