@@ -163,7 +163,9 @@ def _above(pts, p, q, walls) -> bool:
 
 @lru_cache(maxsize=None)
 def simple_roots(k: int, conv: Convention):
-    """e_i - e_{i+1} for i < k, then the wall root."""
+    """e_i - e_{i+1} for i < k, then the wall root; none at rank 0."""
+    if k == 0:
+        return ()
     roots = []
     for i in range(k - 1):
         v = [0] * k

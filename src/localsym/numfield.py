@@ -404,7 +404,8 @@ class Mat:
     @classmethod
     def _of(cls, field, rows) -> "Mat":
         """The matrix on rows, a tuple of row tuples of one length, without
-        the copy and the check: for the matrices the kernel builds itself."""
+        the copy and the check: for the matrices the kernel builds itself,
+        `identity`, `diagonal`, `block_diag` and `antidiag_ones` included."""
         g = _new(cls)
         g.field = field
         g.rows = rows
@@ -416,7 +417,7 @@ class Mat:
     @classmethod
     def identity(cls, field, n):
         one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._of(field, tuple(tuple([one if i == j else zero for j in range(n)]) for i in range(n)))
 
     @classmethod
     def from_rational(cls, field, rows):
@@ -427,7 +428,7 @@ class Mat:
         entries = [e if isinstance(e, Bq) else field.element(e) for e in entries]
         zero = field.zero
         n = len(entries)
-        return cls(field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._of(field, tuple(tuple([entries[i] if i == j else zero for j in range(n)]) for i in range(n)))
 
     @classmethod
     def block_diag(cls, field, blocks):
@@ -440,13 +441,13 @@ class Mat:
                 for j in range(b.m):
                     rows[off + i][off + j] = b.rows[i][j]
             off += b.n
-        return cls(field, rows)
+        return cls._of(field, tuple(map(tuple, rows)))
 
     @classmethod
     def antidiag_ones(cls, field, n):
         """The matrix w_n with ones on the antidiagonal."""
         one, zero = field.one, field.zero
-        return cls(field, [[one if i + j == n - 1 else zero for j in range(n)] for i in range(n)])
+        return cls._of(field, tuple(tuple([one if i + j == n - 1 else zero for j in range(n)]) for i in range(n)))
 
     def __eq__(self, other):
         return (
@@ -642,10 +643,18 @@ def recover_hilbert90_matrix(x: Mat) -> Mat:
     The first z_t that `splits` x is returned, which certifies it; when
     none does, x sigma(x) != I.  The z returned is marked as the split of
     this x object, so `splits(z, x)` does not certify it a second time.
+
+    A rational x other than I starts at t = 1, as z_0 = I + x cannot split
+    it.  sigma(x) = x, so if x sigma(x) = I then x^2 = I, and
+    (x - I)(x + I) = 0 with x != I makes I + x singular; if x sigma(x) != I
+    then z_0 = x sigma(z_0) = x + x^2 fails.  So the z returned and the
+    error raised are those of the search from t = 0, and the bound holds:
+    s_0 = 1 is one of the at most n roots, so some 1 <= t <= n works.
     """
     field = x.field
     zero = field.zero
-    for t in range(x.n + 1):
+    first = 1 if x.is_rational and not x.is_identity else 0
+    for t in range(first, x.n + 1):
         c, cs = field.element(1, t), field.element(1, -t)
         z = Mat._of(field, tuple(tuple([cs * e + c if i == j else zero if e._num == (0, 0, 0, 0) else cs * e
                                          for j, e in enumerate(r)]) for i, r in enumerate(x.rows)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import prod
 
@@ -120,7 +120,10 @@ class ClassicalPair:
     The model field is quadratic (sigma-conjugation, tau = id) for the
     symplectic and orthogonal cases and fully biquadratic for the unitary
     case, where sqrt(a) generates the upstairs extension and sqrt(b) the
-    sideways one."""
+    sideways one.
+
+    Every per-pair cache hashes the pair, so its hash is computed once per
+    object (`_hash`, not a field); equality stays the dataclass one."""
 
     case: Case
     n0: int
@@ -158,6 +161,18 @@ class ClassicalPair:
                 raise SymspaceError("unitary kernel size out of range")
             if self.n0 and not is_anisotropic_hermitian(self.j_entries, self.ext_fp):
                 raise SymspaceError("kernel form is isotropic at p")
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash((self.case, self.n0, self.j_entries, self.n, self.prime, self.field))
+
+    def __getstate__(self):
+        # Case hashes its name, which differs between processes: a pickled
+        # pair recomputes its hash
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def eps(self):
@@ -221,6 +236,14 @@ def jn_mat(pair) -> Mat:
 def det_jn(pair) -> Fraction:
     # det of the split block form is (-eps)^n times the kernel determinant
     return (-pair.eps) ** pair.n * Fraction(prod(pair.j_entries))
+
+
+@lru_cache(maxsize=None)
+def component_discs(pair):
+    """The discriminant classes at p of the two components of an orthogonal
+    X, (SX, X-SX): J's, and J's times a."""
+    base = reduce(det_jn(pair), pair.prime)
+    return base, base * reduce(pair.field.a, pair.prime)
 
 
 @lru_cache(maxsize=None)
@@ -292,13 +315,10 @@ def classify_x(x: Mat, z: Mat, pair):
         raise SymspaceError("orthogonal form should be rational")
     entries = diagonal_entries(*y.int_rows())
     disc, hasse = disc_and_hasse(entries, pair.prime)
-    base_disc = reduce(det_jn(pair), pair.prime)
-    if disc == base_disc:
-        component = 0
-    elif disc == base_disc * reduce(pair.field.a, pair.prime):
-        component = 1
-    else:
-        raise SymspaceError("discriminant outside the two admissible classes")
+    try:
+        component = component_discs(pair).index(disc)
+    except ValueError:
+        raise SymspaceError("discriminant outside the two admissible classes") from None
     return OrthogonalOrbit(component, disc, hasse)
 
 
@@ -317,7 +337,7 @@ def component_orbits(pair, component: Component = Component.IDENTITY):
             return (SymplecticOrbit(),)
         return (UnitaryOrbit(0), UnitaryOrbit(1))
     off = component is Component.COMPLEMENT
-    disc = reduce(det_jn(pair) * (pair.field.a if off else 1), pair.prime)
+    disc = component_discs(pair)[off]
     if orbit_count(Case.ORTHOGONAL, pair.N, disc) == 2:
         signs = (1, -1)
     else:

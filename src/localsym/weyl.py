@@ -293,8 +293,8 @@ def gl_star(g: Mat) -> Mat:
     columns, so no inverse is formed.  Any other g takes `Mat.inv`."""
     support = [[j for j, e in enumerate(r) if not e.is_zero] for r in g.rows]
     if g.m == g.n and all(len(s) == 1 for s in support) and len({s[0] for s in support}) == g.n:
-        return Mat(g.field, [[e if e.is_zero else e.tau().inverse() for e in reversed(r)]
-                             for r in reversed(g.rows)])
+        return Mat._of(g.field, tuple(tuple([e if e.is_zero else e.tau().inverse() for e in reversed(r)])
+                                      for r in reversed(g.rows)))
     w = Mat.antidiag_ones(g.field, g.n)
     return w * conj_transpose(g, "tau").inv() * w
 

@@ -1,5 +1,5 @@
-"""Bundled field models and pairs shared across the suite, and the Fraction
-reference for rational matrices."""
+"""Bundled field models and pairs shared across the suite, the Fraction
+reference for rational matrices, and the reference Hilbert-90 split."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -8,7 +8,7 @@ import pytest
 
 from localsym.forms import Case
 from localsym.localfield import Prime
-from localsym.numfield import BiquadField
+from localsym.numfield import BiquadField, Mat, NumFieldError, recover_hilbert90_matrix
 from localsym.symspace import ClassicalPair
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
@@ -44,6 +44,31 @@ def leibniz_det(a):
             term *= Fraction(a[i][perm[i]])
         total += term
     return total
+
+
+def hilbert90_reference(x):
+    """The first z_t = (1 + t sqrt(a)) I + (1 - t sqrt(a)) x, trying every
+    t = 0, 1, ..., n, with det z_t != 0 and z_t = x sigma(z_t); the same
+    NumFieldError as `recover_hilbert90_matrix` when there is none."""
+    field = x.field
+    ident = Mat(field, [[field.one if i == j else field.zero for j in range(x.n)] for i in range(x.n)])
+    for t in range(x.n + 1):
+        z = ident * field.element(1, t) + x * field.element(1, -t)
+        if not z.det().is_zero and x * z.sigma() == z:
+            return z
+    raise NumFieldError("no z_t with t <= n splits x")
+
+
+def check_split(x):
+    """Assert that `recover_hilbert90_matrix(x)` is the reference split, and
+    that z_0 = I + x is singular when x is rational and not I, the x whose
+    search starts at t = 1; return whether x is one of those."""
+    z = recover_hilbert90_matrix(x)
+    assert z == hilbert90_reference(x)
+    if x.is_rational and not x.is_identity:
+        assert (Mat.identity(x.field, x.n) + x).det().is_zero
+        return True
+    return False
 
 
 def make_pair(case, n0, j, n, p=P3, field=None):

@@ -164,6 +164,24 @@ def test_descend(capsys):
     assert payload["terminal_is_final"]
 
 
+def test_descend_from_the_empty_composition(capsys):
+    # rank 0 has no roots: an empty path, as cone and involutions --parts [] answer k = 0
+    for flag in ([], ["--wall-double"]):
+        code, env = run_cli(
+            ["descend", "--comp", '{"parts":[],"r":0}', "--w", '{"rho":[],"c":[]}', *flag], capsys
+        )
+        assert code == 0
+        assert env["payload"] == {
+            "path": [],
+            "terminal": {"comp": {"parts": [], "r": 0}, "w": {"c": [], "rho": []}},
+            "terminal_is_final": True,
+        }
+    code, env = run_cli(["cone", "--w", '{"rho":[],"c":[]}', "--lambda", "[]"], capsys)
+    assert code == 0 and env["payload"]["contains"] is True
+    code, env = run_cli(["involutions", "--parts", "[]"], capsys)
+    assert code == 0 and env["payload"]["count"] == 1
+
+
 def test_cone(capsys):
     w = {"rho": [1, 2], "c": [1, 2]}
     code, env = run_cli(

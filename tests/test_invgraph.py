@@ -76,6 +76,15 @@ def test_theta_identity_no_edges():
         assert is_terminal(v, conv)
 
 
+def test_rank_zero_has_no_roots():
+    v = Vertex(Composition((), 0), SignedInvolution.identity(0))
+    for conv in CONVS:
+        assert simple_roots(0, conv) == positive_roots(0, conv) == ()
+        assert eligible_simple_roots(v, conv) == []
+        assert is_terminal(v, conv)
+        assert descend(v, conv) == ([], v)
+
+
 def test_theta_examples():
     # k = 2, c = {1}: e1 - e2 -> -e1 - e2, an edge
     w = SignedInvolution((0, 1), frozenset({0}))

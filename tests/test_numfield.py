@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,10 @@ from localsym.numfield import (
     recover_hilbert90_matrix,
     splits,
 )
+from localsym.weyl import admissible_class, build_xw, enumerate_involutions, inner_z_choices
+
+from conftest import check_split, hilbert90_reference
+from test_distinction import small_grid
 
 F = BiquadField(-1, 3)
 Q = BiquadField(-1)  # quadratic model, tau = id
@@ -259,6 +264,57 @@ def test_hilbert90_matrix_splits_within_degree_bound(data):
     x = z0 * z0.sigma().inv()
     z = recover_hilbert90_matrix(x)
     assert z * z.sigma().inv() == x
-    assert any(
-        z == Mat.identity(field, n) * field.element(1, t) + x * field.element(1, -t) for t in range(n + 1)
-    )
+    check_split(x)
+
+
+def test_hilbert90_matrix_matches_the_reference_on_every_x_w(bundled_pairs):
+    # every x_w of the bundled pairs over the small grid: each involution,
+    # inner orbit and hermitian bit
+    pruned = total = 0
+    for pair in bundled_pairs:
+        for comp in small_grid(pair):
+            for w in enumerate_involutions(comp, admissible_class(comp, pair)):
+                iw = sorted(w.fixed_in_c)
+                for z_inv, _ in inner_z_choices(comp, w, pair):
+                    for bits in itertools.product((0, 1), repeat=len(iw)):
+                        x, _ = build_xw(comp, w, dict(zip(iw, bits)), z_inv, pair)
+                        pruned += check_split(x)
+                        total += 1
+    assert 0 < pruned < total
+
+
+@pytest.mark.parametrize("field", [F, BiquadField(2)], ids=["biquadratic", "quadratic"])
+def test_hilbert90_matrix_refuses_a_rational_x_whose_square_is_not_i(field):
+    # sigma(x) = x, so x sigma(x) = x^2; x^2 != I leaves no split, from t = 0 or t = 1
+    for rows in ([[(2,), (0,)], [(0,), (1,)]], [[(1,), (1,)], [(0,), (1,)]], [[(0,), (2,)], [(1,), (0,)]]):
+        x = _mat(field, rows)
+        assert x.is_rational and not (x * x).is_identity
+        for split in (recover_hilbert90_matrix, hilbert90_reference):
+            with pytest.raises(NumFieldError, match="no z_t with t <= n splits x"):
+                split(x)
+
+
+_entries = st.lists(st.integers(-3, 3), min_size=2, max_size=2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kernel_constants_equal_the_checked_constructor(data):
+    field = data.draw(st.sampled_from([F, Q]))
+    n = data.draw(st.integers(0, 4))
+    one, zero = field.one, field.zero
+    entries = [field.element(*data.draw(_entries)) for _ in range(n)]
+    assert Mat.identity(field, n) == Mat(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+    assert Mat.antidiag_ones(field, n) == Mat(
+        field, [[one if i + j == n - 1 else zero for j in range(n)] for i in range(n)])
+    diag = Mat(field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
+    assert Mat.diagonal(field, entries) == diag
+    blocks = [diag, Mat.antidiag_ones(field, 2), Mat.identity(field, data.draw(st.integers(0, 2)))]
+    size = sum(b.n for b in blocks)
+    rows = [[zero] * size for _ in range(size)]
+    off = 0
+    for b in blocks:
+        for i, r in enumerate(b.rows):
+            rows[off + i][off:off + b.n] = r
+        off += b.n
+    assert Mat.block_diag(field, blocks) == Mat(field, rows)

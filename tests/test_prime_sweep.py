@@ -26,6 +26,7 @@ from localsym.localfield import Prime, is_prime, reduce
 from localsym.numfield import BiquadField, recover_hilbert90_matrix
 from localsym.symspace import ClassicalPair
 
+from conftest import check_split
 from test_distinction import all_pi0, small_grid
 
 FULL = os.environ.get("LOCALSYM_FULL_SWEEP") == "1"
@@ -70,7 +71,7 @@ def full_datum(pair, comp):
 
 def certify_all(pair):
     """Realize and certify the witness of every distinguished target; return
-    how many were certified."""
+    how many were certified.  Each split is the reference one (`check_split`)."""
     certified = 0
     for comp in small_grid(pair):
         data = full_datum(pair, comp)
@@ -80,6 +81,7 @@ def certify_all(pair):
                 continue
             wt = verdict.witness
             x, predicted = weyl.build_xw(comp, wt.w, dict(wt.y_bits), wt.z_orbit, pair)
+            check_split(x)
             z = recover_hilbert90_matrix(x)
             assert predicted == target, (pair.to_json(), comp.to_json())
             assert symspace.classify_x(x, z, pair) == target, (pair.to_json(), comp.to_json())

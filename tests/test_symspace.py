@@ -1,3 +1,6 @@
+import dataclasses
+import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -23,6 +26,8 @@ from localsym.symspace import (
     SymspaceError,
     UnitaryOrbit,
     classify_x,
+    component_discs,
+    component_orbits,
     det_jn,
     gamma_bit,
     jn_invariants,
@@ -221,18 +226,21 @@ def test_classify_does_not_certify_a_recovered_split_again(monkeypatch):
     pair, witnesses = _unitary_witnesses()
     field = pair.field
     seen = _dets_taken(monkeypatch)
-    tried = []
+    taken, firsts = [], set()
     for x, inv in witnesses:
         seen.clear()
         z = recover_hilbert90_matrix(x)
         in_recover = len(seen)
         assert classify_x(x, z, pair) == inv
-        # one determinant per candidate z_t = (1 + t ra) I + (1 - t ra) x, none more on z
         t = next(t for t in range(x.n + 1)
                  if z == Mat.identity(field, x.n) * field.element(1, t) + x * field.element(1, -t))
-        assert in_recover + sum(g is z for g in seen[in_recover:]) == t + 1
-        tried.append(t + 1)
-    assert tried == [2, 1, 2, 3]
+        # one determinant per candidate z_t = (1 + t ra) I + (1 - t ra) x, none more on z;
+        # a rational x other than I starts at t = 1, as z_0 = I + x is singular there
+        first = 1 if x.is_rational and not x.is_identity else 0
+        assert in_recover + sum(g is z for g in seen[in_recover:]) == t + 1 - first
+        taken.append(t)
+        firsts.add(first)
+    assert taken == [1, 0, 1, 2] and firsts == {0, 1}  # both starts are exercised
 
 
 def test_classify_checks_a_recovered_split_against_any_other_x(monkeypatch):
@@ -415,9 +423,28 @@ def test_classify_constant_under_weyl_factors():
 
 def test_pair_json_round_trip(bundled_pairs):
     # the verdicts benchmark writes its pairs with to_json, and the CLI reads them back
-    import json
-
-    from localsym.symspace import ClassicalPair
-
     for pair in [*bundled_pairs, make_pair(Case.ORTHOGONAL, 1, (Fraction(2, 3),), 1)]:
         assert ClassicalPair.from_json(json.loads(json.dumps(pair.to_json()))) == pair
+
+
+def test_pair_hash_is_cached_outside_the_record(bundled_pairs):
+    for pair in bundled_pairs:
+        read = ClassicalPair.from_json(json.loads(json.dumps(pair.to_json())))
+        assert read is not pair and read == pair and hash(read) == hash(pair)
+        fields = dataclasses.fields(pair)
+        assert hash(pair) == hash(tuple(getattr(pair, f.name) for f in fields))  # the dataclass formula
+        assert vars(pair)["_hash"] == hash(pair)  # computed once per object
+        assert "_hash" not in {f.name for f in fields}
+        assert "_hash" not in pair.to_json() and "_hash" not in repr(pair)
+        # Case hashes its name, which differs between processes, so a pickle leaves the hash out
+        assert "_hash" not in vars(pickle.loads(pickle.dumps(pair)))
+        # the per-pair caches serve an equal pair from the same entry
+        assert jn_mat(read) is jn_mat(pair)
+        if pair.case is Case.ORTHOGONAL:
+            for c in (Component.IDENTITY, Component.COMPLEMENT):
+                assert component_orbits(read, c) is component_orbits(pair, c)
+            base = det_jn(pair)
+            assert component_discs(read) is component_discs(pair) == (
+                reduce(base, pair.prime), reduce(base * pair.field.a, pair.prime))
+        else:
+            assert component_orbits(read) is component_orbits(pair)

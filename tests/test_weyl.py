@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localsym import symspace
 from localsym.forms import Case
@@ -704,3 +706,22 @@ def test_predicted_orbit_invariant_matches_fraction_reference(bundled_pairs):
                         if pair.case is Case.ORTHOGONAL:
                             hasse_signs.add(want.hasse)
     assert hasse_signs == {1, -1} and count > 1000
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gl_star_monomial_equals_the_checked_constructor_and_the_inverse(data):
+    # a monomial block takes the branch with no inverse; it builds its rows
+    # unchecked, so they must be what Mat(field, rows) and w t(g)^-tau w give
+    field = data.draw(st.sampled_from([BiquadField(-1, 3), BiquadField(2)]))
+    n = data.draw(st.integers(1, 4))
+    perm = data.draw(st.permutations(range(n)))
+    width = 2 if field.is_quadratic else 4
+    coeffs = st.lists(st.integers(-3, 3), min_size=width, max_size=width).filter(any)
+    entries = [field.element(*data.draw(coeffs)) for _ in range(n)]
+    g = Mat(field, [[entries[i] if j == perm[i] else field.zero for j in range(n)] for i in range(n)])
+    star = gl_star(g)
+    want = [[e if e.is_zero else e.tau().inverse() for e in reversed(r)] for r in reversed(g.rows)]
+    assert star == Mat(field, want)
+    w = Mat.antidiag_ones(field, n)
+    assert star == w * conj_transpose(g, "tau").inv() * w
