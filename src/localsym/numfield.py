@@ -619,8 +619,8 @@ def in_symmetric_space(x: Mat, j: Mat, eps: int | None = None) -> bool:
 def splits(z: Mat, x: Mat) -> bool:
     """Whether z sigma(z)^-1 = x, checked without an inverse: det z != 0
     and z = x sigma(z), one determinant and one product.  A z that
-    `recover_hilbert90_matrix` returned for this very x object has passed
-    that test already and is not tested again; Mat and Bq are immutable, so
+    `recover_hilbert90_matrix` returned for this very x object has been
+    certified already and is not tested again; Mat and Bq are immutable, so
     the objects fix the values, and an equal but distinct x is tested in
     full.  Raises NumFieldError when z is not square or x is not of z's
     size."""
@@ -640,21 +640,40 @@ def recover_hilbert90_matrix(x: Mat) -> Mat:
     det z_t = (1 - t sqrt(a))^n det(s_t I + x), s_t = (1 + t sqrt(a)) / (1 - t sqrt(a)).
     t -> s_t is injective on Q and the monic degree-n polynomial
     det(s I + x) has at most n roots, so some t <= n gives an invertible z_t.
-    The first z_t that `splits` x is returned, which certifies it; when
-    none does, x sigma(x) != I.  The z returned is marked as the split of
-    this x object, so `splits(z, x)` does not certify it a second time.
+    A non-rational x takes the first z_t that `splits` it, which certifies
+    it; when none does, x sigma(x) != I.  The z returned is marked as the
+    split of this x object, so `splits(z, x)` does not certify it a second
+    time.  A non-square x raises "dimension mismatch".
 
-    A rational x other than I starts at t = 1, as z_0 = I + x cannot split
-    it.  sigma(x) = x, so if x sigma(x) = I then x^2 = I, and
-    (x - I)(x + I) = 0 with x != I makes I + x singular; if x sigma(x) != I
-    then z_0 = x sigma(z_0) = x + x^2 fails.  So the z returned and the
-    error raised are those of the search from t = 0, and the bound holds:
-    s_0 = 1 is one of the at most n roots, so some 1 <= t <= n works.
+    A rational x = X / d (integer rows X) is split in closed form and
+    certified by the one integer identity X X = d^2 I:
+    - sigma(x) = x, so z_t - x sigma(z_t) = (1 + t sqrt(a)) (I - x^2), and
+      some z_t splits x exactly when x^2 = I; otherwise the search fails
+      at every t and the same error is raised.
+    - When x^2 = I, Q^n = ker(x - I) + ker(x + I).  z_1 acts as 2 on the
+      first summand and as 2 sqrt(a) on the second, so
+      det z_1 = 2^n sqrt(a)^dim ker(x + I) != 0.
+    - z_0 = I + x is 2I for x = I and singular for any other such x, as
+      (x - I)(x + I) = 0.
+    So t = 0 for x = I, else t = 1, and the z returned and the error raised
+    are those of the search from t = 0.
     """
+    if x.n != x.m:
+        raise NumFieldError("dimension mismatch")
     field = x.field
     zero = field.zero
-    first = 1 if x.is_rational and not x.is_identity else 0
-    for t in range(first, x.n + 1):
+    if x.is_rational:
+        rows, d = x.int_rows()
+        d_ident = [[d if i == j else 0 for j in range(x.n)] for i in range(x.n)]
+        if int_mul(rows, rows) != [[d * e for e in r] for r in d_ident]:
+            raise NumFieldError("no z_t with t <= n splits x")
+        t = 0 if rows == d_ident else 1
+        # z_t = ((d I + X) + t sqrt(a) (d I - X)) / d, zero exactly where d I and X are
+        z = Mat._of(field, tuple(tuple([_reduced(field, p + e, t * (p - e), 0, 0, d) if p or e else zero
+                                        for p, e in zip(dr, r)]) for dr, r in zip(d_ident, rows)))
+        z._split = x
+        return z
+    for t in range(x.n + 1):
         c, cs = field.element(1, t), field.element(1, -t)
         z = Mat._of(field, tuple(tuple([cs * e + c if i == j else zero if e._num == (0, 0, 0, 0) else cs * e
                                          for j, e in enumerate(r)]) for i, r in enumerate(x.rows)))

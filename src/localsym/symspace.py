@@ -134,7 +134,9 @@ class ClassicalPair:
 
     def __post_init__(self):
         require_ints((self.n0, self.n), "n0 and n")
-        object.__setattr__(self, "j_entries", tuple(map(rational, self.j_entries)))
+        # an integral entry is kept as an int, however given, so equal pairs print alike
+        entries = tuple(map(rational, self.j_entries))
+        object.__setattr__(self, "j_entries", tuple(e if e.denominator != 1 else int(e) for e in entries))
         p = self.prime
         if self.n < 0 or self.N == 0:
             raise SymspaceError("need n >= 0 and a nonempty form (n0 + 2n >= 1)")

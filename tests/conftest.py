@@ -8,7 +8,7 @@ import pytest
 
 from localsym.forms import Case
 from localsym.localfield import Prime
-from localsym.numfield import BiquadField, Mat, NumFieldError, recover_hilbert90_matrix
+from localsym.numfield import BiquadField, Mat, NumFieldError, recover_hilbert90_matrix, splits
 from localsym.symspace import ClassicalPair
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
@@ -60,15 +60,16 @@ def hilbert90_reference(x):
 
 
 def check_split(x):
-    """Assert that `recover_hilbert90_matrix(x)` is the reference split, and
-    that z_0 = I + x is singular when x is rational and not I, the x whose
-    search starts at t = 1; return whether x is one of those."""
+    """Assert that `recover_hilbert90_matrix(x)` is the reference split and
+    passes the full `splits` test against an unmarked copy of x, and that
+    z_0 = I + x is singular when x is rational and not I; return whether x
+    is rational, the x split in closed form."""
     z = recover_hilbert90_matrix(x)
     assert z == hilbert90_reference(x)
+    assert splits(z, Mat(x.field, x.rows))
     if x.is_rational and not x.is_identity:
         assert (Mat.identity(x.field, x.n) + x).det().is_zero
-        return True
-    return False
+    return x.is_rational
 
 
 def make_pair(case, n0, j, n, p=P3, field=None):

@@ -14,6 +14,7 @@ from localsym.numfield import (
     conj_transpose,
     in_isometry_group,
     in_symmetric_space,
+    int_det,
     recover_hilbert90,
     recover_hilbert90_matrix,
     splits,
@@ -270,7 +271,7 @@ def test_hilbert90_matrix_splits_within_degree_bound(data):
 def test_hilbert90_matrix_matches_the_reference_on_every_x_w(bundled_pairs):
     # every x_w of the bundled pairs over the small grid: each involution,
     # inner orbit and hermitian bit
-    pruned = total = 0
+    closed_form = total = 0
     for pair in bundled_pairs:
         for comp in small_grid(pair):
             for w in enumerate_involutions(comp, admissible_class(comp, pair)):
@@ -278,19 +279,65 @@ def test_hilbert90_matrix_matches_the_reference_on_every_x_w(bundled_pairs):
                 for z_inv, _ in inner_z_choices(comp, w, pair):
                     for bits in itertools.product((0, 1), repeat=len(iw)):
                         x, _ = build_xw(comp, w, dict(zip(iw, bits)), z_inv, pair)
-                        pruned += check_split(x)
+                        closed_form += check_split(x)
                         total += 1
-    assert 0 < pruned < total
+    assert total == 226 and 0 < closed_form < total
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hilbert90_matrix_closed_form_on_rational_involutions(data):
+    # x = S diag(+-1) S^-1 with S an integer matrix, so x^2 = I and x has
+    # denominators; every such x is split in closed form
+    field = data.draw(st.sampled_from([BiquadField(2), BiquadField(-1), F, BiquadField(3, 5)]))
+    n = data.draw(st.integers(1, 12))
+    kind = data.draw(st.sampled_from(["I", "-I", "signs"]))
+    signs = [1] * n if kind == "I" else [-1] * n if kind == "-I" else \
+        data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    s = [data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for _ in range(n)]
+    assume(int_det(s) != 0)
+    s = Mat.from_rational(field, s)
+    x = s * Mat.diagonal(field, signs) * s.inv()
+    assert x.is_rational and (x * x).is_identity
+    check_split(x)
+
+
+def test_hilbert90_matrix_splits_plus_and_minus_i_and_the_empty_x():
+    for field in (F, Q):
+        empty = Mat(field, [])
+        assert check_split(empty) and recover_hilbert90_matrix(empty) == empty
+        for n in (1, 2, 5):
+            for sign, z_entry in ((1, field.element(2)), (-1, field.element(0, 2))):
+                x = Mat.diagonal(field, [sign] * n)
+                assert check_split(x)
+                assert recover_hilbert90_matrix(x) == Mat.diagonal(field, [z_entry] * n)
 
 
 @pytest.mark.parametrize("field", [F, BiquadField(2)], ids=["biquadratic", "quadratic"])
 def test_hilbert90_matrix_refuses_a_rational_x_whose_square_is_not_i(field):
-    # sigma(x) = x, so x sigma(x) = x^2; x^2 != I leaves no split, from t = 0 or t = 1
-    for rows in ([[(2,), (0,)], [(0,), (1,)]], [[(1,), (1,)], [(0,), (1,)]], [[(0,), (2,)], [(1,), (0,)]]):
+    # sigma(x) = x, so x sigma(x) = x^2; x^2 != I leaves no split at any t
+    for rows in (
+        [[(2,), (0,)], [(0,), (1,)]],
+        [[(1,), (1,)], [(0,), (1,)]],  # det 1, unipotent
+        [[(0,), (2,)], [(1,), (0,)]],
+        [[(0,), (-1,)], [(1,), (0,)]],  # rotation of order 4, x^2 = -I
+        [[(0,), (1,)], [(0,), (0,)]],  # nilpotent
+        [[(2,), (1,)], [(1,), (1,)]],  # det 1
+        [[(1,), (1,)], [(1,), (0,)]],  # det -1
+    ):
         x = _mat(field, rows)
         assert x.is_rational and not (x * x).is_identity
         for split in (recover_hilbert90_matrix, hilbert90_reference):
             with pytest.raises(NumFieldError, match="no z_t with t <= n splits x"):
+                split(x)
+
+
+@pytest.mark.parametrize("field", [F, Q], ids=["biquadratic", "quadratic"])
+def test_hilbert90_matrix_refuses_a_non_square_x(field):
+    for x in (Mat.from_rational(field, [[1, 0]]), Mat.from_rational(field, [[1], [0]]),
+              Mat(field, [[field.sqrt_a, field.one]])):
+        for split in (recover_hilbert90_matrix, hilbert90_reference):
+            with pytest.raises(NumFieldError, match="dimension mismatch"):
                 split(x)
 
 

@@ -226,7 +226,7 @@ def test_classify_does_not_certify_a_recovered_split_again(monkeypatch):
     pair, witnesses = _unitary_witnesses()
     field = pair.field
     seen = _dets_taken(monkeypatch)
-    taken, firsts = [], set()
+    taken, rational = [], set()
     for x, inv in witnesses:
         seen.clear()
         z = recover_hilbert90_matrix(x)
@@ -235,12 +235,12 @@ def test_classify_does_not_certify_a_recovered_split_again(monkeypatch):
         t = next(t for t in range(x.n + 1)
                  if z == Mat.identity(field, x.n) * field.element(1, t) + x * field.element(1, -t))
         # one determinant per candidate z_t = (1 + t ra) I + (1 - t ra) x, none more on z;
-        # a rational x other than I starts at t = 1, as z_0 = I + x is singular there
-        first = 1 if x.is_rational and not x.is_identity else 0
-        assert in_recover + sum(g is z for g in seen[in_recover:]) == t + 1 - first
+        # a rational x is split in closed form, certified by X X = d^2 I, with none
+        expected = 0 if x.is_rational else t + 1
+        assert in_recover + sum(g is z for g in seen[in_recover:]) == expected
         taken.append(t)
-        firsts.add(first)
-    assert taken == [1, 0, 1, 2] and firsts == {0, 1}  # both starts are exercised
+        rational.add(x.is_rational)
+    assert taken == [1, 0, 1, 2] and rational == {True, False}  # both kinds of witness occur
 
 
 def test_classify_checks_a_recovered_split_against_any_other_x(monkeypatch):
@@ -425,6 +425,19 @@ def test_pair_json_round_trip(bundled_pairs):
     # the verdicts benchmark writes its pairs with to_json, and the CLI reads them back
     for pair in [*bundled_pairs, make_pair(Case.ORTHOGONAL, 1, (Fraction(2, 3),), 1)]:
         assert ClassicalPair.from_json(json.loads(json.dumps(pair.to_json()))) == pair
+
+
+def test_pair_read_back_prints_alike(bundled_pairs):
+    # from_json reads the kernel entries of to_json as strings; an integral
+    # one is kept as an int, as a constructed pair keeps it
+    kernels = [pair for pair in bundled_pairs if pair.j_entries]
+    kernels.append(make_pair(Case.ORTHOGONAL, 2, (Fraction(1, 3), Fraction(6, 3)), 1))
+    for pair in kernels:
+        read = ClassicalPair.from_json(json.loads(json.dumps(pair.to_json())))
+        assert read == pair and repr(read) == repr(pair)
+        assert [type(e) for e in read.j_entries] == [int if e.denominator == 1 else Fraction
+                                                     for e in read.j_entries]
+    assert make_pair(Case.ORTHOGONAL, 2, ("1/3", Fraction(6, 3)), 1).j_entries == (Fraction(1, 3), 2)
 
 
 def test_pair_hash_is_cached_outside_the_record(bundled_pairs):
