@@ -103,6 +103,22 @@ def _reduced(field, n0, n1, n2, n3, den):
     return _raw(field, (n0, n1, n2, n3), den)
 
 
+def _times(x, y, a, b):
+    """The numerator 4-tuple of the product of two elements of
+    Q(sqrt a, sqrt b) given by their numerator 4-tuples x and y (b = None
+    on the quadratic model), over the product of their denominators."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    if b is None:
+        return x0 * y0 + a * x1 * y1, x0 * y1 + x1 * y0, 0, 0
+    return (
+        x0 * y0 + a * x1 * y1 + b * (x2 * y2 + a * x3 * y3),
+        x0 * y1 + x1 * y0 + b * (x2 * y3 + x3 * y2),
+        x0 * y2 + x2 * y0 + a * (x1 * y3 + x3 * y1),
+        x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
+    )
+
+
 class Bq:
     """c0 + c1 sqrt(a) + c2 sqrt(b) + c3 sqrt(ab), exact rational coefficients.
 
@@ -189,20 +205,7 @@ class Bq:
         if o is None:
             return NotImplemented
         field = self.field
-        x0, x1, x2, x3 = self._num
-        y0, y1, y2, y3 = o._num
-        a, b = field.a, field.b
-        den = self._den * o._den
-        if b is None:
-            return _reduced(field, x0 * y0 + a * x1 * y1, x0 * y1 + x1 * y0, 0, 0, den)
-        return _reduced(
-            field,
-            x0 * y0 + a * x1 * y1 + b * (x2 * y2 + a * x3 * y3),
-            x0 * y1 + x1 * y0 + b * (x2 * y3 + x3 * y2),
-            x0 * y2 + x2 * y0 + a * (x1 * y3 + x3 * y1),
-            x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
-            den,
-        )
+        return _reduced(field, *_times(self._num, o._num, field.a, field.b), self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -424,6 +427,14 @@ class Mat:
         return cls(field, [[field.element(x) for x in r] for r in rows])
 
     @classmethod
+    def from_numerators(cls, field, rows, den):
+        """The matrix of the entries n / den, for rows of numerator
+        4-tuples n of ints over the int den > 0."""
+        zero = field.zero
+        return cls._of(field, tuple(tuple([zero if n == (0, 0, 0, 0) else _reduced(field, *n, den) for n in r])
+                                    for r in rows))
+
+    @classmethod
     def diagonal(cls, field, entries):
         entries = [e if isinstance(e, Bq) else field.element(e) for e in entries]
         zero = field.zero
@@ -529,11 +540,10 @@ class Mat:
         """(numerators, den) of a rational matrix, as `int_rows` gives them
         for its entries: each entry's numerator and denominator are read
         from its Bq, which keeps them in lowest terms."""
-        if not self.is_rational:
+        out = _rational_rows(self)
+        if out is None:
             raise NumFieldError("matrix is not rational")
-        rows = self.rows
-        den = lcm(*(e._den for r in rows for e in r))
-        return [[e._num[0] * (den // e._den) for e in r] for r in rows], den
+        return out
 
     def det(self) -> Bq:
         if self.n != self.m:
@@ -589,6 +599,61 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.n}x{self.m} over {self.field})"
+
+
+def _rational_rows(m: Mat):
+    """`Mat.int_rows` of m, or None when an entry is not rational: each
+    entry is tested once, in the pass that finds the common denominator."""
+    den = 1
+    for r in m.rows:
+        for e in r:
+            _, n1, n2, n3 = e._num
+            if n1 or n2 or n3:
+                return None
+            if e._den != den:
+                den = lcm(den, e._den)
+    return [[e._num[0] * (den // e._den) for e in r] for r in m.rows], den
+
+
+def twisted_form(z: Mat, field: BiquadField, j_terms, j_den):
+    """(rows, den): y = t(z)^tau J z as rows of numerator 4-tuples over the
+    one positive den, for the J whose row i has the one nonzero entry
+    c / j_den in column j, (j, c) = j_terms[i] with c an int.
+
+    z is read as its numerators over its common denominator d, so
+    den = d^2 j_den.  Row i of J z is c times row j of
+    z, and y[k][l] sums tau(z[i][k]) c z[j][l] over i by `_times`, the
+    formula of `Bq.__mul__`; tau negates the sqrt(b) and sqrt(ab)
+    numerators, which are zero on the quadratic model (tau = id there).
+    A z without len(j_terms) rows raises "dimension mismatch", and a
+    nonzero entry of z over a field other than `field` raises "mixed
+    fields", as the Bq product does: the numerators alone would not tell."""
+    if z.n != len(j_terms):
+        raise NumFieldError("dimension mismatch")
+    a, b = field.a, field.b
+    d = lcm(*(e._den for r in z.rows for e in r))
+    nonzeros = []  # of each row of z: (column, numerators over d)
+    for r in z.rows:
+        row = []
+        for k, e in enumerate(r):
+            num = e._num
+            if num != (0, 0, 0, 0):
+                if e.field is not field and e.field != field:
+                    raise NumFieldError("mixed fields")
+                s = d // e._den
+                row.append((k, num if s == 1 else (num[0] * s, num[1] * s, num[2] * s, num[3] * s)))
+        nonzeros.append(row)
+    y = [[(0, 0, 0, 0)] * z.m for _ in range(z.m)]
+    for left, (j, c) in zip(nonzeros, j_terms):
+        right = nonzeros[j]
+        for col, (u0, u1, u2, u3) in left:
+            u = (c * u0, c * u1, -c * u2, -c * u3)
+            yc = y[col]
+            for l, w in right:
+                p0, p1, p2, p3 = _times(u, w, a, b)
+                s0, s1, s2, s3 = yc[l]
+                yc[l] = (s0 + p0, s1 + p1, s2 + p2, s3 + p3)
+    return y, d * d * j_den
 
 
 def conj_transpose(g: Mat, which: str = "tau") -> Mat:
@@ -662,8 +727,9 @@ def recover_hilbert90_matrix(x: Mat) -> Mat:
         raise NumFieldError("dimension mismatch")
     field = x.field
     zero = field.zero
-    if x.is_rational:
-        rows, d = x.int_rows()
+    rational = _rational_rows(x)
+    if rational is not None:
+        rows, d = rational
         d_ident = [[d if i == j else 0 for j in range(x.n)] for i in range(x.n)]
         if int_mul(rows, rows) != [[d * e for e in r] for r in d_ident]:
             raise NumFieldError("no z_t with t <= n splits x")

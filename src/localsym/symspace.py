@@ -43,8 +43,10 @@ from .numfield import (
     Bq,
     Mat,
     conj_transpose,
+    int_rows,
     recover_hilbert90,
     splits,
+    twisted_form,
 )
 
 
@@ -235,6 +237,14 @@ def jn_mat(pair) -> Mat:
     return Mat.from_rational(pair.field, split_gram(pair.n, pair.j_entries, pair.eps))
 
 
+@lru_cache(maxsize=None)
+def jn_terms(pair):
+    """`jn_mat` by its one nonzero per row, as `twisted_form` reads J:
+    ((column, integer numerator) of each row, the common denominator)."""
+    rows, den = int_rows(split_gram(pair.n, pair.j_entries, pair.eps))
+    return tuple(next((j, c) for j, c in enumerate(r) if c) for r in rows), den
+
+
 def det_jn(pair) -> Fraction:
     # det of the split block form is (-eps)^n times the kernel determinant
     return (-pair.eps) ** pair.n * Fraction(prod(pair.j_entries))
@@ -298,24 +308,32 @@ def classify_x(x: Mat, z: Mat, pair):
     z sigma(z)^-1 sigma(z) z^-1 = I, and since J is rational,
     t(x)^tau J x = t(sigma(z))^-tau y sigma(z)^-1
     = t(sigma(z))^-tau sigma(y) sigma(z)^-1 = J.  The classification data
-    of y is the orbit invariant; an orthogonal y is read as integer rows
-    over one denominator and diagonalized without a change of basis."""
-    y = conj_transpose(z, "tau") * jn_mat(pair) * z  # first, so a z of the wrong size raises NumFieldError
+    of y is the orbit invariant.
+
+    y is formed on integers by `twisted_form`: z's numerators over one
+    denominator against J's one nonzero per row (`jn_terms`), so sigma(y)
+    = y reads "no sqrt(a) or sqrt(ab) numerator".  An orthogonal y (the
+    quadratic model, so a y that descends is rational) is diagonalized from
+    its numerators without a change of basis; a unitary y becomes a `Mat`
+    only for its determinant.  A z of the wrong size or over another field
+    raises NumFieldError, as the Bq product does."""
+    field = pair.field
+    # first, so a z of the wrong size or over another field raises NumFieldError
+    y, den = twisted_form(z, field, *jn_terms(pair))
     if not splits(z, x):
         raise SymspaceError("z does not split x")
-    if y.sigma() != y:
+    if any(e[1] or e[3] for r in y for e in r):
         raise SymspaceError("twisted form does not descend; z inconsistent with x")
     if pair.case is Case.SYMPLECTIC:
         return SymplecticOrbit()
     if pair.case is Case.UNITARY:
-        dy = y.det()
+        dy = Mat.from_numerators(field, y, den).det()
         if not dy.is_rational:
             raise SymspaceError("hermitian determinant should be rational")
-        sign = hilbert_rational(dy.rational * det_jn(pair), pair.field.b, pair.prime)
+        sign = hilbert_rational(dy.rational * det_jn(pair), field.b, pair.prime)
         return UnitaryOrbit(0 if sign == 1 else 1)
-    if not y.is_rational:
-        raise SymspaceError("orthogonal form should be rational")
-    entries = diagonal_entries(*y.int_rows())
+    # the quadratic model has no sqrt(b) coordinates, so a y that descends is rational
+    entries = diagonal_entries([[e[0] for e in r] for r in y], den)
     disc, hasse = disc_and_hasse(entries, pair.prime)
     try:
         component = component_discs(pair).index(disc)

@@ -1,5 +1,6 @@
 """Bundled field models and pairs shared across the suite, the Fraction
-reference for rational matrices, and the reference Hilbert-90 split."""
+reference for rational matrices, the reference Hilbert-90 split and the
+reference twisted form."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -8,8 +9,8 @@ import pytest
 
 from localsym.forms import Case
 from localsym.localfield import Prime
-from localsym.numfield import BiquadField, Mat, NumFieldError, recover_hilbert90_matrix, splits
-from localsym.symspace import ClassicalPair
+from localsym.numfield import BiquadField, Mat, NumFieldError, conj_transpose, recover_hilbert90_matrix, splits
+from localsym.symspace import ClassicalPair, jn_mat
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -70,6 +71,11 @@ def check_split(x):
     if x.is_rational and not x.is_identity:
         assert (Mat.identity(x.field, x.n) + x).det().is_zero
     return x.is_rational
+
+
+def twisted_form_reference(z, pair):
+    """y = t(z)^tau J z as the product of Bq matrices, J = `jn_mat(pair)`."""
+    return conj_transpose(z, "tau") * jn_mat(pair) * z
 
 
 def make_pair(case, n0, j, n, p=P3, field=None):

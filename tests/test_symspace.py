@@ -3,6 +3,8 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +19,7 @@ from localsym.numfield import (
     in_isometry_group,
     in_symmetric_space,
     recover_hilbert90_matrix,
+    twisted_form,
 )
 from localsym.symspace import (
     ClassicalPair,
@@ -32,13 +35,15 @@ from localsym.symspace import (
     gamma_bit,
     jn_invariants,
     jn_mat,
+    jn_terms,
     orbit_count_X,
     realizable_targets,
     z_orbit_representatives,
 )
 from localsym.weyl import Composition, SignedInvolution, build_xw, gl_star, inner_z_choices
 
-from conftest import BIQ_3, P2, P3, P5, QUAD_M3, make_pair
+from conftest import BIQ_3, P2, P3, P5, QUAD_M3, make_pair, twisted_form_reference
+from test_local_models import class_reps
 
 
 def random_isometry(pair, rng, steps: int = 3) -> Mat:
@@ -163,9 +168,7 @@ def test_classify_orthogonal_matches_forms_invariants():
     pair = make_pair(Case.ORTHOGONAL, 1, (1,), 1)
     f = pair.field
     z = Mat.diagonal(f, [f.element(1) + f.sqrt_a, f.one, (f.element(1) + f.sqrt_a).inverse()])
-    from localsym.numfield import conj_transpose
-
-    y = conj_transpose(z, "tau") * jn_mat(pair) * z
+    y = twisted_form_reference(z, pair)
     assert y.is_rational
     x = z * z.sigma().inv()
     inv = classify_x(x, z, pair)
@@ -178,12 +181,16 @@ def test_classify_orthogonal_matches_forms_invariants():
     assert inv.hasse == hasse
 
 
-def test_classify_rejects_a_split_non_isometry():
+@pytest.mark.parametrize("pair, entries", [
+    (make_pair(Case.ORTHOGONAL, 1, (1,), 1), lambda f: [f.element(1) + f.sqrt_a, f.one, f.one]),
+    # y is 0 on the diagonal and +-sqrt(ab) off it: only its sqrt(ab) coordinates are nonzero
+    (make_pair(Case.UNITARY, 0, (), 1), lambda f: [f.one, f.sqrt_ab]),
+])
+def test_classify_rejects_a_split_non_isometry(pair, entries):
     # x sigma(x) = I and z splits x, but x does not preserve J: the twisted
     # form of z is irrational, so the descent check is the one that fails
-    pair = make_pair(Case.ORTHOGONAL, 1, (1,), 1)
     f = pair.field
-    z = Mat.diagonal(f, [f.element(1) + f.sqrt_a, f.one, f.one])
+    z = Mat.diagonal(f, entries(f))
     x = z * z.sigma().inv()
     assert (x * x.sigma()).is_identity
     assert not in_isometry_group(x, jn_mat(pair), pair.eps)
@@ -197,6 +204,71 @@ def test_classify_shape_mismatch_is_a_numfield_error():
     for x, z in [(Mat.identity(f, 2), Mat.identity(f, 3)), (Mat.identity(f, 2), Mat.identity(f, 2))]:
         with pytest.raises(NumFieldError):
             classify_x(x, z, pair)
+
+
+@pytest.mark.parametrize("pair, other", [
+    (make_pair(Case.ORTHOGONAL, 1, (1,), 1), BiquadField(-1, 3)),
+    (make_pair(Case.ORTHOGONAL, 1, (1,), 1), BiquadField(3)),
+    (make_pair(Case.SYMPLECTIC, 0, (), 1), BiquadField(2)),
+    (make_pair(Case.UNITARY, 1, (1,), 1), BiquadField(-1, 5)),
+])
+def test_classify_refuses_a_z_over_another_field(pair, other):
+    """The identity over another field has the numerators of the identity
+    over the pair's field.  Against an x over the pair's field the split
+    test refuses it; against an x over the other field, split by
+    `recover_hilbert90_matrix` and so trusted, only the twisted form's
+    comparison of the fields does."""
+    x = Mat.identity(other, pair.N)
+    for x, z in [(Mat.identity(pair.field, pair.N), x), (x, recover_hilbert90_matrix(x))]:
+        with pytest.raises(NumFieldError, match="mixed fields"):
+            classify_x(x, z, pair)
+
+
+@lru_cache(maxsize=None)
+def _models(p):
+    """(case, field, kernel) for every model at p over the square-class
+    representatives: orthogonal kernels of rank <= 4, unitary of rank <= 2."""
+    reps = class_reps(p)
+    shapes = [(Case.SYMPLECTIC, BiquadField(a), ()) for a in reps[1:]]
+    shapes += [(Case.ORTHOGONAL, BiquadField(a), j) for a in reps[1:] for r in range(5)
+               for j in combinations_with_replacement(reps, r)]
+    shapes += [(Case.UNITARY, BiquadField(a, b), j) for a, b in permutations(reps[1:], 2) for r in range(3)
+               for j in combinations_with_replacement(reps, r)]
+    out = []
+    for case, field, j in shapes:
+        try:
+            ClassicalPair(case, len(j), j, 1, Prime(p), field)
+        except SymspaceError:
+            continue  # an isotropic kernel, or a model that is not locally (bi)quadratic
+        out.append((case, field, j))
+    return out
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_twisted_form_matches_the_mat_product(data):
+    """`twisted_form` on z's numerators is t(z)^tau J z as a product of Bq
+    matrices, for symplectic, orthogonal and unitary pairs with N <= 12,
+    kernel entries scaled by squares (Fractions, and p^2) and rational or
+    non-rational z of any density."""
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    case, field, kernel = data.draw(st.sampled_from(_models(p)))
+    squares = st.sampled_from((1, p * p, Fraction(1, 4), Fraction(9, p * p)))
+    kernel = tuple(e * data.draw(squares) for e in kernel)
+    n = data.draw(st.integers(0 if kernel else 1, (12 - len(kernel)) // 2))
+    pair = ClassicalPair(case, len(kernel), kernel, n, Prime(p), field)
+    rng = data.draw(st.randoms(use_true_random=False))
+    coords = 1 if data.draw(st.booleans()) else 2 if field.is_quadratic else 4
+    density = data.draw(st.sampled_from((0.2, 0.5, 1.0)))
+
+    def entry():
+        if rng.random() >= density:
+            return field.zero
+        return field.element(*(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(coords)))
+
+    z = Mat(field, [[entry() for _ in range(pair.N)] for _ in range(pair.N)])
+    y, den = twisted_form(z, field, *jn_terms(pair))
+    assert Mat.from_numerators(field, y, den) == twisted_form_reference(z, pair)
 
 
 def _unitary_witnesses():
