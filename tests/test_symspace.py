@@ -181,16 +181,25 @@ def test_classify_orthogonal_matches_forms_invariants():
     assert inv.hasse == hasse
 
 
-@pytest.mark.parametrize("pair, entries", [
-    (make_pair(Case.ORTHOGONAL, 1, (1,), 1), lambda f: [f.element(1) + f.sqrt_a, f.one, f.one]),
-    # y is 0 on the diagonal and +-sqrt(ab) off it: only its sqrt(ab) coordinates are nonzero
-    (make_pair(Case.UNITARY, 0, (), 1), lambda f: [f.one, f.sqrt_ab]),
-])
-def test_classify_rejects_a_split_non_isometry(pair, entries):
+def test_classify_rejects_a_split_non_isometry():
     # x sigma(x) = I and z splits x, but x does not preserve J: the twisted
     # form of z is irrational, so the descent check is the one that fails
+    pair = make_pair(Case.ORTHOGONAL, 1, (1,), 1)
     f = pair.field
-    z = Mat.diagonal(f, entries(f))
+    z = Mat.diagonal(f, [f.element(1) + f.sqrt_a, f.one, f.one])
+    x = z * z.sigma().inv()
+    assert (x * x.sigma()).is_identity
+    assert not in_isometry_group(x, jn_mat(pair), pair.eps)
+    with pytest.raises(SymspaceError, match="does not descend"):
+        classify_x(x, z, pair)
+
+
+def test_classify_rejects_a_twisted_form_with_only_sqrt_ab_coordinates():
+    # y is 0 on the diagonal and +-sqrt(ab) off it: only its sqrt(ab)
+    # coordinates are nonzero, and the descent check still fails
+    pair = make_pair(Case.UNITARY, 0, (), 1)
+    f = pair.field
+    z = Mat.diagonal(f, [f.one, f.sqrt_ab])
     x = z * z.sigma().inv()
     assert (x * x.sigma()).is_identity
     assert not in_isometry_group(x, jn_mat(pair), pair.eps)
