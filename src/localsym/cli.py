@@ -59,15 +59,6 @@ def _json_file(path, what):
     return _json_arg(text, what)
 
 
-def _json_list(s, what):
-    """A JSON list argument; any other JSON value (a string or an object
-    would iterate as its characters or keys) is malformed input."""
-    value = _json_arg(s, what)
-    if not isinstance(value, list):
-        raise CliError(f"{what} must be a JSON list")
-    return value
-
-
 # Bounds on what a command builds, so that it runs in bounded time: 8
 # one-blocks have 32400 signed involutions, t_w of a pair is N x N, and a
 # form, a gram or a spinor-norm matrix has at most MAX_MATRIX_SIZE rows.
@@ -89,7 +80,7 @@ def _rows_bound(rows, what):
 
 def _gram_arg(s):
     """--gram as a square list of rows, its size and shape checked here once."""
-    gram = _json_list(s, "--gram")
+    gram = localfield.require_list(_json_arg(s, "--gram"), "--gram")
     _rows_bound(gram, "--gram")
     if any(not isinstance(row, list) or len(row) != len(gram) for row in gram):
         raise CliError("--gram must be a square JSON list of rows")
@@ -109,7 +100,7 @@ def cmd_form_invariants(args):
     if args.gram:
         form, _ = forms.diagonalize(_gram_arg(args.gram), p, case, ext)
     else:
-        entries = _json_list(args.entries, "--entries")
+        entries = localfield.require_list(_json_arg(args.entries, "--entries"), "--entries")
         _bound(len(entries), MAX_MATRIX_SIZE, "the length of --entries")
         form = forms.DiagForm(case, p, entries, ext=ext)
     _emit("form-invariants", forms.invariants(form).to_json())
@@ -132,7 +123,7 @@ def cmd_orbit_count(args):
 
 
 def cmd_involutions(args):
-    parts = _json_list(args.parts, "--parts")
+    parts = localfield.require_list(_json_arg(args.parts, "--parts"), "--parts")
     _bound(len(parts), MAX_BLOCKS, "the block count of --parts")
     comp = weyl.Composition(tuple(parts), args.r)
     rows = weyl.involution_rows(comp, circ=args.circ)
@@ -172,7 +163,7 @@ def cmd_cone(args):
     _bound(w.k, MAX_BLOCKS, "the block count of --w")
     conv = invgraph.Convention(wall_double=args.wall_double)
     theta = invgraph.ThetaAction.from_involution(w)
-    lam = _json_list(args.lam, "--lambda")
+    lam = localfield.require_list(_json_arg(args.lam, "--lambda"), "--lambda")
     inside = invgraph.cone_contains(theta, lam, args.c, conv)
     _emit("cone", {"contains": inside})
 

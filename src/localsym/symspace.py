@@ -1,7 +1,8 @@
 """Twisted-conjugation orbits in X = {x in G(E) : x sigma(x) = I} for a
 classical pair, classified by exact invariants: nothing for the symplectic
 case (one orbit), a norm-coset bit for the unitary case, a discriminant
-component plus a Hasse sign for the orthogonal case.
+component plus a Hasse sign for the orthogonal case.  An orbit is its
+invariant object, so two orbits are the same exactly when they compare ==.
 
 Matrices live over a global (bi)quadratic model of the relevant extension
 tower; invariants are then read off at the working prime.

@@ -307,6 +307,11 @@ def test_ac08_distinction_end_to_end(bundled_pairs):
     _ok(8, f"{witnesses} witnesses verified by exact classification and the necessary condition")
 
 
+# the 123 coordinates n/d that ac09 draws, built once: the same rng calls
+# pick the same values as building Fraction(n, d) per draw
+AC09_COORDS = {(n, d): Fraction(n, d) for n in range(-20, 21) for d in (1, 2, 3)}
+
+
 def test_ac09_cone_recursion():
     start = time.perf_counter()
     rng = random.Random(99)
@@ -323,7 +328,7 @@ def test_ac09_cone_recursion():
                     theta1 = invgraph.ThetaAction.from_involution(target.w)
                     for _ in range(points_per_edge):
                         lam = tuple(
-                            Fraction(rng.randint(-20, 20), rng.choice([1, 1, 2, 3]))
+                            AC09_COORDS[rng.randint(-20, 20), rng.choice([1, 1, 2, 3])]
                             for _ in range(k)
                         )
                         if rng.random() < 0.7:

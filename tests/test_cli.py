@@ -78,6 +78,7 @@ def test_form_invariants_bad_gram_is_malformed(gram, capsys):
     assert e.value.code == 2
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    assert "--gram" in json.loads(lines[0])["error"]
 
 
 @pytest.mark.parametrize("entries", ['{"1": 2}', '"12"'], ids=["object", "string"])
@@ -87,6 +88,7 @@ def test_form_invariants_bad_entries_is_malformed(entries, capsys):
     assert e.value.code == 2
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    assert json.loads(lines[0])["error"] == "malformed input: --entries must be a list"
 
 
 def test_orbit_count_forms(capsys):
@@ -723,20 +725,20 @@ _W1 = '{"rho":[1],"c":[]}'
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, listed",
     [
-        ["cone", "--w", '{"rho":[1,2],"c":[1,2]}', "--lambda", '"53"'],
-        ["cone", "--w", '{"rho":[1,2],"c":[1,2]}', "--lambda", '{"5":0,"3":0}'],
-        ["involutions", "--parts", '"12"'],
-        ["involutions", "--parts", '{"1":0,"2":0}'],
-        ["involutions", "--parts", "[1.5]"],
-        ["involutions", "--parts", "[true]"],
-        ["build-tw", "--pair", _TW_PAIR, "--comp", '{"parts":[1.5],"r":0}', "--w", _W1],
-        ["build-tw", "--pair", _TW_PAIR, "--comp", '{"parts":[true],"r":1}', "--w", _W1],
-        ["build-tw", "--pair", _TW_PAIR, "--comp", '{"parts":[1],"r":1.0}', "--w", _W1],
-        ["build-tw", "--pair", _TW_PAIR, "--comp", '{"parts":"2","r":0}', "--w", _W1],
-        ["descend", "--comp", '{"parts":[1,1],"r":true}', "--w", '{"rho":[1,2],"c":[1]}'],
-        ["descend", "--comp", '{"parts":[2],"r":0,"sign":true}', "--w", '{"rho":[1],"c":[1]}'],
+        (["cone", "--w", '{"rho":[1,2],"c":[1,2]}', "--lambda", '"53"'], "--lambda"),
+        (["cone", "--w", '{"rho":[1,2],"c":[1,2]}', "--lambda", '{"5":0,"3":0}'], "--lambda"),
+        (["involutions", "--parts", '"12"'], "--parts"),
+        (["involutions", "--parts", '{"1":0,"2":0}'], "--parts"),
+        (["involutions", "--parts", "[1.5]"], None),
+        (["involutions", "--parts", "[true]"], None),
+        (["build-tw", "--pair", _TW_PAIR, "--comp", '{"parts":[1.5],"r":0}', "--w", _W1], None),
+        (["build-tw", "--pair", _TW_PAIR, "--comp", '{"parts":[true],"r":1}', "--w", _W1], None),
+        (["build-tw", "--pair", _TW_PAIR, "--comp", '{"parts":[1],"r":1.0}', "--w", _W1], None),
+        (["build-tw", "--pair", _TW_PAIR, "--comp", '{"parts":"2","r":0}', "--w", _W1], "parts"),
+        (["descend", "--comp", '{"parts":[1,1],"r":true}', "--w", '{"rho":[1,2],"c":[1]}'], None),
+        (["descend", "--comp", '{"parts":[2],"r":0,"sign":true}', "--w", '{"rho":[1],"c":[1]}'], None),
     ],
     ids=[
         "lambda-string", "lambda-object", "parts-string", "parts-object", "parts-float",
@@ -744,12 +746,15 @@ _W1 = '{"rho":[1],"c":[]}'
         "descend-bool-r", "descend-bool-sign",
     ],
 )
-def test_list_and_integer_arguments_are_malformed(args, capsys):
+def test_list_and_integer_arguments_are_malformed(args, listed, capsys):
+    # listed: the argument or field refused for not being a list, named in the error
     with pytest.raises(SystemExit) as e:
         main(args)
     assert e.value.code == 2
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    if listed:
+        assert json.loads(lines[0])["error"] == f"malformed input: {listed} must be a list"
 
 
 # ---------------------------------------------------------------------------
